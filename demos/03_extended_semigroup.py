@@ -67,7 +67,7 @@ errs = []
 eps_grid = (1e-2, 5e-3, 2.5e-3)
 for eps in eps_grid:
     ge = resolvent_generator(gc, eps)
-    errs.append(max(max_abs(matrix_exponential(ge.block(i, j), 1.0)
+    errs.append(max(max_abs(matrix_exponential(ge[i][j], 1.0)
                             - matrix_exponential(gc.block(i, j), 1.0))
                     for i in (0, 1) for j in (0, 1)))
 slope = np.polyfit(np.log(eps_grid), np.log(errs), 1)[0]

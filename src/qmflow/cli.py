@@ -18,11 +18,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .extended import build_extended_generator
+from .extended import BlockOp2, apply_extended, build_extended_generator
 from .flows import flow_matrix_element
-from .linalg import apply_superop, matrix_exponential
 from .serialize import (
     glauber_config_from_obj,
     load_json,
@@ -33,7 +30,6 @@ from .serialize import (
     structure_maps_to_obj,
 )
 from .suite import (
-    DEFAULT_TOLERANCES,
     build_model,
     check_cp_rows,
     parse_config,
@@ -93,35 +89,31 @@ def _build_parser():
 
 
 def _load_run_config(args):
+    """Merge the command-line overrides into the config file's object and
+    validate the result once, with ``parse_config``."""
     obj = load_json(args.config) if args.config else {}
-    rc = parse_config(obj, seed_override=getattr(args, "seed", None))
-    overrides = {}
-    if getattr(args, "mode", None):
-        overrides["mode"] = args.mode
-    if getattr(args, "t", None):
-        try:
-            grid = tuple(float(v) for v in args.t.split(","))
-        except ValueError:
-            raise ValueError(f"--t must be comma-separated numbers, got {args.t!r}")
-        if any(t < 0 or not np.isfinite(t) for t in grid):
-            raise ValueError("config key 't_grid' must hold nonnegative times")
-        overrides["t_grid"] = grid
-    tols = dict(rc.tolerances)
-    for item in getattr(args, "tol", []):
-        name, sep, val = item.partition("=")
-        if not sep:
-            raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-        if name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"config key 'tolerances.{name}' is not a known check tolerance")
-        try:
-            tols[name] = float(val)
-        except ValueError:
-            raise ValueError(f"--tol {name} needs a numeric value, got {val!r}")
-        if not tols[name] > 0:
-            raise ValueError(f"config key 'tolerances.{name}' must be a positive number")
-    overrides["tolerances"] = tols
-    import dataclasses
-    return dataclasses.replace(rc, **overrides)
+    if isinstance(obj, dict):
+        obj = dict(obj)
+        if getattr(args, "mode", None):
+            obj["mode"] = args.mode
+        if getattr(args, "t", None):
+            try:
+                obj["t_grid"] = [float(v) for v in args.t.split(",")]
+            except ValueError:
+                raise ValueError(f"--t must be comma-separated numbers, got {args.t!r}")
+        tols = {}
+        for item in getattr(args, "tol", []):
+            name, sep, val = item.partition("=")
+            if not sep:
+                raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
+            try:
+                tols[name] = float(val)
+            except ValueError:
+                raise ValueError(f"--tol {name} needs a numeric value, got {val!r}")
+        base = obj.get("tolerances") or {}
+        if tols and isinstance(base, dict):
+            obj["tolerances"] = {**base, **tols}
+    return parse_config(obj, seed_override=getattr(args, "seed", None))
 
 
 def _write(text, path):
@@ -191,11 +183,11 @@ def _cmd_evolve(args):
     gen = build_extended_generator(sm, rc.mode)
     results = []
     for t in rc.t_grid:
+        out = apply_extended(gen, t, BlockOp2(x, x, x, x))
         entry = {"t": t}
         for i in (0, 1):
             for j in (0, 1):
-                p = matrix_exponential(gen.block(i, j), t)
-                entry[f"P{i}{j}"] = operator_to_obj(apply_superop(p, x))
+                entry[f"P{i}{j}"] = operator_to_obj(out.block(i, j))
         results.append(entry)
     if args.format == "csv":
         lines = ["t,block,row,col,re,im"]

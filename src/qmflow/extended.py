@@ -2,14 +2,18 @@
 
 A Markov flow restricted to number vectors is described by four operator
 semigroups at once. They fit into a single semigroup acting entrywise on
-2x2 block matrices over the system algebra, with generator
+2x2 block matrices over the system algebra. The four generator entries
+are the flow's point generators (``flows.point_generator``) at the
+corners of the unit square, L_ij = K(f0=i, g0=j):
 
     L = [ theta_0                 theta_0 + theta_minus              ]
         [ theta_0 + theta_plus    theta_0 + theta_plus + theta_minus ]
 
 in conservative normalization; the physical normalization adds the
 identity map to the bottom-right entry, which makes the evolved identity
-block grow like e^t instead of staying flat.
+block grow like e^t instead of staying flat. One generator object serves
+both normalizations: ``dataclasses.replace(gen, mode=...)`` switches
+between them without validating the structure maps again.
 
 Everything here acts blockwise, so properties of the big map (complete
 positivity, dissipativity against the block derivation delta) reduce to
@@ -17,10 +21,12 @@ joint properties of the four entries. The diagnostics in this module are
 the numerical versions of those properties.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
+from .flows import point_generator
 from .linalg import (
     apply_superop,
     choi_of_map,
@@ -28,7 +34,7 @@ from .linalg import (
     max_abs,
     min_eig,
 )
-from .structure import StructureMapSet, check_conjugation, check_unital, leibnitz_residual
+from .structure import StructureMapSet, check_conjugation, leibnitz_residual
 
 __all__ = [
     "BlockOp2", "ExtendedGenerator", "build_extended_generator",
@@ -114,47 +120,46 @@ class BlockOp2:
 
 @dataclass(frozen=True)
 class ExtendedGenerator:
-    """The four generator entries plus the structure maps they came from."""
+    """The structure maps viewed as the 2x2 generator table of one mode.
 
-    dim: int
-    mode: str
-    blocks: tuple  # ((l00, l01), (l10, l11)) of superoperator matrices
+    Entry (i, j) is ``point_generator(source, i, j, mode)``; the four
+    entries are built on first use and cached on the object.
+    """
+
     source: StructureMapSet
+    mode: str
+
+    @property
+    def dim(self):
+        return self.source.dim
+
+    @cached_property
+    def entries(self):
+        return tuple(tuple(point_generator(self.source, i, j, self.mode) for j in (0, 1))
+                     for i in (0, 1))
 
     def block(self, i, j):
-        return self.blocks[i][j]
+        return self.entries[i][j]
 
-    def conservative_block(self, i, j):
-        """Entry (i, j) in conservative normalization regardless of mode."""
-        b = self.blocks[i][j]
-        if self.mode == "physical" and i == 1 and j == 1:
-            return b - np.eye(b.shape[0])
-        return b
 
-    def physical_block(self, i, j):
-        b = self.blocks[i][j]
-        if self.mode == "conservative" and i == 1 and j == 1:
-            return b + np.eye(b.shape[0])
-        return b
+def _in_mode(gen, mode):
+    return gen if gen.mode == mode else replace(gen, mode=mode)
 
 
 def build_extended_generator(sm, mode="physical"):
-    """Assemble the 2x2 generator table from a structure-map set.
+    """The 2x2 generator table of a structure-map set in one normalization.
 
-    The set must pass the structural axioms (unitality, conjugation, and
-    the derivation rule for the noise maps); sets failing them produce a
-    generator with no meaning, so they are rejected with a diagnostic.
-    The drift's calibrated product rule is a soft property checked by the
-    suite, not a construction precondition.
+    The set must pass the structural axioms (unitality, checked when the
+    set is constructed, conjugation, and the derivation rule for the noise
+    maps); sets failing them produce a generator with no meaning, so they
+    are rejected with a diagnostic. The drift's calibrated product rule is
+    a soft property checked by the suite, not a construction precondition.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not isinstance(sm, StructureMapSet):
         raise ValueError("expected a StructureMapSet")
 
-    r_unital = check_unital(sm)
-    if r_unital > 1e-10:
-        raise ValueError(f"axiom failure: maps do not kill the identity ({r_unital:.3e})")
     r_conj = check_conjugation(sm)
     if r_conj > 1e-10:
         raise ValueError(f"axiom failure: conjugation rule violated ({r_conj:.3e})")
@@ -170,16 +175,7 @@ def build_extended_generator(sm, mode="physical"):
             raise ValueError(
                 f"axiom failure: noise maps are not derivations "
                 f"(residual {max(res[-1], res[1]):.3e})")
-
-    m0, mm, mp = sm.theta_zero, sm.theta_minus, sm.theta_plus
-    l00 = m0
-    l01 = m0 + mm
-    l10 = m0 + mp
-    l11 = m0 + mp + mm
-    if mode == "physical":
-        l11 = l11 + np.eye(l11.shape[0])
-    return ExtendedGenerator(dim=sm.dim, mode=mode,
-                             blocks=((l00, l01), (l10, l11)), source=sm)
+    return ExtendedGenerator(source=sm, mode=mode)
 
 
 def apply_extended(gen, t, x):
@@ -255,11 +251,12 @@ def conservativity_residual(gen, t):
     Applies the conservative-normalization entries to the all-identity
     block operator and returns the max-abs deviation from it.
     """
+    gen = _in_mode(gen, "conservative")
     eye = np.eye(gen.dim)
     worst = 0.0
     for i in (0, 1):
         for j in (0, 1):
-            p = matrix_exponential(gen.conservative_block(i, j), t)
+            p = matrix_exponential(gen.block(i, j), t)
             worst = max(worst, max_abs(apply_superop(p, eye) - eye))
     return worst
 
@@ -271,12 +268,13 @@ def normalization_residual(gen, t):
     identity; returns the worst blockwise max-abs deviation divided by
     max(1, |target|).
     """
+    gen = _in_mode(gen, "physical")
     eye = np.eye(gen.dim)
     worst = 0.0
     for i in (0, 1):
         for j in (0, 1):
             target = float(np.exp(t)) if (i, j) == (1, 1) else 1.0
-            p = matrix_exponential(gen.physical_block(i, j), t)
+            p = matrix_exponential(gen.block(i, j), t)
             dev = max_abs(apply_superop(p, eye) - target * eye)
             worst = max(worst, dev / max(1.0, abs(target)))
     return worst
@@ -288,22 +286,22 @@ def kappa_residual(gen):
     Returns the max-abs deviation of the physical generator applied to the
     all-identity block operator from [[0, 0], [0, identity]].
     """
+    gen = _in_mode(gen, "physical")
     eye = np.eye(gen.dim)
     worst = 0.0
     for i in (0, 1):
         for j in (0, 1):
             target = eye if (i, j) == (1, 1) else np.zeros_like(eye)
-            got = apply_superop(gen.physical_block(i, j), eye)
+            got = apply_superop(gen.block(i, j), eye)
             worst = max(worst, max_abs(got - target))
     return worst
 
 
-def _apply_generator(gen, x, conservative=True):
+def _apply_generator(gen, x):
     out = [[None, None], [None, None]]
     for i in (0, 1):
         for j in (0, 1):
-            m = gen.conservative_block(i, j) if conservative else gen.block(i, j)
-            out[i][j] = apply_superop(m, x.block(i, j))
+            out[i][j] = apply_superop(gen.block(i, j), x.block(i, j))
     return BlockOp2(out[0][0], out[0][1], out[1][0], out[1][1])
 
 
@@ -379,7 +377,7 @@ def dissipativity_residual_min_eig(gen, x, level=1):
         xs = x.as_full()
 
         def lift(m):
-            return _apply_generator(gen, BlockOp2.from_full(m), conservative=True).as_full()
+            return _apply_generator(gen, BlockOp2.from_full(m)).as_full()
 
         e = np.kron(np.diag([0.0, 1.0]), np.eye(d))
     else:
@@ -393,7 +391,7 @@ def dissipativity_residual_min_eig(gen, x, level=1):
                 for b in (0, 1):
                     sub = BlockOp2.from_full(m[a * 2 * d:(a + 1) * 2 * d, b * 2 * d:(b + 1) * 2 * d])
                     out[a * 2 * d:(a + 1) * 2 * d, b * 2 * d:(b + 1) * 2 * d] = \
-                        _apply_generator(gen, sub, conservative=True).as_full()
+                        _apply_generator(gen, sub).as_full()
             return out
 
         e = np.kron(np.eye(2), np.kron(np.diag([0.0, 1.0]), np.eye(d)))
@@ -408,22 +406,20 @@ def dissipativity_residual_min_eig(gen, x, level=1):
 def resolvent_generator(gen, eps):
     """Bounded regularization L_eps = L (1 - eps L)^(-1), entrywise.
 
-    The regularized entries converge to the originals as eps -> 0 with
-    first-order error in eps. Raises when 1 - eps L is numerically
-    singular for some entry.
+    Returns the regularized entries as ((r00, r01), (r10, r11)); they are
+    not point generators, so they are not an ExtendedGenerator. They
+    converge to the originals as eps -> 0 with first-order error in eps.
+    Raises when 1 - eps L is numerically singular for some entry.
     """
     eps = float(eps)
     if eps <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
-    d2 = gen.dim ** 2
-    eye = np.eye(d2)
-    out = [[None, None], [None, None]]
-    for i in (0, 1):
-        for j in (0, 1):
-            a = eye - eps * gen.block(i, j)
-            if np.linalg.cond(a) > 1e12:
-                raise ValueError(f"resolvent parameter too large for entry ({i}, {j})")
-            out[i][j] = np.linalg.solve(a, gen.block(i, j))
-    return ExtendedGenerator(dim=gen.dim, mode=gen.mode,
-                             blocks=((out[0][0], out[0][1]), (out[1][0], out[1][1])),
-                             source=gen.source)
+    eye = np.eye(gen.dim ** 2)
+
+    def regularize(i, j):
+        a = eye - eps * gen.block(i, j)
+        if np.linalg.cond(a) > 1e12:
+            raise ValueError(f"resolvent parameter too large for entry ({i}, {j})")
+        return np.linalg.solve(a, gen.block(i, j))
+
+    return tuple(tuple(regularize(i, j) for j in (0, 1)) for i in (0, 1))

@@ -205,6 +205,33 @@ def _as_step(f, t):
     return StepFunction.indicator(0.0, t, f) if f != 0 else StepFunction.zero()
 
 
+def _window_maps(sm, steps, t, mode):
+    """Table [j][k] of the window [0, t] map matrices between steps j and k."""
+    if t < 0:
+        raise ValueError(f"window length must be nonnegative, got {t}")
+    return [[evolution_map(sm, fj, fk, 0.0, t, mode).matrix for fk in steps]
+            for fj in steps]
+
+
+def _gram(maps, d, operand):
+    """(n d) x (n d) matrix whose block (j, k) is maps[j][k] applied to operand(j, k)."""
+    n = len(maps)
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            out[j * d:(j + 1) * d, k * d:(k + 1) * d] = apply_superop(maps[j][k], operand(j, k))
+    return out
+
+
+def _pair_products(xs, n):
+    """operand(j, k) = x_j* x_k for the Gram kernels."""
+    if len(xs) != n:
+        raise ValueError(f"need as many operators as test functions, "
+                         f"got {len(xs)} and {n}")
+    xs = [np.asarray(x, dtype=complex) for x in xs]
+    return lambda j, k: xs[j].conj().T @ xs[k]
+
+
 def block_form(sm, fs, t, x, mode="physical"):
     """Gram-type block matrix [P_{f_j, f_k}(x)] over the window [0, t].
 
@@ -212,28 +239,23 @@ def block_form(sm, fs, t, x, mode="physical"):
     values on [0, t]). Returns an (n d) x (n d) matrix of d x d blocks.
     """
     t = float(t)
-    if t < 0:
-        raise ValueError(f"window length must be nonnegative, got {t}")
-    steps = [_as_step(f, t) for f in fs]
-    n, d = len(steps), sm.dim
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for j, fj in enumerate(steps):
-        for k, fk in enumerate(steps):
-            out[j * d:(j + 1) * d, k * d:(k + 1) * d] = \
-                evolution_map(sm, fj, fk, 0.0, t, mode).apply(x)
-    return out
+    maps = _window_maps(sm, [_as_step(f, t) for f in fs], t, mode)
+    return _gram(maps, sm.dim, lambda j, k: x)
 
 
 def q_bound_check(sm, fs, t, x, mode="physical"):
     """Smallest eigenvalue of ||x|| [P(1)] - [P(x)].
 
     Nonnegative when the kernel respects the operator bound of x; the
-    norm is the spectral norm.
+    norm is the spectral norm. One table of window maps serves both
+    block forms.
     """
+    t = float(t)
     x = np.asarray(x, dtype=complex)
     eye = np.eye(sm.dim)
     bound = float(np.linalg.norm(x, 2))
-    big = bound * block_form(sm, fs, t, eye, mode) - block_form(sm, fs, t, x, mode)
+    maps = _window_maps(sm, [_as_step(f, t) for f in fs], t, mode)
+    big = bound * _gram(maps, sm.dim, lambda j, k: eye) - _gram(maps, sm.dim, lambda j, k: x)
     return min_eig(big)
 
 
@@ -245,18 +267,8 @@ def kernel_cp_residual(sm, fs, xs, t, mode="physical"):
     """
     t = float(t)
     steps = [_as_step(f, t) for f in fs]
-    if len(xs) != len(steps):
-        raise ValueError(f"need as many operators as test functions, "
-                         f"got {len(xs)} and {len(steps)}")
-    n, d = len(steps), sm.dim
-    big = np.zeros((n * d, n * d), dtype=complex)
-    for j in range(n):
-        xj = np.asarray(xs[j], dtype=complex)
-        for k in range(n):
-            xk = np.asarray(xs[k], dtype=complex)
-            big[j * d:(j + 1) * d, k * d:(k + 1) * d] = \
-                evolution_map(sm, steps[j], steps[k], 0.0, t, mode).apply(xj.conj().T @ xk)
-    return min_eig(big)
+    operand = _pair_products(xs, len(steps))
+    return min_eig(_gram(_window_maps(sm, steps, t, mode), sm.dim, operand))
 
 
 def schur_product_check(sm, fs, xs, t1, t2, mode="physical"):
@@ -267,17 +279,8 @@ def schur_product_check(sm, fs, xs, t1, t2, mode="physical"):
     composition keeps the matrix PSD.
     """
     steps = [_as_step(f, max(t1, t2)) for f in fs]
-    if len(xs) != len(steps):
-        raise ValueError(f"need as many operators as test functions, "
-                         f"got {len(xs)} and {len(steps)}")
-    n, d = len(steps), sm.dim
-    big = np.zeros((n * d, n * d), dtype=complex)
-    for j in range(n):
-        xj = np.asarray(xs[j], dtype=complex)
-        for k in range(n):
-            xk = np.asarray(xs[k], dtype=complex)
-            m1 = evolution_map(sm, steps[j], steps[k], 0.0, t1, mode).matrix
-            m2 = evolution_map(sm, steps[j], steps[k], 0.0, t2, mode).matrix
-            big[j * d:(j + 1) * d, k * d:(k + 1) * d] = \
-                apply_superop(m1 @ m2, xj.conj().T @ xk)
-    return min_eig(big)
+    operand = _pair_products(xs, len(steps))
+    maps1 = _window_maps(sm, steps, t1, mode)
+    maps2 = _window_maps(sm, steps, t2, mode)
+    maps = [[m1 @ m2 for m1, m2 in zip(r1, r2)] for r1, r2 in zip(maps1, maps2)]
+    return min_eig(_gram(maps, sm.dim, operand))

@@ -22,7 +22,7 @@ commands and is echoed in the report.
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,7 +103,10 @@ def parse_config(obj, seed_override=None):
     Rejections name the offending key. An empty or missing config means
     the default chain model with seeded random constants.
     """
-    obj = dict(obj or {})
+    if obj is None:
+        obj = {}
+    if not isinstance(obj, dict):
+        raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
     extra = set(obj) - {"model", "mode", "t_grid", "seed", "tolerances"}
     if extra:
         raise ValueError(f"config: unknown keys {sorted(extra)}")
@@ -123,17 +126,21 @@ def parse_config(obj, seed_override=None):
         raise ValueError("config key 't_grid' must be a nonempty list of times")
     clean = []
     for t in t_grid:
-        if not isinstance(t, (int, float)) or not np.isfinite(t) or t < 0:
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not np.isfinite(t) or t < 0:
             raise ValueError(f"config key 't_grid' must hold nonnegative times, got {t!r}")
         clean.append(float(t))
     t_grid = tuple(clean)
 
+    overrides = obj.get("tolerances") or {}
+    if not isinstance(overrides, dict):
+        raise ValueError("config key 'tolerances' must be an object of name: value pairs")
     tols = dict(DEFAULT_TOLERANCES)
-    for name, v in (obj.get("tolerances") or {}).items():
+    for name, v in overrides.items():
         if name not in DEFAULT_TOLERANCES:
             raise ValueError(f"config key 'tolerances.{name}' is not a known check tolerance")
-        if not isinstance(v, (int, float)) or not v > 0:
-            raise ValueError(f"config key 'tolerances.{name}' must be a positive number, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+            raise ValueError(
+                f"config key 'tolerances.{name}' must be a positive finite number, got {v!r}")
         tols[name] = float(v)
 
     model = obj.get("model", {"glauber": {"sites": 3, "boundary": "periodic"}})
@@ -360,7 +367,7 @@ def _check_extended(ctx):
         err = 0.0
         for i in (0, 1):
             for j in (0, 1):
-                err = max(err, max_abs(matrix_exponential(ge.block(i, j), 1.0)
+                err = max(err, max_abs(matrix_exponential(ge[i][j], 1.0)
                                        - matrix_exponential(gc.block(i, j), 1.0)))
         errs.append(err)
     slope = float(np.polyfit(np.log(_RESOLVENT_EPS), np.log(errs), 1)[0])
@@ -459,7 +466,7 @@ def run_suite(rc, groups=None):
                              "c_pm": [sm.ito.c_pm.real, sm.ito.c_pm.imag]}
         if not {"extended", "flow"}.isdisjoint(wanted):
             ctx["gen_phys"] = build_extended_generator(sm, "physical")
-            ctx["gen_cons"] = build_extended_generator(sm, "conservative")
+            ctx["gen_cons"] = replace(ctx["gen_phys"], mode="conservative")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         records.append(CheckRecord(name="model-construction", kind="error",
                                    passed=False, message=str(exc)))
@@ -488,7 +495,7 @@ def check_cp_rows(rc):
     """
     sm = build_model(rc)
     gp = build_extended_generator(sm, "physical")
-    gc = build_extended_generator(sm, "conservative")
+    gc = replace(gp, mode="conservative")
     tol = rc.tolerances
     rows = []
     for t in rc.t_grid:

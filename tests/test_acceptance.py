@@ -195,7 +195,7 @@ def test_criterion_09_resolvent_convergence(qubit_gen_cons):
     for eps in eps_grid:
         ge = resolvent_generator(qubit_gen_cons, eps)
         errs.append(max(
-            max_abs(matrix_exponential(ge.block(i, j), 1.0)
+            max_abs(matrix_exponential(ge[i][j], 1.0)
                     - matrix_exponential(qubit_gen_cons.block(i, j), 1.0))
             for i in (0, 1) for j in (0, 1)))
     slope = float(np.polyfit(np.log(eps_grid), np.log(errs), 1)[0])

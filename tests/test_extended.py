@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,7 @@ from qmflow import (
     matrix_exponential,
     max_abs,
     normalization_residual,
+    point_generator,
     resolvent_generator,
     vectorize,
 )
@@ -71,13 +74,18 @@ class TestGeneratorTable:
                     want = want + np.eye(4)
                 assert_allclose(qubit_gen_phys.block(i, j), want)
 
-    def test_mode_conversion_helpers(self, qubit_gen_cons, qubit_gen_phys):
-        for i in (0, 1):
-            for j in (0, 1):
-                assert_allclose(qubit_gen_phys.conservative_block(i, j),
-                                qubit_gen_cons.block(i, j))
-                assert_allclose(qubit_gen_cons.physical_block(i, j),
-                                qubit_gen_phys.block(i, j))
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
+    def test_entries_are_corner_point_generators(self, model, request):
+        sm = request.getfixturevalue(model)
+        for mode in ("conservative", "physical"):
+            gen = build_extended_generator(sm, mode)
+            other = "physical" if mode == "conservative" else "conservative"
+            switched = replace(gen, mode=other)
+            direct = build_extended_generator(sm, other)
+            for i in (0, 1):
+                for j in (0, 1):
+                    assert np.array_equal(gen.block(i, j), point_generator(sm, i, j, mode))
+                    assert np.array_equal(switched.block(i, j), direct.block(i, j))
 
     def test_bad_mode_rejected(self, qubit_sm):
         with pytest.raises(ValueError, match="mode"):
@@ -277,7 +285,7 @@ class TestResolvent:
         eps_grid = (1e-2, 5e-3, 2.5e-3)
         for eps in eps_grid:
             ge = resolvent_generator(qubit_gen_cons, eps)
-            err = max(max_abs(matrix_exponential(ge.block(i, j), 1.0)
+            err = max(max_abs(matrix_exponential(ge[i][j], 1.0)
                               - matrix_exponential(qubit_gen_cons.block(i, j), 1.0))
                       for i in (0, 1) for j in (0, 1))
             errs.append(err)

@@ -86,12 +86,19 @@ class TestParseConfig:
             parse_config({"t_grid": []})
         with pytest.raises(ValueError, match="'t_grid'"):
             parse_config({"t_grid": [-0.5]})
+        with pytest.raises(ValueError, match="'t_grid'"):
+            parse_config({"t_grid": [True]})
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError, match="tolerances.speed"):
             parse_config({"tolerances": {"speed": 1e-9}})
         with pytest.raises(ValueError, match="tolerances.choi"):
             parse_config({"tolerances": {"choi": 0.0}})
+        for bad in (float("inf"), float("nan"), True):
+            with pytest.raises(ValueError, match="tolerances.choi"):
+                parse_config({"tolerances": {"choi": bad}})
+        with pytest.raises(ValueError, match="'tolerances'"):
+            parse_config({"tolerances": [1]})
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -371,6 +378,26 @@ class TestCli:
         code, out, err = _run(capsys, ["suite", "--tol", "speed=1"])
         assert code == 2
         assert "not a known check tolerance" in err
+
+    def test_infinite_tol(self, capsys):
+        code, out, err = _run(capsys, ["check-cp", "--tol", "choi=inf"])
+        assert code == 2
+        assert "tolerances.choi" in err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text("5\n")
+        code, out, err = _run(capsys, ["check-cp", "--config", str(p)])
+        assert code == 2
+        assert "JSON object" in err
+
+    def test_tolerances_not_an_object(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text('{"tolerances": [1]}\n')
+        for extra in ([], ["--tol", "choi=1e-8"]):
+            code, out, err = _run(capsys, ["check-cp", "--config", str(p)] + extra)
+            assert code == 2
+            assert "'tolerances'" in err
 
     def test_bad_tol_shape(self, capsys):
         code, out, err = _run(capsys, ["suite", "--tol", "choi"])
