@@ -38,7 +38,7 @@ from qmflow import matrix_exponential
 semi = matrix_exponential(dissipator_map(a, 1.0), 0.7)
 print("\nsemigroup Choi min eig: %.3e" % min_eig(choi_of_map(semi)))
 
-transpose = np.zeros((4, 4))
+transpose = np.zeros((4, 4), dtype=complex)
 for i in range(2):
     for j in range(2):
         e = np.zeros((2, 2)); e[i, j] = 1.0

@@ -18,7 +18,12 @@ between them without validating the structure maps again.
 Everything here acts blockwise, so properties of the big map (complete
 positivity, dissipativity against the block derivation delta) reduce to
 joint properties of the four entries. The diagnostics in this module are
-the numerical versions of those properties.
+the numerical versions of those properties, and every one of them acts
+through the one 2x2 table: ``_table`` builds a table entry by entry,
+``_semigroup`` is the table of time-t maps exp(t L_ij) (and the one
+place a negative time is refused), ``_apply_table`` applies a table to a
+block operator, and ``_unit_deviation`` measures how far a table is from
+sending the identity to fixed multiples of it.
 """
 
 from dataclasses import dataclass, replace
@@ -49,6 +54,11 @@ MODES = ("conservative", "physical")
 # Full Choi diagnostics grow as (2d)**4; past block dimension 32 the
 # eigenproblem stops being an interactive check.
 MAX_CHOI_BLOCK_DIM = 32
+
+
+def _table(fn):
+    """The 2x2 table ((fn(0, 0), fn(0, 1)), (fn(1, 0), fn(1, 1)))."""
+    return tuple(tuple(fn(i, j) for j in (0, 1)) for i in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -135,8 +145,7 @@ class ExtendedGenerator:
 
     @cached_property
     def entries(self):
-        return tuple(tuple(point_generator(self.source, i, j, self.mode) for j in (0, 1))
-                     for i in (0, 1))
+        return _table(lambda i, j: point_generator(self.source, i, j, self.mode))
 
     def block(self, i, j):
         return self.entries[i][j]
@@ -178,21 +187,38 @@ def build_extended_generator(sm, mode="physical"):
     return ExtendedGenerator(source=sm, mode=mode)
 
 
-def apply_extended(gen, t, x):
-    """Evolve a block operator: entry (i, j) goes through exp(t L_ij)."""
+def _semigroup(gen, t):
+    """The table of time-t maps exp(t L_ij); refuses negative times."""
     t = float(t)
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
+    return _table(lambda i, j: matrix_exponential(gen.block(i, j), t))
+
+
+def _apply_table(maps, x):
+    """Apply a table of superoperator matrices to a BlockOp2 entry by entry."""
+    out = _table(lambda i, j: apply_superop(maps[i][j], x.block(i, j)))
+    return BlockOp2(*out[0], *out[1])
+
+
+def _unit_deviation(maps, scale, d):
+    """Worst relative deviation of a table from a profile of identities.
+
+    max over (i, j) of max_abs(map_ij(1) - c_ij 1) / max(1, |c_ij|) with
+    c = scale: how far map_ij is from sending the identity to c_ij times it.
+    """
+    eye = np.eye(d)
+    return max(max_abs(apply_superop(maps[i][j], eye) - scale[i][j] * eye)
+               / max(1.0, abs(scale[i][j])) for i in (0, 1) for j in (0, 1))
+
+
+def apply_extended(gen, t, x):
+    """Evolve a block operator: entry (i, j) goes through exp(t L_ij)."""
     if not isinstance(x, BlockOp2):
         x = BlockOp2.from_full(x)
     if x.dim != gen.dim:
         raise ValueError(f"block dimension {x.dim} does not match generator dimension {gen.dim}")
-    out = [[None, None], [None, None]]
-    for i in (0, 1):
-        for j in (0, 1):
-            p = matrix_exponential(gen.block(i, j), t)
-            out[i][j] = apply_superop(p, x.block(i, j))
-    return BlockOp2(out[0][0], out[0][1], out[1][0], out[1][1])
+    return _apply_table(_semigroup(gen, t), x)
 
 
 def _block_index_grid(d):
@@ -204,11 +230,7 @@ def _block_index_grid(d):
     """
     p = np.arange(d * d)
     cc, rr = p // d, p % d
-    grid = [[None, None], [None, None]]
-    for i in (0, 1):
-        for j in (0, 1):
-            grid[i][j] = (j * d + cc) * (2 * d) + i * d + rr
-    return grid
+    return _table(lambda i, j: (j * d + cc) * (2 * d) + i * d + rr)
 
 
 def _assemble_blockwise(block_mats, d):
@@ -223,11 +245,7 @@ def _assemble_blockwise(block_mats, d):
 
 def extended_superop_matrix(gen, t):
     """Matrix of the time-t extended map on the doubled space."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
-    mats = [[matrix_exponential(gen.block(i, j), t) for j in (0, 1)] for i in (0, 1)]
-    return _assemble_blockwise(mats, gen.dim)
+    return _assemble_blockwise(_semigroup(gen, t), gen.dim)
 
 
 def extended_choi_min_eig(gen, t):
@@ -251,14 +269,8 @@ def conservativity_residual(gen, t):
     Applies the conservative-normalization entries to the all-identity
     block operator and returns the max-abs deviation from it.
     """
-    gen = _in_mode(gen, "conservative")
-    eye = np.eye(gen.dim)
-    worst = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            p = matrix_exponential(gen.block(i, j), t)
-            worst = max(worst, max_abs(apply_superop(p, eye) - eye))
-    return worst
+    return _unit_deviation(_semigroup(_in_mode(gen, "conservative"), t),
+                           ((1.0, 1.0), (1.0, 1.0)), gen.dim)
 
 
 def normalization_residual(gen, t):
@@ -268,16 +280,8 @@ def normalization_residual(gen, t):
     identity; returns the worst blockwise max-abs deviation divided by
     max(1, |target|).
     """
-    gen = _in_mode(gen, "physical")
-    eye = np.eye(gen.dim)
-    worst = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            target = float(np.exp(t)) if (i, j) == (1, 1) else 1.0
-            p = matrix_exponential(gen.block(i, j), t)
-            dev = max_abs(apply_superop(p, eye) - target * eye)
-            worst = max(worst, dev / max(1.0, abs(target)))
-    return worst
+    return _unit_deviation(_semigroup(_in_mode(gen, "physical"), t),
+                           ((1.0, 1.0), (1.0, float(np.exp(t)))), gen.dim)
 
 
 def kappa_residual(gen):
@@ -286,23 +290,8 @@ def kappa_residual(gen):
     Returns the max-abs deviation of the physical generator applied to the
     all-identity block operator from [[0, 0], [0, identity]].
     """
-    gen = _in_mode(gen, "physical")
-    eye = np.eye(gen.dim)
-    worst = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            target = eye if (i, j) == (1, 1) else np.zeros_like(eye)
-            got = apply_superop(gen.block(i, j), eye)
-            worst = max(worst, max_abs(got - target))
-    return worst
-
-
-def _apply_generator(gen, x):
-    out = [[None, None], [None, None]]
-    for i in (0, 1):
-        for j in (0, 1):
-            out[i][j] = apply_superop(gen.block(i, j), x.block(i, j))
-    return BlockOp2(out[0][0], out[0][1], out[1][0], out[1][1])
+    return _unit_deviation(_in_mode(gen, "physical").entries,
+                           ((0.0, 0.0), (0.0, 1.0)), gen.dim)
 
 
 def delta_map(x):
@@ -345,10 +334,8 @@ def commutation_residual(gen):
     """
     d = gen.dim
     eye = np.eye(d * d)
-    lmats = [[gen.block(i, j) for j in (0, 1)] for i in (0, 1)]
-    dmats = [[-eye if i != j else 0.0 * eye for j in (0, 1)] for i in (0, 1)]
-    kl = _assemble_blockwise(lmats, d)
-    kd = _assemble_blockwise(dmats, d)
+    kl = _assemble_blockwise(gen.entries, d)
+    kd = _assemble_blockwise(_table(lambda i, j: -eye if i != j else 0.0 * eye), d)
     return max_abs(kl @ kd - kd @ kl)
 
 
@@ -363,39 +350,27 @@ def dissipativity_residual_min_eig(gen, x, level=1):
 
     level=2 runs the same form after tensoring the doubled algebra with
     2x2 complex matrices, catching violations invisible at level 1. At
-    level 2, x may be a 4d x 4d matrix (a 2x2 matrix of block operators).
+    level 2, x may be a 4d x 4d matrix (a 2x2 matrix of block operators);
+    level k lifts the generator onto each 2d x 2d sub-block of a k x k grid.
     """
     if gen.mode != "conservative":
         raise ValueError("dissipativity form is defined for the conservative mode")
     if level not in (1, 2):
         raise ValueError(f"ampliation level must be 1 or 2, got {level}")
-    d = gen.dim
+    k, n = level, 2 * gen.dim
+    xs = x.as_full() if isinstance(x, BlockOp2) else np.asarray(x, dtype=complex)
+    if xs.shape != (k * n, k * n):
+        raise ValueError(f"level-{k} element must have shape {(k * n, k * n)}, got {xs.shape}")
 
-    if level == 1:
-        if not isinstance(x, BlockOp2):
-            x = BlockOp2.from_full(x)
-        xs = x.as_full()
+    def lift(m):
+        out = np.zeros_like(m)
+        for a in range(k):
+            for b in range(k):
+                s = np.s_[a * n:(a + 1) * n, b * n:(b + 1) * n]
+                out[s] = _apply_table(gen.entries, BlockOp2.from_full(m[s])).as_full()
+        return out
 
-        def lift(m):
-            return _apply_generator(gen, BlockOp2.from_full(m)).as_full()
-
-        e = np.kron(np.diag([0.0, 1.0]), np.eye(d))
-    else:
-        xs = np.asarray(x, dtype=complex)
-        if xs.shape != (4 * d, 4 * d):
-            raise ValueError(f"level-2 element must have shape {(4 * d, 4 * d)}, got {xs.shape}")
-
-        def lift(m):
-            out = np.zeros_like(m)
-            for a in (0, 1):
-                for b in (0, 1):
-                    sub = BlockOp2.from_full(m[a * 2 * d:(a + 1) * 2 * d, b * 2 * d:(b + 1) * 2 * d])
-                    out[a * 2 * d:(a + 1) * 2 * d, b * 2 * d:(b + 1) * 2 * d] = \
-                        _apply_generator(gen, sub).as_full()
-            return out
-
-        e = np.kron(np.eye(2), np.kron(np.diag([0.0, 1.0]), np.eye(d)))
-
+    e = np.kron(np.eye(k), np.kron(np.diag([0.0, 1.0]), np.eye(gen.dim)))
     xstar = xs.conj().T
     r = lift(xstar @ xs) - lift(xstar) @ xs - xstar @ lift(xs)
     dx = 1j * (xs @ e - e @ xs)
@@ -422,4 +397,4 @@ def resolvent_generator(gen, eps):
             raise ValueError(f"resolvent parameter too large for entry ({i}, {j})")
         return np.linalg.solve(a, gen.block(i, j))
 
-    return tuple(tuple(regularize(i, j) for j in (0, 1)) for i in (0, 1))
+    return _table(regularize)

@@ -188,21 +188,18 @@ def flow_matrix_element(sm, f, g, start, end, x, mode="physical"):
     exp(<f, g>) * identity in physical normalization. Plain scalars are
     accepted for f and g and mean constant values on the window.
     """
-    nontrivial = end > start
-    if not isinstance(f, StepFunction):
-        f = (StepFunction.indicator(start, end, f) if f != 0 and nontrivial
-             else StepFunction.zero())
-    if not isinstance(g, StepFunction):
-        g = (StepFunction.indicator(start, end, g) if g != 0 and nontrivial
-             else StepFunction.zero())
+    f, g = _as_step(f, (start, end)), _as_step(g, (start, end))
     weight = np.exp(step_inner_product(f, g, window=(start, end), complement=True))
     return weight * evolution_map(sm, f, g, start, end, mode).apply(x)
 
 
-def _as_step(f, t):
+def _as_step(f, window):
+    """f itself, or the scalar f as a constant on the window (zero when the
+    window is empty)."""
     if isinstance(f, StepFunction):
         return f
-    return StepFunction.indicator(0.0, t, f) if f != 0 else StepFunction.zero()
+    start, end = window
+    return StepFunction.indicator(start, end, f) if f != 0 and end > start else StepFunction.zero()
 
 
 def _window_maps(sm, steps, t, mode):
@@ -239,7 +236,7 @@ def block_form(sm, fs, t, x, mode="physical"):
     values on [0, t]). Returns an (n d) x (n d) matrix of d x d blocks.
     """
     t = float(t)
-    maps = _window_maps(sm, [_as_step(f, t) for f in fs], t, mode)
+    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t, mode)
     return _gram(maps, sm.dim, lambda j, k: x)
 
 
@@ -254,7 +251,7 @@ def q_bound_check(sm, fs, t, x, mode="physical"):
     x = np.asarray(x, dtype=complex)
     eye = np.eye(sm.dim)
     bound = float(np.linalg.norm(x, 2))
-    maps = _window_maps(sm, [_as_step(f, t) for f in fs], t, mode)
+    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t, mode)
     big = bound * _gram(maps, sm.dim, lambda j, k: eye) - _gram(maps, sm.dim, lambda j, k: x)
     return min_eig(big)
 
@@ -266,7 +263,7 @@ def kernel_cp_residual(sm, fs, xs, t, mode="physical"):
     choice of test functions and operators.
     """
     t = float(t)
-    steps = [_as_step(f, t) for f in fs]
+    steps = [_as_step(f, (0.0, t)) for f in fs]
     operand = _pair_products(xs, len(steps))
     return min_eig(_gram(_window_maps(sm, steps, t, mode), sm.dim, operand))
 
@@ -278,7 +275,7 @@ def schur_product_check(sm, fs, xs, t1, t2, mode="physical"):
     evaluating on x_j* x_k; closure of the kernel family under this Schur
     composition keeps the matrix PSD.
     """
-    steps = [_as_step(f, max(t1, t2)) for f in fs]
+    steps = [_as_step(f, (0.0, max(t1, t2))) for f in fs]
     operand = _pair_products(xs, len(steps))
     maps1 = _window_maps(sm, steps, t1, mode)
     maps2 = _window_maps(sm, steps, t2, mode)

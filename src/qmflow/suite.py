@@ -32,6 +32,7 @@ from .extended import (
     build_extended_generator,
     commutation_residual,
     conservativity_residual,
+    delta_map,
     delta_sq_map,
     delta_sq_semigroup,
     dissipativity_residual_min_eig,
@@ -97,6 +98,18 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
 
+def _finite_float(v):
+    """v as a finite float, or None for non-numbers, infinities, NaN and
+    integers too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if np.isfinite(x) else None
+
+
 def parse_config(obj, seed_override=None):
     """Build a RunConfig from a JSON-style dict, filling defaults.
 
@@ -126,9 +139,10 @@ def parse_config(obj, seed_override=None):
         raise ValueError("config key 't_grid' must be a nonempty list of times")
     clean = []
     for t in t_grid:
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not np.isfinite(t) or t < 0:
+        x = _finite_float(t)
+        if x is None or x < 0:
             raise ValueError(f"config key 't_grid' must hold nonnegative times, got {t!r}")
-        clean.append(float(t))
+        clean.append(x)
     t_grid = tuple(clean)
 
     overrides = obj.get("tolerances") or {}
@@ -138,10 +152,11 @@ def parse_config(obj, seed_override=None):
     for name, v in overrides.items():
         if name not in DEFAULT_TOLERANCES:
             raise ValueError(f"config key 'tolerances.{name}' is not a known check tolerance")
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+        x = _finite_float(v)
+        if x is None or not x > 0:
             raise ValueError(
                 f"config key 'tolerances.{name}' must be a positive finite number, got {v!r}")
-        tols[name] = float(v)
+        tols[name] = x
 
     model = obj.get("model", {"glauber": {"sites": 3, "boundary": "periodic"}})
     if not isinstance(model, dict) or len(model) != 1:
@@ -307,23 +322,27 @@ def _check_structure(ctx):
                   tol["leibnitz_ito"], dig)
 
 
+def _per_time_records(rc, gp, gc, base):
+    """(extended-cp, -conservativity, -normalization) records per grid time."""
+    tol = rc.tolerances
+    return [(_record("extended-cp", "min_eig", extended_choi_min_eig(gp, t),
+                     tol["choi"], _digest(base, t), t=t),
+             _record("extended-conservativity", "residual", conservativity_residual(gc, t),
+                     tol["conservativity"], _digest(base, t), t=t),
+             _record("extended-normalization", "residual", normalization_residual(gp, t),
+                     tol["normalization"], _digest(base, t), t=t))
+            for t in rc.t_grid]
+
+
 def _check_extended(ctx):
     rc, sm = ctx["rc"], ctx["sm"]
     gp, gc = ctx["gen_phys"], ctx["gen_cons"]
     tol = rc.tolerances
     base = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
 
-    for t in rc.t_grid:
-        yield _record("extended-cp", "min_eig", extended_choi_min_eig(gp, t),
-                      tol["choi"], _digest(base, t), t=t)
-    for t in rc.t_grid:
-        yield _record("extended-conservativity", "residual",
-                      conservativity_residual(gc, t), tol["conservativity"],
-                      _digest(base, t), t=t)
-    for t in rc.t_grid:
-        yield _record("extended-normalization", "residual",
-                      normalization_residual(gp, t), tol["normalization"],
-                      _digest(base, t), t=t)
+    # report order: every cp record, then every conservativity, then every normalization
+    for column in zip(*_per_time_records(rc, gp, gc, base)):
+        yield from column
     yield _record("extended-kappa", "residual", kappa_residual(gp),
                   tol["kappa"], base)
 
@@ -349,9 +368,7 @@ def _check_extended(ctx):
     worst_formula, worst_semi = 0.0, 0.0
     for _ in range(20):
         x = BlockOp2.from_full(_draw_op(rng, 2 * sm.dim))
-        ds = delta_sq_map(x)
-        target = BlockOp2(np.zeros_like(x.x00), -x.x01, -x.x10, np.zeros_like(x.x11))
-        worst_formula = max(worst_formula, (ds - target).max_abs())
+        worst_formula = max(worst_formula, (delta_sq_map(x) - delta_map(delta_map(x))).max_abs())
         t = float(rng.uniform(0.1, 2.0))
         semi = delta_sq_semigroup(t, x)
         target2 = BlockOp2(x.x00, np.exp(-t / 2) * x.x01, np.exp(-t / 2) * x.x10, x.x11)
@@ -496,17 +513,12 @@ def check_cp_rows(rc):
     sm = build_model(rc)
     gp = build_extended_generator(sm, "physical")
     gc = replace(gp, mode="conservative")
-    tol = rc.tolerances
-    rows = []
-    for t in rc.t_grid:
-        choi = float(extended_choi_min_eig(gp, t))
-        consv = float(conservativity_residual(gc, t))
-        norm = float(normalization_residual(gp, t))
-        ok = (choi >= -tol["choi"] and consv <= tol["conservativity"]
-              and norm <= tol["normalization"])
-        rows.append({"t": t, "choi_min_eig": choi,
-                     "conservativity_residual": consv,
-                     "normalization_residual": norm, "passed": bool(ok)})
+    base = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
+    rows = [{"t": cp.t, "choi_min_eig": cp.value,
+             "conservativity_residual": consv.value,
+             "normalization_residual": norm.value,
+             "passed": cp.passed and consv.passed and norm.passed}
+            for cp, consv, norm in _per_time_records(rc, gp, gc, base)]
     return rows, all(r["passed"] for r in rows)
 
 

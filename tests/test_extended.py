@@ -123,6 +123,9 @@ class TestApplyExtended:
         x = BlockOp2.identity_pattern(2)
         with pytest.raises(ValueError, match="nonnegative"):
             apply_extended(qubit_gen_phys, -0.1, x)
+        for residual in (conservativity_residual, normalization_residual):
+            with pytest.raises(ValueError, match="nonnegative"):
+                residual(qubit_gen_phys, -0.1)
 
 
 class TestFullMatrixAssembly:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qmflow import (
     StepFunction,
+    block_form,
     evolution_map,
     flow_matrix_element,
     kernel_cp_residual,
@@ -237,3 +238,14 @@ class TestKernels:
             g0 = complex(*rng.uniform(-0.8, 0.8, 2))
             x = random_op(rng, 2)
             assert q_bound_check(qubit_sm, [f0, g0, 0.0], 0.6, x) > -1e-9
+
+    def test_scalars_at_zero_time(self, qubit_sm):
+        # at t = 0 every window map is the identity, scalars included
+        rng = np.random.default_rng(66)
+        x = random_op(rng, 2)
+        got = block_form(qubit_sm, [1.0, 0.5], 0.0, x)
+        assert np.array_equal(got, np.block([[x, x], [x, x]]))
+        fs, xs = [1.0, 0.5j], [random_op(rng, 2) for _ in range(2)]
+        assert kernel_cp_residual(qubit_sm, fs, xs, 0.0) > -1e-12
+        assert schur_product_check(qubit_sm, fs, xs, 0.0, 0.0) > -1e-12
+        assert q_bound_check(qubit_sm, fs, 0.0, x) > -1e-12

@@ -88,13 +88,15 @@ class TestParseConfig:
             parse_config({"t_grid": [-0.5]})
         with pytest.raises(ValueError, match="'t_grid'"):
             parse_config({"t_grid": [True]})
+        with pytest.raises(ValueError, match="'t_grid'"):
+            parse_config({"t_grid": [10 ** 400]})
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError, match="tolerances.speed"):
             parse_config({"tolerances": {"speed": 1e-9}})
         with pytest.raises(ValueError, match="tolerances.choi"):
             parse_config({"tolerances": {"choi": 0.0}})
-        for bad in (float("inf"), float("nan"), True):
+        for bad in (float("inf"), float("nan"), True, 10 ** 400):
             with pytest.raises(ValueError, match="tolerances.choi"):
                 parse_config({"tolerances": {"choi": bad}})
         with pytest.raises(ValueError, match="'tolerances'"):
@@ -216,6 +218,33 @@ class TestCheckCpRows:
             assert r["conservativity_residual"] < 1e-10
             assert r["normalization_residual"] < 1e-10
             assert isinstance(r["choi_min_eig"], float)
+
+    def test_rows_equal_suite_records(self, small_rc):
+        # the table and the suite judge each grid time by the same records
+        rows, passed = check_cp_rows(small_rc)
+        report = run_suite(small_rc, groups=("extended",))
+        columns = {"extended-cp": "choi_min_eig",
+                   "extended-conservativity": "conservativity_residual",
+                   "extended-normalization": "normalization_residual"}
+        records = {(r.name, r.t): r for r in report.records if r.name in columns}
+        assert len(records) == 3 * len(rows)
+        for row in rows:
+            mine = [records[(name, row["t"])] for name in columns]
+            for rec, key in zip(mine, columns.values()):
+                assert row[key] == rec.value
+            assert row["passed"] == all(rec.passed for rec in mine)
+        assert passed == all(r.passed for r in records.values())
+
+    def test_failing_rows_follow_record_verdicts(self, small_rc):
+        # a tolerance below every conservative residual fails those
+        # records, and the rows fail with them
+        rc = parse_config({**serialize_config(small_rc),
+                           "tolerances": {"conservativity": 1e-300}})
+        rows, passed = check_cp_rows(rc)
+        report = run_suite(rc, groups=("extended",))
+        consv = [r for r in report.records if r.name == "extended-conservativity"]
+        assert not passed
+        assert [r["passed"] for r in rows] == [r.passed for r in consv]
 
 
 def _run(capsys, argv):
@@ -403,6 +432,16 @@ class TestCli:
         code, out, err = _run(capsys, ["suite", "--tol", "choi"])
         assert code == 2
         assert "NAME=VALUE" in err
+
+    def test_huge_integer_in_config(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        for body, key in ((f'{{"tolerances": {{"choi": {huge}}}}}', "tolerances.choi"),
+                          (f'{{"t_grid": [{huge}]}}', "'t_grid'")):
+            p = tmp_path / "c.json"
+            p.write_text(body + "\n")
+            code, out, err = _run(capsys, ["check-cp", "--config", str(p)])
+            assert code == 2
+            assert key in err
 
     def test_negative_time(self, capsys):
         code, out, err = _run(capsys, ["check-cp", "--t", "-0.5"])
