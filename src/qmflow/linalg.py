@@ -11,6 +11,12 @@ Conventions used throughout the package:
 * Choi matrices are ``sum_ij e_ij (x) Phi(e_ij)`` with e_ij the matrix
   units; complete positivity of Phi is equivalent to the Choi matrix
   being positive semidefinite.
+
+Validation boundary: every public function checks its arguments (shape,
+finiteness) on each call. ``_apply`` is the one unchecked matvec, for
+superoperators validated once when they were built (the maps of a
+``StructureMapSet``) and operators of matching, known-good shape;
+``apply_superop`` is its validation followed by ``_apply``.
 """
 
 import numpy as np
@@ -76,13 +82,19 @@ def devectorize(v, dim=None):
     return v.reshape((dim, dim), order="F")
 
 
+def _apply(s, x):
+    """devec(S @ vec(X)) without checks: S a complex (d**2, d**2) array
+    validated when it was built, X a complex (d, d) array."""
+    return devectorize(s @ x.flatten(order="F"), x.shape[0])
+
+
 def apply_superop(s, x):
     """Apply a superoperator matrix to an operator: devec(S @ vec(X))."""
     s, d = _superop_dim(s)
     x = _as_square(x)
     if x.shape[0] != d:
         raise ValueError(f"operator dimension {x.shape[0]} does not match superoperator dimension {d}")
-    return devectorize(s @ vectorize(x), d)
+    return _apply(s, x)
 
 
 def sandwich_map(a, b):

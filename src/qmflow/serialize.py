@@ -31,6 +31,18 @@ __all__ = [
 ]
 
 
+def _finite_float(v):
+    """v as a finite float, or None for non-numbers, booleans, infinities,
+    NaN and integers too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if np.isfinite(x) else None
+
+
 def _matrix_to_obj(m, dim_value):
     m = np.asarray(m, dtype=complex)
     return {
@@ -54,6 +66,9 @@ def _matrix_from_obj(obj, what):
         im = np.array(obj["im"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: entries are not numeric ({exc})") from None
+    except OverflowError:
+        raise ValueError(
+            f"{what}: entries must be finite (an integer is too large for a float)") from None
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(
             f"{what}: entry arrays must be {d}x{d}, got {re.shape} and {im.shape}")
@@ -93,10 +108,11 @@ def superop_from_obj(obj):
 
 
 def _complex_pair(v, what):
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(c, (int, float)) for c in v)):
-        raise ValueError(f"{what} must be a [real, imag] pair, got {v!r}")
-    return complex(v[0], v[1])
+    parts = ([_finite_float(c) for c in v]
+             if isinstance(v, (list, tuple)) and len(v) == 2 else [None])
+    if None in parts:
+        raise ValueError(f"{what} must be a [real, imag] pair of finite numbers, got {v!r}")
+    return complex(*parts)
 
 
 def structure_maps_to_obj(sm):
@@ -123,7 +139,10 @@ def structure_maps_from_obj(obj):
         raise ValueError(f"structure maps: dim must be a positive integer, got {d!r}")
     mats = {}
     for key in ("theta_minus", "theta_zero", "theta_plus"):
-        m = superop_from_obj(obj[key])
+        try:
+            m = superop_from_obj(obj[key])
+        except ValueError as exc:
+            raise ValueError(f"structure maps: {key}: {exc}") from None
         if m.shape != (d * d, d * d):
             raise ValueError(
                 f"structure maps: {key} has shape {m.shape}, expected {(d * d, d * d)}")
@@ -145,11 +164,14 @@ def step_function_from_obj(obj):
         raise ValueError("step function: expected a list of pieces")
     pieces = []
     for k, row in enumerate(obj):
-        if (not isinstance(row, (list, tuple)) or len(row) != 4
-                or not all(isinstance(v, (int, float)) for v in row)):
+        vals = ([_finite_float(v) for v in row]
+                if isinstance(row, (list, tuple)) and len(row) == 4 else [None])
+        if None in vals:
             raise ValueError(
-                f"step function: piece {k} must be [start, end, re, im], got {row!r}")
-        pieces.append((row[0], row[1], complex(row[2], row[3])))
+                f"step function: piece {k} must be [start, end, re, im] of finite numbers, "
+                f"got {row!r}")
+        a, b, re, im = vals
+        pieces.append((a, b, complex(re, im)))
     return StepFunction(tuple(pieces))
 
 

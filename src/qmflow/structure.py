@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    _apply,
+    _superop_dim,
     adjoint_superop_matrix,
-    apply_superop,
     commutator_map,
     dissipator_map,
     hermitian_part,
@@ -80,9 +81,10 @@ class StructureMapSet:
     """The three maps of a flow plus the Ito table they were built for.
 
     Fields hold superoperator matrices of shape (dim**2, dim**2).
-    Construction checks shapes and unitality (each map must kill the
-    identity to within ``UNITAL_TOL``); the deeper product-rule and
-    positivity properties are checked by the verification suite.
+    Construction checks shapes, finiteness and unitality (each map must
+    kill the identity to within ``UNITAL_TOL``); the maps are applied
+    unchecked afterwards. The deeper product-rule and positivity
+    properties are checked by the verification suite.
     """
 
     dim: int
@@ -116,8 +118,8 @@ class StructureMapSet:
 
 def check_unital(sm):
     """max over the three maps of ||theta(identity)|| (max-abs norm)."""
-    eye = np.eye(sm.dim)
-    return max(max_abs(apply_superop(m, eye)) for m in sm.maps().values())
+    eye = np.eye(sm.dim, dtype=complex)
+    return max(max_abs(_apply(m, eye)) for m in sm.maps().values())
 
 
 def check_conjugation(sm):
@@ -138,6 +140,8 @@ def leibnitz_residual(sm, x, y):
 
     Returns a dict keyed by -1, 0, +1. The noise maps must be exact
     derivations; the drift residual is taken against the stored Ito table.
+    Each map is applied once per operand (to xy, x and y: nine matvecs);
+    the drift correction reuses the noise maps' images.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -145,16 +149,21 @@ def leibnitz_residual(sm, x, y):
         raise ValueError(
             f"operands must be {sm.dim}x{sm.dim} operators, got {x.shape} and {y.shape}")
     xy = x @ y
-    out = {}
-    for alpha in (-1, 1):
-        m = sm.maps()[alpha]
-        out[alpha] = max_abs(
-            apply_superop(m, xy) - apply_superop(m, x) @ y - x @ apply_superop(m, y))
-    m0 = sm.theta_zero
-    corr = (sm.ito.c_mp * apply_superop(sm.theta_minus, x) @ apply_superop(sm.theta_plus, y)
-            + sm.ito.c_pm * apply_superop(sm.theta_plus, x) @ apply_superop(sm.theta_minus, y))
-    out[0] = max_abs(
-        apply_superop(m0, xy) - apply_superop(m0, x) @ y - x @ apply_superop(m0, y) - corr)
+    for name, op in (("x", x), ("y", y), ("x @ y", xy)):
+        if not np.all(np.isfinite(op)):
+            raise ValueError(f"operand {name} contains non-finite entries")
+    # image[alpha] = (theta_alpha(xy), theta_alpha(x), theta_alpha(y))
+    image = {alpha: (_apply(m, xy), _apply(m, x), _apply(m, y))
+             for alpha, m in sm.maps().items()}
+
+    def defect(alpha):
+        txy, tx, ty = image[alpha]
+        return txy - tx @ y - x @ ty
+
+    out = {alpha: max_abs(defect(alpha)) for alpha in (-1, 1)}
+    corr = (sm.ito.c_mp * image[-1][1] @ image[1][2]
+            + sm.ito.c_pm * image[1][1] @ image[-1][2])
+    out[0] = max_abs(defect(0) - corr)
     return out
 
 
@@ -165,8 +174,17 @@ def calibrate_ito(theta_minus, theta_zero, theta_plus, dim):
     product-rule defect and fits it to the two quadratic correction
     candidates. Returns (ItoTable, fit_residual). Raises when the defect
     is not spanned by the two products, i.e. the maps do not satisfy a
-    two-constant product rule at all.
+    two-constant product rule at all. Each map is validated once here and
+    applied once per operand (seven matvecs per pair).
     """
+    checked = []
+    for name, m in (("theta_minus", theta_minus), ("theta_zero", theta_zero),
+                    ("theta_plus", theta_plus)):
+        m, d = _superop_dim(m, name)
+        if d != dim:
+            raise ValueError(f"{name} acts on {d}x{d} operators, expected {dim}x{dim}")
+        checked.append(m)
+    theta_minus, theta_zero, theta_plus = checked
     rng = np.random.default_rng([_CALIBRATION_SEED, dim])
     cols_u, cols_v, rhs = [], [], []
     for _ in range(_CALIBRATION_PAIRS):
@@ -174,12 +192,12 @@ def calibrate_ito(theta_minus, theta_zero, theta_plus, dim):
         y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x /= max(1.0, max_abs(x))
         y /= max(1.0, max_abs(y))
-        tmx = apply_superop(theta_minus, x)
-        tpy = apply_superop(theta_plus, y)
-        tpx = apply_superop(theta_plus, x)
-        tmy = apply_superop(theta_minus, y)
-        d0 = (apply_superop(theta_zero, x @ y)
-              - apply_superop(theta_zero, x) @ y - x @ apply_superop(theta_zero, y))
+        tmx = _apply(theta_minus, x)
+        tpy = _apply(theta_plus, y)
+        tpx = _apply(theta_plus, x)
+        tmy = _apply(theta_minus, y)
+        d0 = (_apply(theta_zero, x @ y)
+              - _apply(theta_zero, x) @ y - x @ _apply(theta_zero, y))
         cols_u.append((tmx @ tpy).ravel())
         cols_v.append((tpx @ tmy).ravel())
         rhs.append(d0.ravel())

@@ -52,6 +52,13 @@ from .flows import (
 )
 from .glauber import build_glauber_structure_maps
 from .linalg import apply_superop, matrix_exponential, max_abs
+from .serialize import (
+    _finite_float,
+    glauber_config_from_obj,
+    glauber_config_to_obj,
+    load_json,
+    structure_maps_from_obj,
+)
 from .structure import check_conjugation, check_unital, leibnitz_residual
 
 __all__ = [
@@ -96,18 +103,6 @@ class RunConfig:
     t_grid: tuple = DEFAULT_T_GRID
     seed: int = 0
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-
-def _finite_float(v):
-    """v as a finite float, or None for non-numbers, infinities, NaN and
-    integers too large for a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    try:
-        x = float(v)
-    except OverflowError:
-        return None
-    return x if np.isfinite(x) else None
 
 
 def parse_config(obj, seed_override=None):
@@ -163,7 +158,6 @@ def parse_config(obj, seed_override=None):
         raise ValueError("config key 'model' must hold exactly one of 'glauber' or 'structure_maps'")
     kind = next(iter(model))
     if kind == "glauber":
-        from .serialize import glauber_config_from_obj
         cfg = glauber_config_from_obj(model["glauber"], seed=seed)
         return RunConfig(model_kind="glauber", glauber=cfg, mode=mode,
                          t_grid=t_grid, seed=seed, tolerances=tols)
@@ -178,7 +172,6 @@ def parse_config(obj, seed_override=None):
 
 def serialize_config(rc):
     """Inverse of parse_config (up to default filling): a plain dict."""
-    from .serialize import glauber_config_to_obj
     if rc.model_kind == "glauber":
         model = {"glauber": glauber_config_to_obj(rc.glauber)}
     else:
@@ -195,7 +188,6 @@ def serialize_config(rc):
 def build_model(rc):
     if rc.model_kind == "glauber":
         return build_glauber_structure_maps(rc.glauber)
-    from .serialize import load_json, structure_maps_from_obj
     return structure_maps_from_obj(load_json(rc.maps_path))
 
 
@@ -299,9 +291,8 @@ def _split_pieces(f):
 
 
 def _check_structure(ctx):
-    rc, sm = ctx["rc"], ctx["sm"]
+    rc, sm, base = ctx["rc"], ctx["sm"], ctx["base"]
     tol = rc.tolerances
-    base = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
     yield _record("structure-unital", "residual", check_unital(sm),
                   tol["unital"], base)
     yield _record("structure-conjugation", "residual", check_conjugation(sm),
@@ -335,10 +326,9 @@ def _per_time_records(rc, gp, gc, base):
 
 
 def _check_extended(ctx):
-    rc, sm = ctx["rc"], ctx["sm"]
+    rc, sm, base = ctx["rc"], ctx["sm"], ctx["base"]
     gp, gc = ctx["gen_phys"], ctx["gen_cons"]
     tol = rc.tolerances
-    base = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
 
     # report order: every cp record, then every conservativity, then every normalization
     for column in zip(*_per_time_records(rc, gp, gc, base)):
@@ -393,9 +383,8 @@ def _check_extended(ctx):
 
 
 def _check_flow(ctx):
-    rc, sm = ctx["rc"], ctx["sm"]
+    rc, sm, base = ctx["rc"], ctx["sm"], ctx["base"]
     tol = rc.tolerances
-    base = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
 
     rng = rng_for(rc.seed, "flow-composition")
     worst_comp, worst_ref = 0.0, 0.0
@@ -478,6 +467,7 @@ def run_suite(rc, groups=None):
     try:
         sm = build_model(rc)
         ctx["sm"] = sm
+        ctx["base"] = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
         model_info["dim"] = sm.dim
         model_info["ito"] = {"c_mp": [sm.ito.c_mp.real, sm.ito.c_mp.imag],
                              "c_pm": [sm.ito.c_pm.real, sm.ito.c_pm.imag]}

@@ -167,6 +167,53 @@ class TestGlauberConfigRoundtrip:
                                      "gg_minus": [1.0]})
 
 
+HUGE = 10 ** 400  # a JSON integer too large for a float
+
+
+class TestFiniteNumbers:
+    """Parsers refuse booleans, non-finite numbers and integers too large
+    for a float with a ValueError naming the field."""
+
+    @staticmethod
+    def _chain(pp):
+        table = {lab: [0.5, 0.0] for lab in ("pp", "pm", "mp", "mm")}
+        return {"sites": 3, "gg_plus": dict(table, pp=pp), "gg_minus": table}
+
+    def test_chain_constants(self):
+        for bad in ([HUGE, 0], [0.5, HUGE], [True, 0], [float("nan"), 0], ["1", 0]):
+            with pytest.raises(ValueError, match=r"gg_plus\.pp must be a \[real, imag\] pair"):
+                glauber_config_from_obj(self._chain(bad))
+
+    def test_chain_integers_still_accepted(self):
+        assert (glauber_config_from_obj(self._chain([1, 0]))
+                == glauber_config_from_obj(self._chain([1.0, 0.0])))
+
+    def test_ito_constants(self, qubit_sm):
+        for bad in ([HUGE, 0], [False, 0.0]):
+            obj = structure_maps_to_obj(qubit_sm)
+            obj["ito"]["c_pm"] = bad
+            with pytest.raises(ValueError, match="ito.c_pm"):
+                structure_maps_from_obj(obj)
+
+    def test_step_function_pieces(self):
+        for bad in ([0, 1, HUGE, 0], [0, HUGE, 1, 0], [True, 1, 1, 0],
+                    [0, 1, 0, float("inf")]):
+            with pytest.raises(ValueError, match="piece 1 must be"):
+                step_function_from_obj([[2, 3, 1, 0], bad])
+        assert (step_function_from_obj([[0, 1, 2, -1]])
+                == StepFunction(((0.0, 1.0, 2.0 - 1.0j),)))
+
+    def test_operator_entries(self):
+        with pytest.raises(ValueError, match="operator: entries must be finite"):
+            operator_from_obj({"dim": 1, "re": [[HUGE]], "im": [[0]]})
+
+    def test_structure_map_entries_name_the_map(self, qubit_sm):
+        obj = structure_maps_to_obj(qubit_sm)
+        obj["theta_zero"]["im"][0][0] = HUGE
+        with pytest.raises(ValueError, match="theta_zero: superoperator: entries must be finite"):
+            structure_maps_from_obj(obj)
+
+
 class TestFileHelpers:
     def test_save_is_sorted_and_newline_terminated(self, tmp_path):
         p = tmp_path / "x.json"

@@ -1,17 +1,24 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qmflow.structure
 from qmflow import (
     ItoTable,
     StructureMapSet,
+    apply_superop,
     build_evans_hudson,
     check_conjugation,
     check_unital,
     commutator_map,
     leibnitz_residual,
+    max_abs,
+    parse_config,
+    run_suite,
 )
-from qmflow.structure import calibrate_ito
+from qmflow.structure import _CALIBRATION_PAIRS, _CALIBRATION_SEED, calibrate_ito
 from conftest import random_op
 
 
@@ -231,3 +238,133 @@ class TestGlauberStructure:
             res = leibnitz_residual(glauber_sm, random_op(rng, 8), random_op(rng, 8))
             worst = max(worst, res[0])
         assert worst < 1e-10
+
+
+# --- maps validated once, applied once per operand ----------------------------
+
+def _leibnitz_reference(sm, x, y):
+    """leibnitz_residual through the public apply_superop, one call per
+    term, in the order of the product rule as written."""
+    xy = x @ y
+    out = {}
+    for alpha in (-1, 1):
+        m = sm.maps()[alpha]
+        out[alpha] = max_abs(
+            apply_superop(m, xy) - apply_superop(m, x) @ y - x @ apply_superop(m, y))
+    m0 = sm.theta_zero
+    corr = (sm.ito.c_mp * apply_superop(sm.theta_minus, x) @ apply_superop(sm.theta_plus, y)
+            + sm.ito.c_pm * apply_superop(sm.theta_plus, x) @ apply_superop(sm.theta_minus, y))
+    out[0] = max_abs(
+        apply_superop(m0, xy) - apply_superop(m0, x) @ y - x @ apply_superop(m0, y) - corr)
+    return out
+
+
+def _calibration_reference(tm, t0, tp, dim):
+    """calibrate_ito's draws and least-squares fit through apply_superop."""
+    rng = np.random.default_rng([_CALIBRATION_SEED, dim])
+    cols_u, cols_v, rhs = [], [], []
+    for _ in range(_CALIBRATION_PAIRS):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x /= max(1.0, max_abs(x))
+        y /= max(1.0, max_abs(y))
+        d0 = (apply_superop(t0, x @ y)
+              - apply_superop(t0, x) @ y - x @ apply_superop(t0, y))
+        cols_u.append((apply_superop(tm, x) @ apply_superop(tp, y)).ravel())
+        cols_v.append((apply_superop(tp, x) @ apply_superop(tm, y)).ravel())
+        rhs.append(d0.ravel())
+    a = np.stack([np.concatenate(cols_u), np.concatenate(cols_v)], axis=1)
+    b = np.concatenate(rhs)
+    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return ItoTable(coeffs[0], coeffs[1]), float(max_abs(a @ coeffs - b))
+
+
+@pytest.fixture
+def count_apply(monkeypatch):
+    """Count the unchecked matvecs made by qmflow.structure."""
+    calls = []
+    inner = qmflow.structure._apply
+
+    def counted(s, x):
+        calls.append(s.shape[0])
+        return inner(s, x)
+
+    monkeypatch.setattr(qmflow.structure, "_apply", counted)
+    return calls
+
+
+class TestValidatedApplication:
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
+    def test_leibnitz_bitwise_equal_to_reference(self, model, request):
+        sm = request.getfixturevalue(model)
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            x, y = random_op(rng, sm.dim), random_op(rng, sm.dim)
+            got = leibnitz_residual(sm, x, y)
+            want = _leibnitz_reference(sm, x, y)
+            assert list(got) == list(want)
+            assert all(got[a] == want[a] for a in want)
+
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
+    def test_calibration_bitwise_equal_to_reference(self, model, request):
+        sm = request.getfixturevalue(model)
+        maps = (sm.theta_minus, sm.theta_zero, sm.theta_plus)
+        table, resid = calibrate_ito(*maps, sm.dim)
+        want_table, want_resid = _calibration_reference(*maps, sm.dim)
+        assert table == want_table and table == sm.ito
+        assert resid == want_resid
+
+    def test_leibnitz_refuses_non_finite_operands(self, qubit_sm):
+        good = np.eye(2, dtype=complex)
+        bad = good.copy()
+        bad[0, 1] = np.nan
+        huge = np.full((2, 2), 1e200, dtype=complex)
+        for x, y in ((bad, good), (good, bad), (huge, huge)):
+            with pytest.raises(ValueError, match="finite"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                leibnitz_residual(qubit_sm, x, y)
+
+    def test_calibration_refuses_bad_maps(self, qubit_sm):
+        tm, t0, tp = qubit_sm.theta_minus, qubit_sm.theta_zero, qubit_sm.theta_plus
+        nan_map = t0.copy()
+        nan_map[1, 2] = np.inf
+        with pytest.raises(ValueError, match="theta_zero contains non-finite"):
+            calibrate_ito(tm, nan_map, tp, 2)
+        with pytest.raises(ValueError, match="theta_plus must be a square"):
+            calibrate_ito(tm, t0, np.zeros((4, 5)), 2)
+        with pytest.raises(ValueError, match="theta_minus acts on 2x2"):
+            calibrate_ito(tm, t0, tp, 3)
+
+
+class TestApplicationCounts:
+    """Cost guard: each map is applied once per operand, unchecked."""
+
+    def test_nine_matvecs_per_leibnitz_call(self, glauber_sm, count_apply):
+        rng = np.random.default_rng(30)
+        leibnitz_residual(glauber_sm, random_op(rng, 8), random_op(rng, 8))
+        assert len(count_apply) == 9
+
+    def test_seven_matvecs_per_calibration_pair(self, glauber_sm, count_apply):
+        calibrate_ito(glauber_sm.theta_minus, glauber_sm.theta_zero,
+                      glauber_sm.theta_plus, glauber_sm.dim)
+        assert len(count_apply) == 7 * _CALIBRATION_PAIRS
+
+    def test_structure_group_never_revalidates(self, monkeypatch, count_apply):
+        checked = []
+        original = qmflow.linalg.apply_superop
+
+        def counted(s, x):
+            checked.append(1)
+            return original(s, x)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "qmflow" or name.startswith("qmflow.")) \
+                    and getattr(module, "apply_superop", None) is original:
+                monkeypatch.setattr(module, "apply_superop", counted)
+        rc = parse_config({"model": {"glauber": {"sites": 3, "boundary": "periodic"}}})
+        report = run_suite(rc, groups=("structure",))
+        assert report.passed
+        assert checked == []
+        # calibration while building the chain, two unitality checks (at
+        # construction and in the suite), 100 product-rule draws
+        assert len(count_apply) == 7 * _CALIBRATION_PAIRS + 2 * 3 + 100 * 9

@@ -443,6 +443,40 @@ class TestCli:
             assert code == 2
             assert key in err
 
+    def test_huge_integer_in_inputs(self, tmp_path, capsys, qubit_sm):
+        huge = 10 ** 400
+        table = {lab: [0.5, 0.0] for lab in ("pp", "pm", "mp", "mm")}
+        chain = {"sites": 3, "gg_plus": dict(table, pp=[huge, 0]), "gg_minus": table}
+        chainp, rcp = tmp_path / "chain.json", tmp_path / "rc.json"
+        save_json(chain, chainp)
+        save_json({"model": {"glauber": chain}}, rcp)
+        mp, qrcp = tmp_path / "maps.json", tmp_path / "qrc.json"
+        maps = structure_maps_to_obj(qubit_sm)
+        maps["theta_zero"]["re"][0][1] = huge
+        save_json(maps, mp)
+        save_json({"model": {"structure_maps": str(mp)}}, qrcp)
+        good_maps = tmp_path / "good_maps.json"
+        save_json(structure_maps_to_obj(qubit_sm), good_maps)
+        good_rc = tmp_path / "good_rc.json"
+        save_json({"model": {"structure_maps": str(good_maps)}}, good_rc)
+        fp, bad_fp = tmp_path / "f.json", tmp_path / "bad_f.json"
+        save_json([[0, 1, 1, 0]], fp)
+        save_json([[0, 1, huge, 0]], bad_fp)
+        xp, bad_xp = tmp_path / "x.json", tmp_path / "bad_x.json"
+        save_json(operator_to_obj(np.eye(2)), xp)
+        save_json({"dim": 2, "re": [[1, 0], [0, huge]], "im": [[0, 0], [0, 0]]}, bad_xp)
+        element = ["flow-element", "--config", str(good_rc), "--g", str(fp),
+                   "--window", "0,1", "--observable"]
+        for argv, key in (
+                (["build-glauber", "--config", str(chainp)], "gg_plus.pp"),
+                (["check-structure", "--config", str(rcp)], "gg_plus.pp"),
+                (element + [str(xp), "--f", str(bad_fp)], "piece 0"),
+                (element + [str(bad_xp), "--f", str(fp)], "operator: entries must be finite"),
+                (["evolve", "--config", str(qrcp), "--observable", str(xp)], "theta_zero")):
+            code, out, err = _run(capsys, argv)
+            assert code == 2, argv[0]
+            assert key in err and "Traceback" not in err
+
     def test_negative_time(self, capsys):
         code, out, err = _run(capsys, ["check-cp", "--t", "-0.5"])
         assert code == 2
