@@ -27,9 +27,9 @@ print("inner product:", step_inner_product(f, g))
 print("restricted to [0, 1]:", step_inner_product(f, g, window=(0.0, 1.0)))
 
 # 2. evolutions compose over adjacent windows and ignore refinement
-m_whole = evolution_map(sm, f, g, 0.0, 2.0).matrix
-m_split = (evolution_map(sm, f, g, 0.0, 0.7).matrix
-           @ evolution_map(sm, f, g, 0.7, 2.0).matrix)
+m_whole = evolution_map(sm, f, g, 0.0, 2.0)
+m_split = (evolution_map(sm, f, g, 0.0, 0.7)
+           @ evolution_map(sm, f, g, 0.7, 2.0))
 print("\ncomposition defect:", max_abs(m_whole - m_split))
 
 # 3. matrix element: overlap weight outside the window times the evolved

@@ -1,4 +1,17 @@
-"""Markov-flow semigroups: structure maps, extended generators, and checks."""
+"""Markov-flow semigroups: structure maps, extended generators, and checks.
+
+Importing the package sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1
+unless they are already set: a multi-threaded BLAS changes the last digits
+of some reported values, and reports are meant to be byte-deterministic.
+A library reads the variables when it loads, so numpy's BLAS gets this
+default only when qmflow is imported before numpy; scipy's BLAS, which
+qmflow loads, gets it unless scipy.linalg was imported first.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
@@ -20,12 +33,12 @@ from .extended import (
     resolvent_generator,
 )
 from .flows import (
-    StepFunction, step_inner_product, point_generator, EvolutionMap,
-    evolution_map, flow_matrix_element, block_form, q_bound_check,
-    kernel_cp_residual, schur_product_check,
+    StepFunction, step_inner_product, point_generator, evolution_map,
+    flow_matrix_element, block_form, q_bound_check, kernel_cp_residual,
+    schur_product_check,
 )
 from .glauber import (
-    LABELS, GlauberConfig, SpinOperatorSet, default_constants,
+    LABELS, GlauberConfig, default_constants,
     build_site_operator, build_F_lambda, build_spin_operators, shift_matrix,
     build_glauber_structure_maps,
 )

@@ -116,6 +116,15 @@ def _load_run_config(args):
     return parse_config(obj, seed_override=getattr(args, "seed", None))
 
 
+def _load_observable(path, sm):
+    """The observable in the operator file at path, checked against the model."""
+    x = operator_from_obj(load_json(path))
+    if x.shape != (sm.dim, sm.dim):
+        raise ValueError(
+            f"observable dimension {x.shape[0]} does not match model dimension {sm.dim}")
+    return x
+
+
 def _write(text, path):
     if path:
         mode = "wb" if isinstance(text, bytes) else "w"
@@ -175,32 +184,25 @@ def _cmd_check_cp(args):
 
 def _cmd_evolve(args):
     rc = _load_run_config(args)
-    x = operator_from_obj(load_json(args.observable))
     sm = build_model(rc)
-    if x.shape != (sm.dim, sm.dim):
-        raise ValueError(
-            f"observable dimension {x.shape[0]} does not match model dimension {sm.dim}")
+    x = _load_observable(args.observable, sm)
     gen = build_extended_generator(sm, rc.mode)
-    results = []
-    for t in rc.t_grid:
-        out = apply_extended(gen, t, BlockOp2(x, x, x, x))
-        entry = {"t": t}
-        for i in (0, 1):
-            for j in (0, 1):
-                entry[f"P{i}{j}"] = operator_to_obj(out.block(i, j))
-        results.append(entry)
+    evolved = [(t, apply_extended(gen, t, BlockOp2(x, x, x, x))) for t in rc.t_grid]
     if args.format == "csv":
         lines = ["t,block,row,col,re,im"]
-        for entry in results:
+        for t, out in evolved:
             for i in (0, 1):
                 for j in (0, 1):
-                    m = operator_from_obj(entry[f"P{i}{j}"])
+                    m = out.block(i, j)
                     for r in range(m.shape[0]):
                         for c in range(m.shape[1]):
-                            lines.append(f"{entry['t']!r},{i}{j},{r},{c},"
+                            lines.append(f"{t!r},{i}{j},{r},{c},"
                                          f"{float(m[r, c].real)!r},{float(m[r, c].imag)!r}")
         _write("\n".join(lines) + "\n", args.out)
     else:
+        results = [{"t": t, **{f"P{i}{j}": operator_to_obj(out.block(i, j))
+                               for i in (0, 1) for j in (0, 1)}}
+                   for t, out in evolved]
         obj = {"config": serialize_config(rc), "results": results}
         _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -214,11 +216,8 @@ def _cmd_flow_element(args):
         raise ValueError(f"--window expects S,T with numbers, got {args.window!r}")
     f = step_function_from_obj(load_json(args.f_path))
     g = step_function_from_obj(load_json(args.g_path))
-    x = operator_from_obj(load_json(args.observable))
     sm = build_model(rc)
-    if x.shape != (sm.dim, sm.dim):
-        raise ValueError(
-            f"observable dimension {x.shape[0]} does not match model dimension {sm.dim}")
+    x = _load_observable(args.observable, sm)
     out = flow_matrix_element(sm, f, g, s, t, x, mode=rc.mode)
     if args.format == "csv":
         lines = ["row,col,re,im"]

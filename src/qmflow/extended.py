@@ -21,9 +21,9 @@ joint properties of the four entries. The diagnostics in this module are
 the numerical versions of those properties, and every one of them acts
 through the one 2x2 table: ``_table`` builds a table entry by entry,
 ``_semigroup`` is the table of time-t maps exp(t L_ij) (and the one
-place a negative time is refused), ``_apply_table`` applies a table to a
-block operator, and ``_unit_deviation`` measures how far a table is from
-sending the identity to fixed multiples of it.
+place a negative time is refused), ``linalg._apply_grid`` applies a table
+to the blocks of an operator, and ``_unit_deviation`` measures how far a
+table is from sending the identity to fixed multiples of it.
 """
 
 from dataclasses import dataclass, replace
@@ -31,9 +31,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import point_generator
+from .flows import MODES, point_generator
 from .linalg import (
-    apply_superop,
+    _apply,
+    _apply_grid,
+    _draw_op,
     choi_of_map,
     matrix_exponential,
     max_abs,
@@ -48,8 +50,6 @@ __all__ = [
     "dissipativity_residual_min_eig", "delta_map", "delta_sq_map",
     "delta_sq_semigroup", "commutation_residual", "resolvent_generator",
 ]
-
-MODES = ("conservative", "physical")
 
 # Full Choi diagnostics grow as (2d)**4; past block dimension 32 the
 # eigenproblem stops being an interactive check.
@@ -174,11 +174,7 @@ def build_extended_generator(sm, mode="physical"):
         raise ValueError(f"axiom failure: conjugation rule violated ({r_conj:.3e})")
     rng = np.random.default_rng([0xD1CE, sm.dim])
     for _ in range(4):
-        x = rng.standard_normal((sm.dim, sm.dim)) + 1j * rng.standard_normal((sm.dim, sm.dim))
-        y = rng.standard_normal((sm.dim, sm.dim)) + 1j * rng.standard_normal((sm.dim, sm.dim))
-        x /= max(1.0, max_abs(x))
-        y /= max(1.0, max_abs(y))
-        res = leibnitz_residual(sm, x, y)
+        res = leibnitz_residual(sm, _draw_op(rng, sm.dim), _draw_op(rng, sm.dim))
         bar = 1e-9 * max(1.0, max_abs(sm.theta_plus) ** 2)
         if max(res[-1], res[1]) > bar:
             raise ValueError(
@@ -195,12 +191,6 @@ def _semigroup(gen, t):
     return _table(lambda i, j: matrix_exponential(gen.block(i, j), t))
 
 
-def _apply_table(maps, x):
-    """Apply a table of superoperator matrices to a BlockOp2 entry by entry."""
-    out = _table(lambda i, j: apply_superop(maps[i][j], x.block(i, j)))
-    return BlockOp2(*out[0], *out[1])
-
-
 def _unit_deviation(maps, scale, d):
     """Worst relative deviation of a table from a profile of identities.
 
@@ -208,7 +198,7 @@ def _unit_deviation(maps, scale, d):
     c = scale: how far map_ij is from sending the identity to c_ij times it.
     """
     eye = np.eye(d)
-    return max(max_abs(apply_superop(maps[i][j], eye) - scale[i][j] * eye)
+    return max(max_abs(_apply(maps[i][j], eye) - scale[i][j] * eye)
                / max(1.0, abs(scale[i][j])) for i in (0, 1) for j in (0, 1))
 
 
@@ -218,7 +208,7 @@ def apply_extended(gen, t, x):
         x = BlockOp2.from_full(x)
     if x.dim != gen.dim:
         raise ValueError(f"block dimension {x.dim} does not match generator dimension {gen.dim}")
-    return _apply_table(_semigroup(gen, t), x)
+    return BlockOp2.from_full(_apply_grid(_semigroup(gen, t), gen.dim, x.block))
 
 
 def _block_index_grid(d):
@@ -351,26 +341,25 @@ def dissipativity_residual_min_eig(gen, x, level=1):
     level=2 runs the same form after tensoring the doubled algebra with
     2x2 complex matrices, catching violations invisible at level 1. At
     level 2, x may be a 4d x 4d matrix (a 2x2 matrix of block operators);
-    level k lifts the generator onto each 2d x 2d sub-block of a k x k grid.
+    level k lifts the generator onto each 2d x 2d sub-block of a k x k grid,
+    which is the 2k x 2k table of entries L_(p mod 2)(q mod 2) applied to
+    the d x d blocks (p, q).
     """
     if gen.mode != "conservative":
         raise ValueError("dissipativity form is defined for the conservative mode")
     if level not in (1, 2):
         raise ValueError(f"ampliation level must be 1 or 2, got {level}")
-    k, n = level, 2 * gen.dim
+    k, d = level, gen.dim
     xs = x.as_full() if isinstance(x, BlockOp2) else np.asarray(x, dtype=complex)
-    if xs.shape != (k * n, k * n):
-        raise ValueError(f"level-{k} element must have shape {(k * n, k * n)}, got {xs.shape}")
+    if xs.shape != (2 * k * d, 2 * k * d):
+        raise ValueError(
+            f"level-{k} element must have shape {(2 * k * d, 2 * k * d)}, got {xs.shape}")
+    tiled = [[gen.entries[p % 2][q % 2] for q in range(2 * k)] for p in range(2 * k)]
 
     def lift(m):
-        out = np.zeros_like(m)
-        for a in range(k):
-            for b in range(k):
-                s = np.s_[a * n:(a + 1) * n, b * n:(b + 1) * n]
-                out[s] = _apply_table(gen.entries, BlockOp2.from_full(m[s])).as_full()
-        return out
+        return _apply_grid(tiled, d, lambda p, q: m[p * d:(p + 1) * d, q * d:(q + 1) * d])
 
-    e = np.kron(np.eye(k), np.kron(np.diag([0.0, 1.0]), np.eye(gen.dim)))
+    e = np.kron(np.eye(k), np.kron(np.diag([0.0, 1.0]), np.eye(d)))
     xstar = xs.conj().T
     r = lift(xstar @ xs) - lift(xstar) @ xs - xstar @ lift(xs)
     dx = 1j * (xs @ e - e @ xs)

@@ -22,13 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_superop, matrix_exponential, min_eig
+from .linalg import _apply_grid, _as_operator, apply_superop, matrix_exponential, min_eig
 
 __all__ = [
-    "StepFunction", "step_inner_product", "point_generator", "EvolutionMap",
-    "evolution_map", "flow_matrix_element", "block_form", "q_bound_check",
-    "kernel_cp_residual", "schur_product_check",
+    "StepFunction", "step_inner_product", "point_generator", "evolution_map",
+    "flow_matrix_element", "block_form", "q_bound_check", "kernel_cp_residual",
+    "schur_product_check",
 ]
+
+MODES = ("conservative", "physical")
 
 # Breakpoints closer than this are one point; intervals shorter than this
 # would be numerically empty anyway.
@@ -138,26 +140,13 @@ def step_inner_product(f, g, window=None, complement=False):
 
 def point_generator(sm, f0, g0, mode="physical"):
     """Single-exponential generator for constant test-function values."""
-    if mode not in ("conservative", "physical"):
-        raise ValueError(f"mode must be 'conservative' or 'physical', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     f0, g0 = complex(f0), complex(g0)
     m = sm.theta_zero + g0 * sm.theta_minus + np.conj(f0) * sm.theta_plus
     if mode == "physical":
         m = m + (np.conj(f0) * g0) * np.eye(m.shape[0])
     return m
-
-
-@dataclass(frozen=True)
-class EvolutionMap:
-    """Ordered-product map for a window, with its provenance attached."""
-
-    matrix: np.ndarray
-    start: float
-    end: float
-    mode: str
-
-    def apply(self, x):
-        return apply_superop(self.matrix, x)
 
 
 def evolution_map(sm, f, g, start, end, mode="physical"):
@@ -166,7 +155,8 @@ def evolution_map(sm, f, g, start, end, mode="physical"):
     The window is refined by the breakpoints of both step functions; each
     subinterval contributes exp(length * K(f0, g0)) with the functions'
     values there. Earlier subintervals act later (outermost), so the
-    matrices multiply left to right in time order.
+    matrices multiply left to right in time order. Returns the d**2 x d**2
+    matrix of the product.
     """
     start, end = float(start), float(end)
     if start > end:
@@ -177,7 +167,7 @@ def evolution_map(sm, f, g, start, end, mode="physical"):
         mid = 0.5 * (a + b)
         k = point_generator(sm, f.value_at(mid), g.value_at(mid), mode)
         total = total @ matrix_exponential(k, b - a)
-    return EvolutionMap(matrix=total, start=start, end=end, mode=mode)
+    return total
 
 
 def flow_matrix_element(sm, f, g, start, end, x, mode="physical"):
@@ -190,7 +180,7 @@ def flow_matrix_element(sm, f, g, start, end, x, mode="physical"):
     """
     f, g = _as_step(f, (start, end)), _as_step(g, (start, end))
     weight = np.exp(step_inner_product(f, g, window=(start, end), complement=True))
-    return weight * evolution_map(sm, f, g, start, end, mode).apply(x)
+    return weight * apply_superop(evolution_map(sm, f, g, start, end, mode), x)
 
 
 def _as_step(f, window):
@@ -202,45 +192,35 @@ def _as_step(f, window):
     return StepFunction.indicator(start, end, f) if f != 0 and end > start else StepFunction.zero()
 
 
-def _window_maps(sm, steps, t, mode):
-    """Table [j][k] of the window [0, t] map matrices between steps j and k."""
+def _window_maps(sm, steps, t):
+    """Table [j][k] of the physical window [0, t] maps between steps j and k."""
     if t < 0:
         raise ValueError(f"window length must be nonnegative, got {t}")
-    return [[evolution_map(sm, fj, fk, 0.0, t, mode).matrix for fk in steps]
-            for fj in steps]
+    return [[evolution_map(sm, fj, fk, 0.0, t) for fk in steps] for fj in steps]
 
 
-def _gram(maps, d, operand):
-    """(n d) x (n d) matrix whose block (j, k) is maps[j][k] applied to operand(j, k)."""
-    n = len(maps)
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[j * d:(j + 1) * d, k * d:(k + 1) * d] = apply_superop(maps[j][k], operand(j, k))
-    return out
-
-
-def _pair_products(xs, n):
+def _pair_products(xs, n, d):
     """operand(j, k) = x_j* x_k for the Gram kernels."""
     if len(xs) != n:
         raise ValueError(f"need as many operators as test functions, "
                          f"got {len(xs)} and {n}")
-    xs = [np.asarray(x, dtype=complex) for x in xs]
+    xs = [_as_operator(x, d) for x in xs]
     return lambda j, k: xs[j].conj().T @ xs[k]
 
 
-def block_form(sm, fs, t, x, mode="physical"):
+def block_form(sm, fs, t, x):
     """Gram-type block matrix [P_{f_j, f_k}(x)] over the window [0, t].
 
     fs may contain step functions or plain scalars (treated as constant
     values on [0, t]). Returns an (n d) x (n d) matrix of d x d blocks.
     """
     t = float(t)
-    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t, mode)
-    return _gram(maps, sm.dim, lambda j, k: x)
+    x = _as_operator(x, sm.dim)
+    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
+    return _apply_grid(maps, sm.dim, lambda j, k: x)
 
 
-def q_bound_check(sm, fs, t, x, mode="physical"):
+def q_bound_check(sm, fs, t, x):
     """Smallest eigenvalue of ||x|| [P(1)] - [P(x)].
 
     Nonnegative when the kernel respects the operator bound of x; the
@@ -248,15 +228,16 @@ def q_bound_check(sm, fs, t, x, mode="physical"):
     block forms.
     """
     t = float(t)
-    x = np.asarray(x, dtype=complex)
+    x = _as_operator(x, sm.dim)
     eye = np.eye(sm.dim)
     bound = float(np.linalg.norm(x, 2))
-    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t, mode)
-    big = bound * _gram(maps, sm.dim, lambda j, k: eye) - _gram(maps, sm.dim, lambda j, k: x)
+    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
+    big = (bound * _apply_grid(maps, sm.dim, lambda j, k: eye)
+           - _apply_grid(maps, sm.dim, lambda j, k: x))
     return min_eig(big)
 
 
-def kernel_cp_residual(sm, fs, xs, t, mode="physical"):
+def kernel_cp_residual(sm, fs, xs, t):
     """Smallest eigenvalue of the kernel's Gram matrix [P_{jk}(x_j* x_k)].
 
     Complete positivity of the kernel makes this matrix PSD for every
@@ -264,11 +245,11 @@ def kernel_cp_residual(sm, fs, xs, t, mode="physical"):
     """
     t = float(t)
     steps = [_as_step(f, (0.0, t)) for f in fs]
-    operand = _pair_products(xs, len(steps))
-    return min_eig(_gram(_window_maps(sm, steps, t, mode), sm.dim, operand))
+    operand = _pair_products(xs, len(steps), sm.dim)
+    return min_eig(_apply_grid(_window_maps(sm, steps, t), sm.dim, operand))
 
 
-def schur_product_check(sm, fs, xs, t1, t2, mode="physical"):
+def schur_product_check(sm, fs, xs, t1, t2):
     """Smallest eigenvalue of the entrywise-composed kernel Gram matrix.
 
     Composes the window [0, t1] and [0, t2] maps entry by entry before
@@ -276,8 +257,8 @@ def schur_product_check(sm, fs, xs, t1, t2, mode="physical"):
     composition keeps the matrix PSD.
     """
     steps = [_as_step(f, (0.0, max(t1, t2))) for f in fs]
-    operand = _pair_products(xs, len(steps))
-    maps1 = _window_maps(sm, steps, t1, mode)
-    maps2 = _window_maps(sm, steps, t2, mode)
+    operand = _pair_products(xs, len(steps), sm.dim)
+    maps1 = _window_maps(sm, steps, t1)
+    maps2 = _window_maps(sm, steps, t2)
     maps = [[m1 @ m2 for m1, m2 in zip(r1, r2)] for r1, r2 in zip(maps1, maps2)]
-    return min_eig(_gram(maps, sm.dim, operand))
+    return min_eig(_apply_grid(maps, sm.dim, operand))

@@ -29,7 +29,7 @@ from .linalg import hermitian_part
 from .structure import build_evans_hudson
 
 __all__ = [
-    "LABELS", "GlauberConfig", "SpinOperatorSet", "default_constants",
+    "LABELS", "GlauberConfig", "default_constants",
     "build_site_operator", "build_F_lambda", "build_spin_operators",
     "shift_matrix", "build_glauber_structure_maps",
 ]
@@ -122,20 +122,6 @@ class GlauberConfig:
         return cls(sites=sites, boundary=boundary, gg_plus=plus, gg_minus=minus)
 
 
-@dataclass(frozen=True)
-class SpinOperatorSet:
-    """Chain jump operators keyed by orientation label."""
-
-    sites: int
-    boundary: str
-    ops: dict
-
-    def op(self, label):
-        if label not in self.ops:
-            raise ValueError(f"unknown orientation label {label!r}")
-        return self.ops[label]
-
-
 def build_site_operator(cfg, r, eps, mu):
     """Site-r jump operator for neighbor orientations (eps, mu).
 
@@ -180,11 +166,8 @@ def build_F_lambda(cfg, eps, mu):
 
 
 def build_spin_operators(cfg):
-    ops = {}
-    for lab in LABELS:
-        eps, mu = _label_signs(lab)
-        ops[lab] = build_F_lambda(cfg, eps, mu)
-    return SpinOperatorSet(sites=cfg.sites, boundary=cfg.boundary, ops=ops)
+    """The chain operators {label: F(label)} for the four orientation labels."""
+    return {lab: build_F_lambda(cfg, *_label_signs(lab)) for lab in LABELS}
 
 
 def shift_matrix(n):
@@ -221,12 +204,12 @@ def build_glauber_structure_maps(cfg):
     ops = build_spin_operators(cfg)
     h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     for lab in LABELS:
-        f = ops.op(lab)
+        f = ops[lab]
         h = h + cfg.gg_minus[lab].imag * (f.conj().T @ f)
         h = h - cfg.gg_plus[lab].imag * (f @ f.conj().T)
     h = hermitian_part(h)
     return build_evans_hudson(
-        h, ops.op("pp"),
+        h, ops["pp"],
         w_minus=cfg.gg_minus["pp"].real,
         w_plus=cfg.gg_plus["pp"].real,
     )

@@ -15,8 +15,11 @@ Conventions used throughout the package:
 Validation boundary: every public function checks its arguments (shape,
 finiteness) on each call. ``_apply`` is the one unchecked matvec, for
 superoperators validated once when they were built (the maps of a
-``StructureMapSet``) and operators of matching, known-good shape;
-``apply_superop`` is its validation followed by ``_apply``.
+``StructureMapSet``) or computed from such maps (exponentials and their
+products), applied to operators of matching, known-good shape;
+``apply_superop`` is its validation followed by ``_apply``. ``_apply_grid``
+applies a whole table of such maps to a grid of operator blocks (the
+extended semigroup, the dissipativity lift and the flow's Gram kernels).
 """
 
 import numpy as np
@@ -84,17 +87,40 @@ def devectorize(v, dim=None):
 
 def _apply(s, x):
     """devec(S @ vec(X)) without checks: S a complex (d**2, d**2) array
-    validated when it was built, X a complex (d, d) array."""
+    validated when it was built or computed from such arrays, X a (d, d)
+    array."""
     return devectorize(s @ x.flatten(order="F"), x.shape[0])
+
+
+def _apply_grid(maps, d, operand):
+    """(n d) x (n d) matrix whose d x d block (j, k) is ``_apply(maps[j][k],
+    operand(j, k))``, for an n x n table of maps."""
+    n = len(maps)
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            out[j * d:(j + 1) * d, k * d:(k + 1) * d] = _apply(maps[j][k], operand(j, k))
+    return out
+
+
+def _draw_op(rng, d):
+    """A seeded random complex d x d operator, scaled to max-abs at most 1."""
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return x / max(1.0, max_abs(x))
+
+
+def _as_operator(x, d):
+    """x checked as an operator that a d**2 x d**2 superoperator acts on."""
+    x = _as_square(x)
+    if x.shape[0] != d:
+        raise ValueError(f"operator dimension {x.shape[0]} does not match superoperator dimension {d}")
+    return x
 
 
 def apply_superop(s, x):
     """Apply a superoperator matrix to an operator: devec(S @ vec(X))."""
     s, d = _superop_dim(s)
-    x = _as_square(x)
-    if x.shape[0] != d:
-        raise ValueError(f"operator dimension {x.shape[0]} does not match superoperator dimension {d}")
-    return _apply(s, x)
+    return _apply(s, _as_operator(x, d))
 
 
 def sandwich_map(a, b):

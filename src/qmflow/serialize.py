@@ -61,6 +61,10 @@ def _matrix_from_obj(obj, what):
     d = obj["dim"]
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"{what}: dim must be a positive integer, got {d!r}")
+    for key in ("re", "im"):
+        rows = obj[key] if isinstance(obj[key], list) else []
+        if any(isinstance(row, list) and bool in set(map(type, row)) for row in rows):
+            raise ValueError(f"{what}: {key} entries must be numbers, not booleans")
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .linalg import (
     _apply,
+    _draw_op,
     _superop_dim,
     adjoint_superop_matrix,
     commutator_map,
@@ -188,10 +189,7 @@ def calibrate_ito(theta_minus, theta_zero, theta_plus, dim):
     rng = np.random.default_rng([_CALIBRATION_SEED, dim])
     cols_u, cols_v, rhs = [], [], []
     for _ in range(_CALIBRATION_PAIRS):
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        x /= max(1.0, max_abs(x))
-        y /= max(1.0, max_abs(y))
+        x, y = _draw_op(rng, dim), _draw_op(rng, dim)
         tmx = _apply(theta_minus, x)
         tpy = _apply(theta_plus, y)
         tpx = _apply(theta_plus, x)

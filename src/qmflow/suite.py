@@ -51,7 +51,7 @@ from .flows import (
     step_inner_product,
 )
 from .glauber import build_glauber_structure_maps
-from .linalg import apply_superop, matrix_exponential, max_abs
+from .linalg import _apply, _draw_op, matrix_exponential, max_abs
 from .serialize import (
     _finite_float,
     glauber_config_from_obj,
@@ -263,11 +263,6 @@ class Report:
 
 # --- individual checks ----------------------------------------------------
 
-def _draw_op(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return x / max(1.0, max_abs(x))
-
-
 def _random_step(rng):
     k = int(rng.integers(1, 4))
     pts = np.sort(rng.uniform(0.0, 2.0, size=2 * k))
@@ -390,12 +385,12 @@ def _check_flow(ctx):
     worst_comp, worst_ref = 0.0, 0.0
     for _ in range(50):
         f, g = _random_step(rng), _random_step(rng)
-        full = evolution_map(sm, f, g, 0.0, 2.0).matrix
-        left = evolution_map(sm, f, g, 0.0, 1.0).matrix
-        right = evolution_map(sm, f, g, 1.0, 2.0).matrix
+        full = evolution_map(sm, f, g, 0.0, 2.0)
+        left = evolution_map(sm, f, g, 0.0, 1.0)
+        right = evolution_map(sm, f, g, 1.0, 2.0)
         scale = max(1.0, max_abs(full))
         worst_comp = max(worst_comp, max_abs(full - left @ right) / scale)
-        refined = evolution_map(sm, _split_pieces(f), _split_pieces(g), 0.0, 2.0).matrix
+        refined = evolution_map(sm, _split_pieces(f), _split_pieces(g), 0.0, 2.0)
         worst_ref = max(worst_ref, max_abs(full - refined) / scale)
     yield _record("flow-composition", "residual", worst_comp,
                   tol["flow_composition"], _digest(base, rc.seed, "comp"))
@@ -408,7 +403,7 @@ def _check_flow(ctx):
     for _ in range(100):
         f, g = _random_step(rng), _random_step(rng)
         ip = step_inner_product(f, g, window=(0.0, 2.0))
-        got = evolution_map(sm, f, g, 0.0, 2.0).apply(eye)
+        got = _apply(evolution_map(sm, f, g, 0.0, 2.0), eye)
         worst = max(worst, max_abs(got - np.exp(ip) * eye) / max(1.0, abs(np.exp(ip))))
     yield _record("flow-unitality", "residual", worst, tol["flow_unitality"],
                   _digest(base, rc.seed, "unital"))
@@ -422,7 +417,7 @@ def _check_flow(ctx):
         x = _draw_op(rng, sm.dim)
         t = float(rng.uniform(0.1, 1.5))
         p = matrix_exponential(point_generator(sm, f0, g0, "physical"), t)
-        lhs = float(np.linalg.norm(apply_superop(p, x), 2))
+        lhs = float(np.linalg.norm(_apply(p, x), 2))
         rhs = float(np.exp(t * (abs(f0) ** 2 + abs(g0) ** 2) / 2) * np.linalg.norm(x, 2))
         worst = max(worst, (lhs - rhs) / max(rhs, 1e-300))
     yield _record("flow-norm-bound", "bound", worst, tol["norm_bound"],
@@ -439,6 +434,20 @@ def _check_flow(ctx):
     x = _draw_op(rng, sm.dim)
     yield _record("flow-q-bound", "min_eig",
                   q_bound_check(sm, fs, 0.7, x), tol["q_bound"], _digest(dig, x))
+
+
+def _set_up(ctx, generators=True):
+    """Fill a run context: the model ("sm"), the digest of its maps
+    ("base") and, with ``generators``, one physical generator and its
+    conservative view ("gen_phys", "gen_cons"). Each entry is stored as
+    soon as it is built, so after a failure ctx holds what came before it.
+    """
+    sm = ctx["sm"] = build_model(ctx["rc"])
+    ctx["base"] = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
+    if generators:
+        ctx["gen_phys"] = build_extended_generator(sm, "physical")
+        ctx["gen_cons"] = replace(ctx["gen_phys"], mode="conservative")
+    return ctx
 
 
 _REGISTRY = (
@@ -462,35 +471,29 @@ def run_suite(rc, groups=None):
         raise ValueError(f"unknown check groups {sorted(unknown)}")
 
     records = []
-    model_info = {"kind": rc.model_kind, "dim": None, "ito": None}
     ctx = {"rc": rc}
     try:
-        sm = build_model(rc)
-        ctx["sm"] = sm
-        ctx["base"] = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
-        model_info["dim"] = sm.dim
-        model_info["ito"] = {"c_mp": [sm.ito.c_mp.real, sm.ito.c_mp.imag],
-                             "c_pm": [sm.ito.c_pm.real, sm.ito.c_pm.imag]}
-        if not {"extended", "flow"}.isdisjoint(wanted):
-            ctx["gen_phys"] = build_extended_generator(sm, "physical")
-            ctx["gen_cons"] = replace(ctx["gen_phys"], mode="conservative")
+        _set_up(ctx, generators=not {"extended", "flow"}.isdisjoint(wanted))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         records.append(CheckRecord(name="model-construction", kind="error",
                                    passed=False, message=str(exc)))
-        return Report(config=serialize_config(rc), model=model_info,
-                      records=tuple(records), passed=False)
-
-    for name, check in _REGISTRY:
-        if name not in wanted:
-            continue
-        try:
-            records.extend(check(ctx))
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            records.append(CheckRecord(name=f"{name}-group", kind="error",
-                                       passed=False, message=str(exc)))
-    passed = all(r.passed for r in records)
+    else:
+        for name, check in _REGISTRY:
+            if name not in wanted:
+                continue
+            try:
+                records.extend(check(ctx))
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                records.append(CheckRecord(name=f"{name}-group", kind="error",
+                                           passed=False, message=str(exc)))
+    sm = ctx.get("sm")
+    model_info = {"kind": rc.model_kind, "dim": None, "ito": None}
+    if sm is not None:
+        model_info["dim"] = sm.dim
+        model_info["ito"] = {"c_mp": [sm.ito.c_mp.real, sm.ito.c_mp.imag],
+                             "c_pm": [sm.ito.c_pm.real, sm.ito.c_pm.imag]}
     return Report(config=serialize_config(rc), model=model_info,
-                  records=tuple(records), passed=passed)
+                  records=tuple(records), passed=all(r.passed for r in records))
 
 
 def check_cp_rows(rc):
@@ -500,15 +503,13 @@ def check_cp_rows(rc):
     the conservative unit-block residual, and the physical unit-profile
     residual at one grid time.
     """
-    sm = build_model(rc)
-    gp = build_extended_generator(sm, "physical")
-    gc = replace(gp, mode="conservative")
-    base = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
+    ctx = _set_up({"rc": rc})
     rows = [{"t": cp.t, "choi_min_eig": cp.value,
              "conservativity_residual": consv.value,
              "normalization_residual": norm.value,
              "passed": cp.passed and consv.passed and norm.passed}
-            for cp, consv, norm in _per_time_records(rc, gp, gc, base)]
+            for cp, consv, norm in _per_time_records(
+                rc, ctx["gen_phys"], ctx["gen_cons"], ctx["base"])]
     return rows, all(r["passed"] for r in rows)
 
 

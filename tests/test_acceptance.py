@@ -18,6 +18,7 @@ from qmflow import (
     conservativity_residual,
     delta_sq_map,
     delta_sq_semigroup,
+    apply_superop,
     devectorize,
     dissipativity_residual_min_eig,
     evolution_map,
@@ -100,15 +101,15 @@ def test_criterion_05_evolution_factorization(qubit_sm):
         f = _random_step(rng)
         g = _random_step(rng)
         s, u, t = np.sort(rng.uniform(0.0, 2.0, size=3))
-        whole = evolution_map(qubit_sm, f, g, s, t).matrix
-        split = (evolution_map(qubit_sm, f, g, s, u).matrix
-                 @ evolution_map(qubit_sm, f, g, u, t).matrix)
+        whole = evolution_map(qubit_sm, f, g, s, t)
+        split = (evolution_map(qubit_sm, f, g, s, u)
+                 @ evolution_map(qubit_sm, f, g, u, t))
         worst = max(worst, max_abs(whole - split) / max(1.0, max_abs(whole)))
         # refinement: splitting a piece at an interior point changes nothing
         a, b, v = f.pieces[0]
         mid = 0.5 * (a + b)
         refined = StepFunction(pieces=((a, mid, v), (mid, b, v)) + f.pieces[1:])
-        again = evolution_map(qubit_sm, refined, g, s, t).matrix
+        again = evolution_map(qubit_sm, refined, g, s, t)
         worst = max(worst, max_abs(whole - again) / max(1.0, max_abs(whole)))
     _report(5, "evolution factorization and refinement", worst <= 1e-10,
             f"worst relative deviation {worst:.3e} <= 1e-10 over 50 pairs")
@@ -123,7 +124,7 @@ def test_criterion_06_unitality_and_norm_bound(qubit_sm):
         f = _random_step(rng)
         g = _random_step(rng)
         s, t = np.sort(rng.uniform(0.0, 2.0, size=2))
-        got = evolution_map(qubit_sm, f, g, s, t).apply(eye)
+        got = apply_superop(evolution_map(qubit_sm, f, g, s, t), eye)
         scale = np.exp(step_inner_product(f, g, window=(s, t)))
         worst_unit = max(worst_unit,
                          max_abs(got - scale * eye) / max(1.0, abs(scale)))
@@ -137,7 +138,7 @@ def test_criterion_06_unitality_and_norm_bound(qubit_sm):
         k = evolution_map(qubit_sm,
                           StepFunction.indicator(0.0, t, f0),
                           StepFunction.indicator(0.0, t, g0), 0.0, t)
-        lhs = float(np.linalg.norm(k.apply(x), 2))
+        lhs = float(np.linalg.norm(apply_superop(k, x), 2))
         rhs = float(np.exp(t * (abs(f0) ** 2 + abs(g0) ** 2) / 2)
                     * np.linalg.norm(x, 2))
         if lhs > rhs * (1 + 1e-10):

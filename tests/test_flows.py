@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qmflow import (
     StepFunction,
+    apply_superop,
     block_form,
     evolution_map,
     flow_matrix_element,
@@ -120,7 +121,7 @@ class TestEvolutionMap:
         g = StepFunction.indicator(0.0, 2.0, -0.3j)
         m = evolution_map(qubit_sm, f, g, 0.0, 1.5)
         k = point_generator(qubit_sm, 0.5 + 0.5j, -0.3j, "physical")
-        assert_allclose(m.matrix, matrix_exponential(k, 1.5), atol=1e-13)
+        assert_allclose(m, matrix_exponential(k, 1.5), atol=1e-13)
 
     def test_ordered_product_of_segments(self, qubit_sm):
         # values change at t=1; factors do not commute, so the order of
@@ -131,14 +132,14 @@ class TestEvolutionMap:
         k1 = point_generator(qubit_sm, 1.0, 1.0, "physical")
         k2 = point_generator(qubit_sm, 0.0, 1.0, "physical")
         want = matrix_exponential(k1, 1.0) @ matrix_exponential(k2, 1.0)
-        assert_allclose(m.matrix, want, atol=1e-12)
+        assert_allclose(m, want, atol=1e-12)
         wrong = matrix_exponential(k2, 1.0) @ matrix_exponential(k1, 1.0)
-        assert max_abs(m.matrix - wrong) > 1e-3
+        assert max_abs(m - wrong) > 1e-3
 
     def test_degenerate_window_is_identity(self, qubit_sm):
         f = StepFunction.indicator(0.0, 1.0, 1.0)
         m = evolution_map(qubit_sm, f, f, 0.5, 0.5)
-        assert_allclose(m.matrix, np.eye(4))
+        assert_allclose(m, np.eye(4))
 
     def test_reversed_window_rejected(self, qubit_sm):
         f = StepFunction.zero()
@@ -154,9 +155,9 @@ class TestEvolutionMap:
                                      (1.3, 3.0, complex(*rng.uniform(-1, 1, 2)))))
             g = StepFunction(pieces=((0.0, 2.1, complex(*rng.uniform(-1, 1, 2))),
                                      (2.1, 3.0, complex(*rng.uniform(-1, 1, 2)))))
-            whole = evolution_map(qubit_sm, f, g, s, t).matrix
-            split = (evolution_map(qubit_sm, f, g, s, u).matrix
-                     @ evolution_map(qubit_sm, f, g, u, t).matrix)
+            whole = evolution_map(qubit_sm, f, g, s, t)
+            split = (evolution_map(qubit_sm, f, g, s, u)
+                     @ evolution_map(qubit_sm, f, g, u, t))
             assert max_abs(whole - split) / max(1.0, max_abs(whole)) < 1e-11
 
 
@@ -249,3 +250,21 @@ class TestKernels:
         assert kernel_cp_residual(qubit_sm, fs, xs, 0.0) > -1e-12
         assert schur_product_check(qubit_sm, fs, xs, 0.0, 0.0) > -1e-12
         assert q_bound_check(qubit_sm, fs, 0.0, x) > -1e-12
+
+
+class TestGridApplication:
+    """block_form is bit-identical to applying each window map through the
+    public apply_superop."""
+
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
+    def test_block_form_bitwise_equal_to_reference(self, model, request):
+        sm = request.getfixturevalue(model)
+        rng = np.random.default_rng(67)
+        fs = [StepFunction(((0.0, 0.3, complex(*rng.uniform(-1, 1, 2))),
+                            (0.3, 0.9, complex(*rng.uniform(-1, 1, 2)))))
+              for _ in range(3)]
+        x = random_op(rng, sm.dim)
+        got = block_form(sm, fs, 0.7, x)
+        maps = [[evolution_map(sm, fj, fk, 0.0, 0.7) for fk in fs] for fj in fs]
+        want = np.block([[apply_superop(m, x) for m in row] for row in maps])
+        assert np.array_equal(got, want)

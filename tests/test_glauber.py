@@ -160,7 +160,7 @@ class TestCollectiveOperators:
                     b = build_F_lambda(cfg, -le, -lm)
                     assert np.array_equal(a, b)
             # the labeled dictionary agrees with direct construction
-            assert np.array_equal(ops.op("pm"), build_F_lambda(cfg, 1, -1))
+            assert np.array_equal(ops["pm"], build_F_lambda(cfg, 1, -1))
 
     def test_translation_covariance(self):
         n = 4

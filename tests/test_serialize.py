@@ -213,6 +213,20 @@ class TestFiniteNumbers:
         with pytest.raises(ValueError, match="theta_zero: superoperator: entries must be finite"):
             structure_maps_from_obj(obj)
 
+    def test_operator_booleans(self):
+        for re, im, key in (([[True]], [[0]], "re"), ([[1.0]], [[False]], "im"),
+                            ([[1, 0], [0, True]], [[0, 0], [0, 0]], "re")):
+            with pytest.raises(ValueError, match=f"operator: {key} entries must be numbers"):
+                operator_from_obj({"dim": len(re), "re": re, "im": im})
+        assert np.array_equal(operator_from_obj({"dim": 1, "re": [[1]], "im": [[0]]}),
+                              np.array([[1 + 0j]]))
+
+    def test_structure_map_booleans_name_the_map(self, qubit_sm):
+        obj = structure_maps_to_obj(qubit_sm)
+        obj["theta_plus"]["re"][2][3] = False
+        with pytest.raises(ValueError, match="theta_plus: superoperator: re entries must be numbers"):
+            structure_maps_from_obj(obj)
+
 
 class TestFileHelpers:
     def test_save_is_sorted_and_newline_terminated(self, tmp_path):

@@ -7,12 +7,14 @@ from numpy.testing import assert_allclose
 import qmflow.structure
 from qmflow import (
     ItoTable,
+    StepFunction,
     StructureMapSet,
     apply_superop,
     build_evans_hudson,
     check_conjugation,
     check_unital,
     commutator_map,
+    flow_matrix_element,
     leibnitz_residual,
     max_abs,
     parse_config,
@@ -293,6 +295,23 @@ def count_apply(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def count_checked(monkeypatch):
+    """Count the calls of public apply_superop, through every qmflow binding."""
+    calls = []
+    original = qmflow.linalg.apply_superop
+
+    def counted(s, x):
+        calls.append(1)
+        return original(s, x)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qmflow" or name.startswith("qmflow.")) \
+                and getattr(module, "apply_superop", None) is original:
+            monkeypatch.setattr(module, "apply_superop", counted)
+    return calls
+
+
 class TestValidatedApplication:
     @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
     def test_leibnitz_bitwise_equal_to_reference(self, model, request):
@@ -368,3 +387,17 @@ class TestApplicationCounts:
         # calibration while building the chain, two unitality checks (at
         # construction and in the suite), 100 product-rule draws
         assert len(count_apply) == 7 * _CALIBRATION_PAIRS + 2 * 3 + 100 * 9
+
+    def test_full_suite_never_revalidates(self, count_checked):
+        # computed maps (exponentials, window products) go through the
+        # unchecked path in every group
+        report = run_suite(parse_config({}))
+        assert report.passed
+        assert count_checked == []
+
+    def test_one_check_per_flow_element(self, qubit_sm, count_checked):
+        # the observable comes from outside: checked once, with the map
+        f = StepFunction(((0.0, 0.6, 0.3 + 0.2j), (0.6, 1.4, -0.5)))
+        for calls in (1, 2, 3):
+            flow_matrix_element(qubit_sm, f, 0.4j, 0.0, 1.2, np.eye(2))
+            assert len(count_checked) == calls

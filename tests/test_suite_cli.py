@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qmflow
 from qmflow import (
     DEFAULT_TOLERANCES,
     REPORT_SCHEMA,
@@ -477,6 +482,23 @@ class TestCli:
             assert code == 2, argv[0]
             assert key in err and "Traceback" not in err
 
+    def test_booleans_in_inputs(self, tmp_path, capsys, qubit_sm):
+        xp = tmp_path / "x.json"
+        save_json({"dim": 8, "re": np.eye(8).tolist(), "im": [[False] * 8] * 8}, xp)
+        mp, rcp = tmp_path / "maps.json", tmp_path / "rc.json"
+        maps = structure_maps_to_obj(qubit_sm)
+        maps["theta_zero"]["re"][0][0] = True
+        save_json(maps, mp)
+        save_json({"model": {"structure_maps": str(mp)}}, rcp)
+        qxp = tmp_path / "qx.json"
+        save_json(operator_to_obj(np.eye(2)), qxp)
+        for argv, key in ((["evolve", "--observable", str(xp)], "operator: im entries"),
+                          (["evolve", "--config", str(rcp), "--observable", str(qxp)],
+                           "theta_zero: superoperator: re entries")):
+            code, out, err = _run(capsys, argv)
+            assert code == 2, argv[0]
+            assert key in err and "Traceback" not in err
+
     def test_negative_time(self, capsys):
         code, out, err = _run(capsys, ["check-cp", "--t", "-0.5"])
         assert code == 2
@@ -485,3 +507,19 @@ class TestCli:
     def test_malformed_time(self, capsys):
         code, out, err = _run(capsys, ["check-cp", "--t", "0.1;0.5"])
         assert code == 2
+
+
+class TestBlasThreads:
+    def test_report_bytes_do_not_depend_on_the_thread_variables(self):
+        # the package sets both variables to 1 when the caller left them
+        # unset; a multi-threaded BLAS moves the last digits of extended-cp
+        src = str(Path(qmflow.__file__).resolve().parents[1])
+
+        def check_cp(**pins):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env.update(pins, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+            return subprocess.run([sys.executable, "-m", "qmflow.cli", "check-cp"],
+                                  env=env, capture_output=True, check=True).stdout
+
+        assert check_cp() == check_cp(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
