@@ -10,8 +10,9 @@ Commands:
 * ``suite``           the full verification suite
 
 Verification commands exit 0 exactly when every check passes, 1 when any
-check fails, and 2 on bad input. Reports are deterministic: the same
-config and seed give byte-identical output.
+check fails, and 2 on bad input, including a model that cannot be built
+(``suite`` and ``check-structure`` still write their report then). Reports
+are deterministic: the same config and seed give byte-identical output.
 """
 
 import argparse
@@ -140,6 +141,8 @@ def _emit_report(report, args):
         _write(report_to_csv(report), args.out)
     else:
         _write(report_to_json_bytes(report), args.out)
+    if any(r.name == "model-construction" for r in report.records):
+        return 2
     return 0 if report.passed else 1
 
 

@@ -16,8 +16,14 @@ factor.
 Composition convention: for r <= s <= t the window [r, t] map is the
 window [r, s] map composed with the window [s, t] map acting first, i.e.
 matrix(r, t) = matrix(r, s) @ matrix(s, t).
+
+Windows are evaluated in batches: a factor is keyed by the exact bits of
+(f0, g0, length), is exponentiated once for the whole batch and is freed
+after its last use. A batch's maps are bit for bit the maps computed one
+window at a time.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,18 +162,45 @@ def evolution_map(sm, f, g, start, end, mode="physical"):
     subinterval contributes exp(length * K(f0, g0)) with the functions'
     values there. Earlier subintervals act later (outermost), so the
     matrices multiply left to right in time order. Returns the d**2 x d**2
-    matrix of the product.
+    matrix of the product. A factor that recurs in the window is computed
+    once and freed after its last use.
     """
-    start, end = float(start), float(end)
-    if start > end:
-        raise ValueError(f"window is reversed: [{start}, {end}]")
+    return _evolution_maps(sm, [(f, g, start, end)], mode)[0]
+
+
+def _evolution_maps(sm, windows, mode="physical"):
+    """evolution_map of each (f, g, start, end) window, as one batch.
+
+    Every segment is planned first, keyed by the exact bits of
+    (f0, g0, length), so equal keys give bit-identical factors. Each
+    distinct factor is then exponentiated once, multiplied in each
+    window's time order and dropped after its last use.
+    """
+    plans = []
+    for f, g, start, end in windows:
+        start, end = float(start), float(end)
+        if start > end:
+            raise ValueError(f"window is reversed: [{start}, {end}]")
+        plan = []
+        for a, b in _segments(f, g, start, end):
+            mid = 0.5 * (a + b)
+            f0, g0 = f.value_at(mid), g.value_at(mid)
+            plan.append((np.array([f0, g0, b - a]).tobytes(), f0, g0, b - a))
+        plans.append(plan)
+    uses = Counter(key for plan in plans for key, *_ in plan)
     d2 = sm.theta_zero.shape[0]
-    total = np.eye(d2, dtype=complex)
-    for a, b in _segments(f, g, start, end):
-        mid = 0.5 * (a + b)
-        k = point_generator(sm, f.value_at(mid), g.value_at(mid), mode)
-        total = total @ matrix_exponential(k, b - a)
-    return total
+    factors, maps = {}, []
+    for plan in plans:
+        total = np.eye(d2, dtype=complex)
+        for key, f0, g0, length in plan:
+            if key not in factors:
+                factors[key] = matrix_exponential(point_generator(sm, f0, g0, mode), length)
+            total = total @ factors[key]
+            uses[key] -= 1
+            if not uses[key]:
+                del factors[key]
+        maps.append(total)
+    return maps
 
 
 def flow_matrix_element(sm, f, g, start, end, x, mode="physical"):
@@ -192,11 +225,15 @@ def _as_step(f, window):
     return StepFunction.indicator(start, end, f) if f != 0 and end > start else StepFunction.zero()
 
 
-def _window_maps(sm, steps, t):
-    """Table [j][k] of the physical window [0, t] maps between steps j and k."""
-    if t < 0:
-        raise ValueError(f"window length must be nonnegative, got {t}")
-    return [[evolution_map(sm, fj, fk, 0.0, t) for fk in steps] for fj in steps]
+def _window_maps(sm, steps, *ts):
+    """For each t, the table [j][k] of the physical window [0, t] maps
+    between steps j and k; all tables come from one batch."""
+    for t in ts:
+        if t < 0:
+            raise ValueError(f"window length must be nonnegative, got {t}")
+    maps = iter(_evolution_maps(sm, [(fj, fk, 0.0, t)
+                                     for t in ts for fj in steps for fk in steps]))
+    return [[[next(maps) for _ in steps] for _ in steps] for _ in ts]
 
 
 def _pair_products(xs, n, d):
@@ -216,7 +253,7 @@ def block_form(sm, fs, t, x):
     """
     t = float(t)
     x = _as_operator(x, sm.dim)
-    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
+    maps, = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
     return _apply_grid(maps, sm.dim, lambda j, k: x)
 
 
@@ -231,7 +268,7 @@ def q_bound_check(sm, fs, t, x):
     x = _as_operator(x, sm.dim)
     eye = np.eye(sm.dim)
     bound = float(np.linalg.norm(x, 2))
-    maps = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
+    maps, = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
     big = (bound * _apply_grid(maps, sm.dim, lambda j, k: eye)
            - _apply_grid(maps, sm.dim, lambda j, k: x))
     return min_eig(big)
@@ -246,7 +283,8 @@ def kernel_cp_residual(sm, fs, xs, t):
     t = float(t)
     steps = [_as_step(f, (0.0, t)) for f in fs]
     operand = _pair_products(xs, len(steps), sm.dim)
-    return min_eig(_apply_grid(_window_maps(sm, steps, t), sm.dim, operand))
+    maps, = _window_maps(sm, steps, t)
+    return min_eig(_apply_grid(maps, sm.dim, operand))
 
 
 def schur_product_check(sm, fs, xs, t1, t2):
@@ -258,7 +296,6 @@ def schur_product_check(sm, fs, xs, t1, t2):
     """
     steps = [_as_step(f, (0.0, max(t1, t2))) for f in fs]
     operand = _pair_products(xs, len(steps), sm.dim)
-    maps1 = _window_maps(sm, steps, t1)
-    maps2 = _window_maps(sm, steps, t2)
+    maps1, maps2 = _window_maps(sm, steps, t1, t2)
     maps = [[m1 @ m2 for m1, m2 in zip(r1, r2)] for r1, r2 in zip(maps1, maps2)]
     return min_eig(_apply_grid(maps, sm.dim, operand))

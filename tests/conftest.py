@@ -1,3 +1,5 @@
+# qmflow first: it pins numpy's BLAS to 1 thread only if numpy is not loaded yet
+import qmflow  # noqa: F401
 import numpy as np
 import pytest
 
