@@ -16,10 +16,14 @@ Validation boundary: every public function checks its arguments (shape,
 finiteness) on each call. ``_apply`` is the one unchecked matvec, for
 superoperators validated once when they were built (the maps of a
 ``StructureMapSet``) or computed from such maps (exponentials and their
-products), applied to operators of matching, known-good shape;
-``apply_superop`` is its validation followed by ``_apply``. ``_apply_grid``
-applies a whole table of such maps to a grid of operator blocks (the
-extended semigroup, the dissipativity lift and the flow's Gram kernels).
+products), applied to operators of matching, known-good shape. It takes
+the map as a dense array or as a ``scipy.sparse`` CSR matrix (the views a
+``StructureMapSet`` builds of its maps); ``_apply_each`` applies one map
+to several operators in one product on their column-stacked block.
+``apply_superop`` is the dense validation followed by ``_apply``.
+``_apply_grid`` applies a whole table of computed dense maps to a grid of
+operator blocks (the extended semigroup, the dissipativity lift and the
+flow's Gram kernels).
 """
 
 import numpy as np
@@ -86,10 +90,21 @@ def devectorize(v, dim=None):
 
 
 def _apply(s, x):
-    """devec(S @ vec(X)) without checks: S a complex (d**2, d**2) array
-    validated when it was built or computed from such arrays, X a (d, d)
-    array."""
+    """devec(S @ vec(X)) without checks: S a complex (d**2, d**2) array or
+    CSR matrix validated when it was built or computed from such maps, X a
+    (d, d) array."""
     return devectorize(s @ x.flatten(order="F"), x.shape[0])
+
+
+def _apply_each(s, xs):
+    """The images ``_apply(s, x)`` of a sequence (or stack) of (d, d)
+    arrays, stacked along the first axis, from one product of S with the
+    block whose columns are the vec(X). For a CSR S each image is bitwise
+    the one ``_apply`` gives, in the same (column-major) layout."""
+    k, d = len(xs), xs[0].shape[0]
+    # block[j*d + i, n] = xs[n][i, j]
+    block = np.asarray(xs).transpose(2, 1, 0).reshape(d * d, k)
+    return np.ascontiguousarray((s @ block).T).reshape(k, d, d).transpose(0, 2, 1)
 
 
 def _apply_grid(maps, d, operand):

@@ -22,18 +22,27 @@ drifts assembled from dissipators the constants are not free: they are
 pinned by the maps themselves, so :func:`build_evans_hudson` measures them
 (least squares over random operator pairs) and stores the calibrated
 values, warning when a supplied table disagrees.
+
+A :class:`StructureMapSet` keeps its maps as dense matrices (they feed the
+exponentials, the Choi matrices, file output and the model digest) and
+builds one ``scipy.sparse`` CSR view of each when it is constructed. The
+checks in this module (unitality, conjugation, the product rule and the
+Ito calibration) apply the maps through those views, one product per map
+on all of its operands: the maps of chain models are a few percent
+nonzero or less.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import (
-    _apply,
+    _apply_each,
     _draw_op,
     _superop_dim,
-    adjoint_superop_matrix,
+    _transpose_perm,
     commutator_map,
     dissipator_map,
     hermitian_part,
@@ -81,11 +90,12 @@ class ItoTable:
 class StructureMapSet:
     """The three maps of a flow plus the Ito table they were built for.
 
-    Fields hold superoperator matrices of shape (dim**2, dim**2).
+    Fields hold dense superoperator matrices of shape (dim**2, dim**2).
     Construction checks shapes, finiteness and unitality (each map must
-    kill the identity to within ``UNITAL_TOL``); the maps are applied
-    unchecked afterwards. The deeper product-rule and positivity
-    properties are checked by the verification suite.
+    kill the identity to within ``UNITAL_TOL``) and builds ``csr``, one
+    CSR view of each map keyed like :meth:`maps`; products of a map with
+    operators go through its view, unchecked. The deeper product-rule and
+    positivity properties are checked by the verification suite.
     """
 
     dim: int
@@ -93,8 +103,11 @@ class StructureMapSet:
     theta_zero: np.ndarray
     theta_plus: np.ndarray
     ito: ItoTable = field(default_factory=ItoTable)
+    csr: dict = field(init=False, repr=False, compare=False)
+    # views already built from these very maps (build_evans_hudson's)
+    _views: InitVar[dict] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _views):
         d = int(self.dim)
         if d < 1:
             raise ValueError(f"dimension must be positive, got {d}")
@@ -107,6 +120,9 @@ class StructureMapSet:
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, m)
+        if _views is None:
+            _views = _csr_views(self.theta_minus, self.theta_zero, self.theta_plus)
+        object.__setattr__(self, "csr", _views)
         resid = check_unital(self)
         if resid > UNITAL_TOL:
             raise ValueError(
@@ -117,10 +133,16 @@ class StructureMapSet:
         return {-1: self.theta_minus, 0: self.theta_zero, 1: self.theta_plus}
 
 
+def _csr_views(theta_minus, theta_zero, theta_plus):
+    """CSR views of three dense maps, keyed by their noise index -1, 0, +1."""
+    return {alpha: scipy.sparse.csr_array(m)
+            for alpha, m in ((-1, theta_minus), (0, theta_zero), (1, theta_plus))}
+
+
 def check_unital(sm):
     """max over the three maps of ||theta(identity)|| (max-abs norm)."""
     eye = np.eye(sm.dim, dtype=complex)
-    return max(max_abs(_apply(m, eye)) for m in sm.maps().values())
+    return max(max_abs(_apply_each(m, [eye])) for m in sm.csr.values())
 
 
 def check_conjugation(sm):
@@ -128,12 +150,30 @@ def check_conjugation(sm):
 
     Returns max(||theta_minus - C(theta_plus)||, ||theta_zero - C(theta_zero)||)
     in the max-abs norm, where C is the matrix transform realizing
-    x -> theta(x*)*. Vanishing residual is equivalent to the rule holding
-    for every operator, not just sampled ones.
+    x -> theta(x*)* (see ``adjoint_superop_matrix``). Vanishing residual is
+    equivalent to the rule holding for every operator, not just sampled
+    ones. C is conjugation plus a permutation, and each view stores at
+    most one entry per position, so the residual computed from the stored
+    entries of the CSR views is the dense formula's value bit for bit.
     """
-    r1 = max_abs(sm.theta_minus - adjoint_superop_matrix(sm.theta_plus))
-    r0 = max_abs(sm.theta_zero - adjoint_superop_matrix(sm.theta_zero))
-    return max(r0, r1)
+    n = sm.dim ** 2
+    p = _transpose_perm(sm.dim)
+
+    def residual(m, partner):
+        # stored entries keyed by flat position; C moves the partner's
+        # entry (r, c) to (p[r], p[c]) and conjugates it
+        rows_m, rows_q = (np.repeat(np.arange(n), np.diff(s.indptr)) for s in (m, partner))
+        keys = np.concatenate([rows_m * n + m.indices, p[rows_q] * n + p[partner.indices]])
+        vals = np.concatenate([m.data, -partner.data.conj()])
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        # a position held by both: a + (-conj b) is a - conj b exactly
+        both = np.flatnonzero(keys[1:] == keys[:-1])
+        vals[both] += vals[both + 1]
+        vals[both + 1] = 0
+        return max_abs(vals)
+
+    return max(residual(sm.csr[0], sm.csr[0]), residual(sm.csr[-1], sm.csr[1]))
 
 
 def leibnitz_residual(sm, x, y):
@@ -141,8 +181,8 @@ def leibnitz_residual(sm, x, y):
 
     Returns a dict keyed by -1, 0, +1. The noise maps must be exact
     derivations; the drift residual is taken against the stored Ito table.
-    Each map is applied once per operand (to xy, x and y: nine matvecs);
-    the drift correction reuses the noise maps' images.
+    Each map is applied to xy, x and y in one product (three in all); the
+    drift correction reuses the noise maps' images.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -154,8 +194,7 @@ def leibnitz_residual(sm, x, y):
         if not np.all(np.isfinite(op)):
             raise ValueError(f"operand {name} contains non-finite entries")
     # image[alpha] = (theta_alpha(xy), theta_alpha(x), theta_alpha(y))
-    image = {alpha: (_apply(m, xy), _apply(m, x), _apply(m, y))
-             for alpha, m in sm.maps().items()}
+    image = {alpha: _apply_each(m, (xy, x, y)) for alpha, m in sm.csr.items()}
 
     def defect(alpha):
         txy, tx, ty = image[alpha]
@@ -168,15 +207,16 @@ def leibnitz_residual(sm, x, y):
     return out
 
 
-def calibrate_ito(theta_minus, theta_zero, theta_plus, dim):
+def calibrate_ito(theta_minus, theta_zero, theta_plus, dim, _views=None):
     """Measure the drift's correction constants by least squares.
 
     Draws a fixed set of random operator pairs, computes the drift's
     product-rule defect and fits it to the two quadratic correction
     candidates. Returns (ItoTable, fit_residual). Raises when the defect
     is not spanned by the two products, i.e. the maps do not satisfy a
-    two-constant product rule at all. Each map is validated once here and
-    applied once per operand (seven matvecs per pair).
+    two-constant product rule at all. The maps are validated here and
+    applied through CSR views, one product per map on all of its operands
+    (``_views`` passes views already built from these very maps).
     """
     checked = []
     for name, m in (("theta_minus", theta_minus), ("theta_zero", theta_zero),
@@ -185,22 +225,18 @@ def calibrate_ito(theta_minus, theta_zero, theta_plus, dim):
         if d != dim:
             raise ValueError(f"{name} acts on {d}x{d} operators, expected {dim}x{dim}")
         checked.append(m)
-    theta_minus, theta_zero, theta_plus = checked
+    if _views is None:
+        _views = _csr_views(*checked)
     rng = np.random.default_rng([_CALIBRATION_SEED, dim])
-    cols_u, cols_v, rhs = [], [], []
-    for _ in range(_CALIBRATION_PAIRS):
-        x, y = _draw_op(rng, dim), _draw_op(rng, dim)
-        tmx = _apply(theta_minus, x)
-        tpy = _apply(theta_plus, y)
-        tpx = _apply(theta_plus, x)
-        tmy = _apply(theta_minus, y)
-        d0 = (_apply(theta_zero, x @ y)
-              - _apply(theta_zero, x) @ y - x @ _apply(theta_zero, y))
-        cols_u.append((tmx @ tpy).ravel())
-        cols_v.append((tpx @ tmy).ravel())
-        rhs.append(d0.ravel())
-    a = np.stack([np.concatenate(cols_u), np.concatenate(cols_v)], axis=1)
-    b = np.concatenate(rhs)
+    n = _CALIBRATION_PAIRS
+    draws = np.asarray([_draw_op(rng, dim) for _ in range(2 * n)])
+    xs, ys = draws[0::2], draws[1::2]
+    # images of x_1..x_n then y_1..y_n; the drift's come after those of x_k y_k
+    tm = _apply_each(_views[-1], np.concatenate([xs, ys]))
+    tp = _apply_each(_views[1], np.concatenate([xs, ys]))
+    t0 = _apply_each(_views[0], np.concatenate([xs @ ys, xs, ys]))
+    a = np.stack([(tm[:n] @ tp[n:]).ravel(), (tp[:n] @ tm[n:]).ravel()], axis=1)
+    b = (t0[:n] - t0[n:2 * n] @ ys - xs @ t0[2 * n:]).ravel()
     scale = max(max_abs(a), max_abs(b))
     if scale < 1e-13:
         # No quadratic content at all (e.g. zero noise maps): any table works.
@@ -256,7 +292,8 @@ def build_evans_hudson(h, f, w_minus, w_plus, ito=None):
                   + dissipator_map(f, w_minus)
                   + dissipator_map(f, w_plus, mirrored=True))
 
-    calibrated, _ = calibrate_ito(theta_minus, theta_zero, theta_plus, d)
+    views = _csr_views(theta_minus, theta_zero, theta_plus)
+    calibrated, _ = calibrate_ito(theta_minus, theta_zero, theta_plus, d, _views=views)
     if ito is not None:
         dev = max(abs(ito.c_mp - calibrated.c_mp), abs(ito.c_pm - calibrated.c_pm))
         if dev > 1e-8:
@@ -266,4 +303,4 @@ def build_evans_hudson(h, f, w_minus, w_plus, ito=None):
                 "storing the calibrated values")
     return StructureMapSet(dim=d, theta_minus=theta_minus,
                            theta_zero=theta_zero, theta_plus=theta_plus,
-                           ito=calibrated)
+                           ito=calibrated, _views=views)

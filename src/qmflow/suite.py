@@ -201,7 +201,7 @@ def _digest(*parts):
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
-            h.update(np.ascontiguousarray(p).tobytes())
+            h.update(np.ascontiguousarray(p))  # the buffer itself, no copy
         else:
             h.update(repr(p).encode())
     return h.hexdigest()[:12]

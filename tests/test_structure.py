@@ -1,26 +1,39 @@
+import hashlib
+import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 import qmflow.structure
 from qmflow import (
+    GlauberConfig,
     ItoTable,
     StepFunction,
     StructureMapSet,
+    adjoint_superop_matrix,
     apply_superop,
     build_evans_hudson,
+    build_extended_generator,
+    build_glauber_structure_maps,
     check_conjugation,
     check_unital,
     commutator_map,
     flow_matrix_element,
+    left_mul_map,
     leibnitz_residual,
     max_abs,
     parse_config,
     run_suite,
+    sandwich_map,
 )
+from qmflow.linalg import _apply, _draw_op
+from qmflow.serialize import save_json, structure_maps_to_obj
 from qmflow.structure import _CALIBRATION_PAIRS, _CALIBRATION_SEED, calibrate_ito
+from qmflow.suite import _digest, build_model, report_to_json_bytes
 from conftest import random_op
 
 
@@ -242,27 +255,26 @@ class TestGlauberStructure:
         assert worst < 1e-10
 
 
-# --- maps validated once, applied once per operand ----------------------------
+# --- maps validated once, applied through CSR views ---------------------------
 
-def _leibnitz_reference(sm, x, y):
-    """leibnitz_residual through the public apply_superop, one call per
-    term, in the order of the product rule as written."""
+def _leibnitz_reference(apply, maps, ito, x, y):
+    """leibnitz_residual with one ``apply(map, operand)`` per term, in the
+    order of the product rule as written; ``maps`` keyed -1, 0, +1."""
     xy = x @ y
     out = {}
     for alpha in (-1, 1):
-        m = sm.maps()[alpha]
-        out[alpha] = max_abs(
-            apply_superop(m, xy) - apply_superop(m, x) @ y - x @ apply_superop(m, y))
-    m0 = sm.theta_zero
-    corr = (sm.ito.c_mp * apply_superop(sm.theta_minus, x) @ apply_superop(sm.theta_plus, y)
-            + sm.ito.c_pm * apply_superop(sm.theta_plus, x) @ apply_superop(sm.theta_minus, y))
-    out[0] = max_abs(
-        apply_superop(m0, xy) - apply_superop(m0, x) @ y - x @ apply_superop(m0, y) - corr)
+        m = maps[alpha]
+        out[alpha] = max_abs(apply(m, xy) - apply(m, x) @ y - x @ apply(m, y))
+    m0, tm, tp = maps[0], maps[-1], maps[1]
+    corr = (ito.c_mp * apply(tm, x) @ apply(tp, y)
+            + ito.c_pm * apply(tp, x) @ apply(tm, y))
+    out[0] = max_abs(apply(m0, xy) - apply(m0, x) @ y - x @ apply(m0, y) - corr)
     return out
 
 
-def _calibration_reference(tm, t0, tp, dim):
-    """calibrate_ito's draws and least-squares fit through apply_superop."""
+def _calibration_reference(apply, tm, t0, tp, dim):
+    """calibrate_ito's draws and least-squares fit, one ``apply(map, x)``
+    per term."""
     rng = np.random.default_rng([_CALIBRATION_SEED, dim])
     cols_u, cols_v, rhs = [], [], []
     for _ in range(_CALIBRATION_PAIRS):
@@ -270,10 +282,9 @@ def _calibration_reference(tm, t0, tp, dim):
         y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x /= max(1.0, max_abs(x))
         y /= max(1.0, max_abs(y))
-        d0 = (apply_superop(t0, x @ y)
-              - apply_superop(t0, x) @ y - x @ apply_superop(t0, y))
-        cols_u.append((apply_superop(tm, x) @ apply_superop(tp, y)).ravel())
-        cols_v.append((apply_superop(tp, x) @ apply_superop(tm, y)).ravel())
+        d0 = apply(t0, x @ y) - apply(t0, x) @ y - x @ apply(t0, y)
+        cols_u.append((apply(tm, x) @ apply(tp, y)).ravel())
+        cols_v.append((apply(tp, x) @ apply(tm, y)).ravel())
         rhs.append(d0.ravel())
     a = np.stack([np.concatenate(cols_u), np.concatenate(cols_v)], axis=1)
     b = np.concatenate(rhs)
@@ -281,17 +292,29 @@ def _calibration_reference(tm, t0, tp, dim):
     return ItoTable(coeffs[0], coeffs[1]), float(max_abs(a @ coeffs - b))
 
 
+def _dense_conjugation(sm):
+    return max(max_abs(sm.theta_zero - adjoint_superop_matrix(sm.theta_zero)),
+               max_abs(sm.theta_minus - adjoint_superop_matrix(sm.theta_plus)))
+
+
+@pytest.fixture(scope="module")
+def open4_sm():
+    return build_glauber_structure_maps(
+        GlauberConfig.with_random_constants(sites=4, boundary="open", seed=5))
+
+
 @pytest.fixture
 def count_apply(monkeypatch):
-    """Count the unchecked matvecs made by qmflow.structure."""
+    """Record (sparse map?, operand count) for every product made by
+    qmflow.structure."""
     calls = []
-    inner = qmflow.structure._apply
+    inner = qmflow.structure._apply_each
 
-    def counted(s, x):
-        calls.append(s.shape[0])
-        return inner(s, x)
+    def counted(s, xs):
+        calls.append((scipy.sparse.issparse(s), len(xs)))
+        return inner(s, xs)
 
-    monkeypatch.setattr(qmflow.structure, "_apply", counted)
+    monkeypatch.setattr(qmflow.structure, "_apply_each", counted)
     return calls
 
 
@@ -320,16 +343,16 @@ class TestValidatedApplication:
         for _ in range(5):
             x, y = random_op(rng, sm.dim), random_op(rng, sm.dim)
             got = leibnitz_residual(sm, x, y)
-            want = _leibnitz_reference(sm, x, y)
+            want = _leibnitz_reference(_apply, sm.csr, sm.ito, x, y)
             assert list(got) == list(want)
             assert all(got[a] == want[a] for a in want)
 
     @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
     def test_calibration_bitwise_equal_to_reference(self, model, request):
         sm = request.getfixturevalue(model)
-        maps = (sm.theta_minus, sm.theta_zero, sm.theta_plus)
-        table, resid = calibrate_ito(*maps, sm.dim)
-        want_table, want_resid = _calibration_reference(*maps, sm.dim)
+        table, resid = calibrate_ito(sm.theta_minus, sm.theta_zero, sm.theta_plus, sm.dim)
+        want_table, want_resid = _calibration_reference(
+            _apply, sm.csr[-1], sm.csr[0], sm.csr[1], sm.dim)
         assert table == want_table and table == sm.ito
         assert resid == want_resid
 
@@ -356,37 +379,29 @@ class TestValidatedApplication:
 
 
 class TestApplicationCounts:
-    """Cost guard: each map is applied once per operand, unchecked."""
+    """Cost guard: each map is applied to all of its operands in one
+    product of its CSR view, unchecked."""
 
-    def test_nine_matvecs_per_leibnitz_call(self, glauber_sm, count_apply):
+    def test_three_products_per_leibnitz_call(self, glauber_sm, count_apply):
         rng = np.random.default_rng(30)
         leibnitz_residual(glauber_sm, random_op(rng, 8), random_op(rng, 8))
-        assert len(count_apply) == 9
+        assert count_apply == [(True, 3)] * 3
 
-    def test_seven_matvecs_per_calibration_pair(self, glauber_sm, count_apply):
+    def test_three_products_per_calibration(self, glauber_sm, count_apply):
         calibrate_ito(glauber_sm.theta_minus, glauber_sm.theta_zero,
                       glauber_sm.theta_plus, glauber_sm.dim)
-        assert len(count_apply) == 7 * _CALIBRATION_PAIRS
+        n = _CALIBRATION_PAIRS
+        assert count_apply == [(True, 2 * n), (True, 2 * n), (True, 3 * n)]
 
-    def test_structure_group_never_revalidates(self, monkeypatch, count_apply):
-        checked = []
-        original = qmflow.linalg.apply_superop
-
-        def counted(s, x):
-            checked.append(1)
-            return original(s, x)
-
-        for name, module in list(sys.modules.items()):
-            if (name == "qmflow" or name.startswith("qmflow.")) \
-                    and getattr(module, "apply_superop", None) is original:
-                monkeypatch.setattr(module, "apply_superop", counted)
+    def test_structure_group_never_revalidates(self, count_apply, count_checked):
         rc = parse_config({"model": {"glauber": {"sites": 3, "boundary": "periodic"}}})
         report = run_suite(rc, groups=("structure",))
         assert report.passed
-        assert checked == []
+        assert count_checked == []
         # calibration while building the chain, two unitality checks (at
         # construction and in the suite), 100 product-rule draws
-        assert len(count_apply) == 7 * _CALIBRATION_PAIRS + 2 * 3 + 100 * 9
+        assert len(count_apply) == 3 + 2 * 3 + 100 * 3
+        assert all(sparse for sparse, _ in count_apply)
 
     def test_full_suite_never_revalidates(self, count_checked):
         # computed maps (exponentials, window products) go through the
@@ -401,3 +416,140 @@ class TestApplicationCounts:
         for calls in (1, 2, 3):
             flow_matrix_element(qubit_sm, f, 0.4j, 0.0, 1.2, np.eye(2))
             assert len(count_checked) == calls
+
+
+# --- the CSR views against the dense maps ------------------------------------
+
+_MODELS = ["qubit_sm", "glauber_sm", "open4_sm"]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestDenseOracle:
+    """The CSR products agree with public apply_superop on the dense maps
+    to 1e-13 relative."""
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_leibnitz(self, model, request):
+        sm = request.getfixturevalue(model)
+        # a stale table leaves an order-one drift residual to compare
+        stale = replace(sm, ito=ItoTable(sm.ito.c_mp + 0.5, sm.ito.c_pm))
+        rng = np.random.default_rng(31)
+        for s in (sm, stale):
+            for _ in range(5):
+                x, y = random_op(rng, sm.dim), random_op(rng, sm.dim)
+                got = leibnitz_residual(s, x, y)
+                want = _leibnitz_reference(apply_superop, s.maps(), s.ito, x, y)
+                assert all(_close(got[a], want[a]) for a in (-1, 0, 1))
+                assert s is sm or want[0] > 0.1
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_calibration(self, model, request):
+        sm = request.getfixturevalue(model)
+        table, resid = calibrate_ito(sm.theta_minus, sm.theta_zero, sm.theta_plus, sm.dim)
+        want, want_resid = _calibration_reference(
+            apply_superop, sm.theta_minus, sm.theta_zero, sm.theta_plus, sm.dim)
+        assert _close(table.c_mp, want.c_mp) and _close(table.c_pm, want.c_pm)
+        assert _close(resid, want_resid)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_unital(self, model, request):
+        sm = request.getfixturevalue(model)
+        eye = np.eye(sm.dim)
+        want = max(max_abs(apply_superop(m, eye)) for m in sm.maps().values())
+        assert _close(check_unital(sm), want)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_views_hold_the_dense_maps(self, model, request):
+        sm = request.getfixturevalue(model)
+        assert list(sm.csr) == list(sm.maps())
+        for alpha, m in sm.maps().items():
+            assert scipy.sparse.issparse(sm.csr[alpha])
+            assert np.array_equal(sm.csr[alpha].toarray(), m)
+
+
+# --- reports and adversaries --------------------------------------------------
+
+# sha256 of the default report's extended-* and flow-* records plus the
+# digest of every record; the CSR views change none of them
+_DEFAULT_EXTENDED_FLOW_SHA = "30389f8e16b83ef1188ab6c5add00124731e593b85dfa846fb2adff2a20334ca"
+
+
+def _derivation_breaker(sm, eps):
+    """sm with theta_plus off the derivation rule by eps * (X -> A X A - A^2 X),
+    which kills the identity, and theta_minus its conjugation partner."""
+    rng = np.random.default_rng(32)
+    a = random_op(rng, sm.dim)
+    tp = sm.theta_plus + eps * (sandwich_map(a, a) - left_mul_map(a @ a))
+    return StructureMapSet(dim=sm.dim, theta_minus=adjoint_superop_matrix(tp),
+                           theta_zero=sm.theta_zero, theta_plus=tp, ito=sm.ito)
+
+
+def _file_model(tmp_path, sm):
+    p = tmp_path / "maps.json"
+    save_json(structure_maps_to_obj(sm), p)
+    return str(p)
+
+
+class TestReportsAndAdversaries:
+    def test_extended_and_flow_records_unchanged(self):
+        report = json.loads(report_to_json_bytes(run_suite(parse_config({}))))
+        records = report["records"]
+        pinned = json.dumps(
+            [[r for r in records if r["name"].startswith(("extended-", "flow-"))],
+             [r["digest"] for r in records]], sort_keys=True).encode()
+        assert hashlib.sha256(pinned).hexdigest() == _DEFAULT_EXTENDED_FLOW_SHA
+
+    def test_derivation_breaker_fails_the_suite(self, tmp_path, glauber_sm):
+        bad = _derivation_breaker(glauber_sm, 1e-3)
+        assert check_conjugation(bad) == 0.0
+        rc = parse_config({"model": {"structure_maps": _file_model(tmp_path, bad)}})
+        records = {r.name: r for r in run_suite(rc, groups=("structure",)).records}
+        assert records["structure-conjugation"].passed
+        assert not records["structure-derivation"].passed
+        assert records["structure-derivation"].value > 1e-4
+
+    def test_derivation_breaker_refused_by_the_generator(self, glauber_sm):
+        bad = _derivation_breaker(glauber_sm, 1e-3)
+        # the generator's first draw, residual from the dense maps
+        rng = np.random.default_rng([0xD1CE, bad.dim])
+        x, y = _draw_op(rng, bad.dim), _draw_op(rng, bad.dim)
+        res = _leibnitz_reference(apply_superop, bad.maps(), bad.ito, x, y)
+        message = (f"axiom failure: noise maps are not derivations "
+                   f"(residual {max(res[-1], res[1]):.3e})")
+        with pytest.raises(ValueError) as err:
+            build_extended_generator(bad)
+        assert str(err.value) == message
+
+    def test_conjugation_breaker_matches_dense_formula(self, tmp_path, glauber_sm):
+        rng = np.random.default_rng(33)
+        f, g = random_op(rng, 8, unit=False), random_op(rng, 8, unit=False)
+        broken = StructureMapSet(dim=8, theta_minus=commutator_map(f),
+                                 theta_zero=glauber_sm.theta_zero + commutator_map(g),
+                                 theta_plus=commutator_map(f))
+        rc = parse_config({"model": {"structure_maps": _file_model(tmp_path, broken)}})
+        sm = build_model(rc)
+        assert check_conjugation(sm) == _dense_conjugation(sm) > 0.1
+        # the drift's half on its own
+        half = replace(sm, theta_minus=adjoint_superop_matrix(sm.theta_plus))
+        assert check_conjugation(half) == _dense_conjugation(half) > 0.1
+
+    @pytest.mark.parametrize("name", ["theta_minus", "theta_zero", "theta_plus"])
+    def test_non_unital_chain_map_refused(self, glauber_sm, name):
+        # one entry that sends the identity off zero, just above UNITAL_TOL
+        m = getattr(glauber_sm, name).copy()
+        m[9, 0] += 1e-9
+        with pytest.raises(ValueError, match="kill the identity"):
+            replace(glauber_sm, **{name: m})
+
+    def test_digest_hashes_the_array_bytes(self):
+        rng = np.random.default_rng(34)
+        x = random_op(rng, 4)
+        parts = (x, x.T, x.real, np.zeros((0, 0), complex), 0.25, "comp")
+        h = hashlib.sha256()
+        for p in parts:
+            h.update(np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray)
+                     else repr(p).encode())
+        assert _digest(*parts) == h.hexdigest()[:12]
