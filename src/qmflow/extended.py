@@ -51,8 +51,10 @@ __all__ = [
     "delta_sq_semigroup", "commutation_residual", "resolvent_generator",
 ]
 
-# Full Choi diagnostics grow as (2d)**4; past block dimension 32 the
-# eigenproblem stops being an interactive check.
+# The full Choi matrix is dense with side (2d)**2, so it takes 16 (2d)**4
+# bytes: 256 MiB at block dimension 32 and 4 GiB at 64. Its eigensolve is
+# split into diagonal blocks (linalg.min_eig), so memory, not solve time,
+# sets this bar.
 MAX_CHOI_BLOCK_DIM = 32
 
 

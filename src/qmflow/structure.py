@@ -207,7 +207,7 @@ def leibnitz_residual(sm, x, y):
     return out
 
 
-def calibrate_ito(theta_minus, theta_zero, theta_plus, dim, _views=None):
+def calibrate_ito(theta_minus, theta_zero, theta_plus, dim):
     """Measure the drift's correction constants by least squares.
 
     Draws a fixed set of random operator pairs, computes the drift's
@@ -215,8 +215,7 @@ def calibrate_ito(theta_minus, theta_zero, theta_plus, dim, _views=None):
     candidates. Returns (ItoTable, fit_residual). Raises when the defect
     is not spanned by the two products, i.e. the maps do not satisfy a
     two-constant product rule at all. The maps are validated here and
-    applied through CSR views, one product per map on all of its operands
-    (``_views`` passes views already built from these very maps).
+    applied through CSR views, one product per map on all of its operands.
     """
     checked = []
     for name, m in (("theta_minus", theta_minus), ("theta_zero", theta_zero),
@@ -225,18 +224,24 @@ def calibrate_ito(theta_minus, theta_zero, theta_plus, dim, _views=None):
         if d != dim:
             raise ValueError(f"{name} acts on {d}x{d} operators, expected {dim}x{dim}")
         checked.append(m)
-    if _views is None:
-        _views = _csr_views(*checked)
+    return _calibrate_ito(_csr_views(*checked), dim)
+
+
+def _calibrate_ito(views, dim):
+    """``calibrate_ito`` without checks, on the CSR views (keyed -1, 0, +1)
+    of maps on dim x dim operators computed from validated operands."""
     rng = np.random.default_rng([_CALIBRATION_SEED, dim])
     n = _CALIBRATION_PAIRS
     draws = np.asarray([_draw_op(rng, dim) for _ in range(2 * n)])
     xs, ys = draws[0::2], draws[1::2]
     # images of x_1..x_n then y_1..y_n; the drift's come after those of x_k y_k
-    tm = _apply_each(_views[-1], np.concatenate([xs, ys]))
-    tp = _apply_each(_views[1], np.concatenate([xs, ys]))
-    t0 = _apply_each(_views[0], np.concatenate([xs @ ys, xs, ys]))
+    tm = _apply_each(views[-1], np.concatenate([xs, ys]))
+    tp = _apply_each(views[1], np.concatenate([xs, ys]))
+    t0 = _apply_each(views[0], np.concatenate([xs @ ys, xs, ys]))
     a = np.stack([(tm[:n] @ tp[n:]).ravel(), (tp[:n] @ tm[n:]).ravel()], axis=1)
     b = (t0[:n] - t0[n:2 * n] @ ys - xs @ t0[2 * n:]).ravel()
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("structure maps contain non-finite or overflowing entries")
     scale = max(max_abs(a), max_abs(b))
     if scale < 1e-13:
         # No quadratic content at all (e.g. zero noise maps): any table works.
@@ -292,8 +297,9 @@ def build_evans_hudson(h, f, w_minus, w_plus, ito=None):
                   + dissipator_map(f, w_minus)
                   + dissipator_map(f, w_plus, mirrored=True))
 
+    # the set validates the maps once, after they are calibrated
     views = _csr_views(theta_minus, theta_zero, theta_plus)
-    calibrated, _ = calibrate_ito(theta_minus, theta_zero, theta_plus, d, _views=views)
+    calibrated, _ = _calibrate_ito(views, d)
     if ito is not None:
         dev = max(abs(ito.c_mp - calibrated.c_mp), abs(ito.c_pm - calibrated.c_pm))
         if dev > 1e-8:

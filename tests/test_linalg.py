@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qmflow import (
@@ -19,6 +22,7 @@ from qmflow import (
     sandwich_map,
     vectorize,
 )
+from qmflow.linalg import _block_plan, _diagonal_blocks
 from conftest import random_op
 
 
@@ -64,6 +68,17 @@ class TestMultiplicationMaps:
         a, x = random_op(rng, 3), random_op(rng, 3)
         assert_allclose(apply_superop(left_mul_map(a), x), a @ x, atol=1e-14)
         assert_allclose(apply_superop(right_mul_map(a), x), x @ a, atol=1e-14)
+
+    def test_maps_equal_numpy_kron_bitwise(self):
+        # the builders copy transposed views before np.kron; the bits are kron's
+        rng = np.random.default_rng(16)
+        a, b = random_op(rng, 4, unit=False), random_op(rng, 4, unit=False)
+        a.real[a.real < 0] = -0.0   # signed zeros, which kron's products keep
+        eye = np.eye(4)
+        for got, want in ((sandwich_map(a.conj().T, b), np.kron(b.T, a.conj().T)),
+                          (left_mul_map(a.conj().T), np.kron(eye, a.conj().T)),
+                          (right_mul_map(a), np.kron(a.T, eye))):
+            assert got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -238,3 +253,117 @@ class TestAdjointTransform:
         rng = np.random.default_rng(15)
         s = random_op(rng, 9, unit=False)
         assert_allclose(adjoint_superop_matrix(adjoint_superop_matrix(s)), s)
+
+
+def _permuted_blocks(sizes, seed):
+    """A matrix that is block diagonal with the given block sizes after a
+    seeded permutation of its rows, and its blocks as sorted index lists. Each
+    block is connected only one way (entries m[i, j] with i before j in
+    the block, never m[j, i]); singletons hold a diagonal entry, possibly
+    0."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    m = np.zeros((n, n), dtype=complex)
+    blocks, start = [], 0
+    for s in sizes:
+        idx = perm[start:start + s]
+        start += s
+        blocks.append(sorted(idx.tolist()))
+        m[idx, idx] = rng.uniform(-1, 1, s) * (rng.random(s) < 0.8)
+        for a in range(s - 1):
+            # a chain that connects the block, plus a few more forward entries
+            m[idx[a], idx[a + 1]] = complex(*rng.uniform(-1, 1, 2)) or 1.0
+            for b in range(a + 2, s):
+                if rng.random() < 0.3:
+                    m[idx[a], idx[b]] = complex(*rng.uniform(-1, 1, 2))
+    return m, blocks
+
+
+_block_sizes = st.lists(st.integers(1, 5), min_size=2, max_size=7)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestDiagonalBlocks:
+    """matrix_exponential, min_eig and is_psd solve each diagonal block of
+    the permuted input on its own; a single block takes the dense call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_block_sizes, _seeds)
+    def test_plan_is_the_blocks(self, sizes, seed):
+        m, blocks = _permuted_blocks(sizes, seed)
+        plan = _diagonal_blocks(m)
+        assert [idx.shape[1] for idx in plan] == sorted(set(sizes))
+        assert sorted(sorted(row) for idx in plan for row in idx.tolist()) \
+            == sorted(blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_block_sizes, _seeds, st.floats(-2.0, 2.0))
+    def test_exponential_matches_dense(self, sizes, seed, t):
+        m, blocks = _permuted_blocks(sizes, seed)
+        got = matrix_exponential(m, t)
+        want = scipy.linalg.expm(t * m)
+        assert max_abs(got - want) <= 1e-13 * max(1.0, max_abs(want))
+        same_block = np.zeros(m.shape, dtype=bool)
+        for b in blocks:
+            same_block[np.ix_(b, b)] = True
+        assert np.all(got[~same_block] == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_block_sizes, _seeds)
+    def test_eigenvalues_match_dense(self, sizes, seed):
+        m, _ = _permuted_blocks(sizes, seed)
+        evals = np.linalg.eigvalsh(hermitian_part(m))
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        assert abs(min_eig(m) - evals[0]) <= 1e-13 * scale
+        # shifted to a least eigenvalue of +1e-3 and then -1e-3 times the scale
+        shifted = m - (evals[0] - 1e-3 * scale) * np.eye(len(m))
+        assert is_psd(shifted) and not is_psd(shifted - 2e-3 * scale * np.eye(len(m)))
+
+    @pytest.mark.parametrize("pattern", ["dense", "one-way chain"])
+    def test_single_block_takes_the_dense_call(self, pattern):
+        rng = np.random.default_rng(40)
+        m = random_op(rng, 7, unit=False)
+        if pattern == "one-way chain":
+            # connected only through m[i, i + 1]: one block once symmetrized
+            m = np.triu(np.tril(m, 1))
+        assert _diagonal_blocks(m) is None
+        assert np.array_equal(matrix_exponential(m, 0.3), scipy.linalg.expm(0.3 * m))
+        evals = np.linalg.eigvalsh(hermitian_part(m))
+        assert min_eig(m) == evals[0]
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        assert is_psd(m) == bool(evals[0] >= -1e-9 * scale)
+
+    def test_isolated_negative_entry_is_found(self):
+        # PSD 4x4 block plus one isolated diagonal entry -0.5, permuted
+        rng = np.random.default_rng(41)
+        a = random_op(rng, 4, unit=False)
+        h = np.zeros((5, 5), dtype=complex)
+        h[:4, :4] = a @ a.conj().T + np.eye(4)
+        h[4, 4] = -0.5
+        perm = rng.permutation(5)
+        h = h[np.ix_(perm, perm)]
+        assert len(_diagonal_blocks(h)) == 2
+        assert min_eig(h) == -0.5
+        assert not is_psd(h)
+        h[perm.tolist().index(4)] *= -1   # the entry flips to +0.5
+        assert min_eig(h) > 0 and is_psd(h)
+
+    def test_one_entry_changes_the_plan(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = m[2, 3] = 1.0
+        split = _diagonal_blocks(m)
+        assert [sorted(row) for row in split[0].tolist()] == [[0, 1], [2, 3]]
+        joined = m.copy()
+        joined[1, 2] = 1.0
+        assert _diagonal_blocks(joined) is None
+        assert _diagonal_blocks(m) is split   # memoized under its pattern
+        assert _diagonal_blocks(3 * m) is split
+
+    def test_plan_memo_is_bounded(self):
+        slots = _block_plan.cache_info().maxsize
+        for k in range(slots + 5):
+            m = np.eye(40)
+            m[k, (k + 1) % 40] = 1.0
+            _diagonal_blocks(m)
+        assert _block_plan.cache_info().currsize == slots == 32
