@@ -21,6 +21,20 @@ Windows are evaluated in batches: a factor is keyed by the exact bits of
 (f0, g0, length), is exponentiated once for the whole batch and is freed
 after its last use. A batch's maps are bit for bit the maps computed one
 window at a time.
+
+Factors and products are computed in the model's block basis
+(``StructureMapSet.blocks``): the connected components of the union
+nonzero pattern of theta_0, theta_minus, theta_plus and the identity. Every
+K(f0, g0) is block diagonal in it, and so are its exponentials and their
+products. A factor's generator is assembled from the maps' stacks of
+diagonal blocks, scattered once into a d**2 x d**2 matrix for
+``matrix_exponential``, and the exponential is gathered straight back into
+stacks. A window's product starts from its first factor and multiplies
+stack by stack; it is scattered into a dense matrix once, at the end. At 4
+open sites the 256 rows split into blocks of 1, 3 and 9 rows, so a product
+is three batched products of small blocks instead of one 256 x 256
+product. A model with one component (such as the qubit) has one block
+covering every index.
 """
 
 from collections import Counter
@@ -28,7 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _apply_grid, _as_operator, apply_superop, matrix_exponential, min_eig
+from .linalg import (
+    _apply_grid,
+    _as_operator,
+    _block,
+    _unblock,
+    apply_superop,
+    matrix_exponential,
+    min_eig,
+)
 
 __all__ = [
     "StepFunction", "step_inner_product", "point_generator", "evolution_map",
@@ -122,15 +144,14 @@ def step_inner_product(f, g, window=None, complement=False):
     """
     if complement and window is None:
         raise ValueError("complement restriction requires a window")
+    if window is not None:
+        s, t = _window_ends(window[0], window[1])
     total = 0.0 + 0.0j
     pts = f.breakpoints() + g.breakpoints()
     if not pts:
         return total
     lo, hi = min(pts), max(pts)
     if window is not None:
-        s, t = float(window[0]), float(window[1])
-        if s > t:
-            raise ValueError(f"window is reversed: [{s}, {t}]")
         pts = pts + [s, t]
         lo, hi = min(lo, s), max(hi, t)
     grid = _merged_grid([p for p in pts if lo <= p <= hi] + [lo, hi])
@@ -144,15 +165,48 @@ def step_inner_product(f, g, window=None, complement=False):
     return total
 
 
+def _window_ends(start, end):
+    """The window's ends as floats, refused unless finite and ordered."""
+    start, end = float(start), float(end)
+    if not (np.isfinite(start) and np.isfinite(end)):
+        raise ValueError(f"window ends must be finite, got [{start}, {end}]")
+    if start > end:
+        raise ValueError(f"window is reversed: [{start}, {end}]")
+    return start, end
+
+
 def point_generator(sm, f0, g0, mode="physical"):
     """Single-exponential generator for constant test-function values."""
+    return _generator(sm.theta_zero, sm.theta_minus, sm.theta_plus, f0, g0, mode)
+
+
+def _generator(theta_zero, theta_minus, theta_plus, f0, g0, mode):
+    """K(f0, g0) from the three maps, or from stacks of their diagonal
+    blocks (the identity is then each block's identity)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     f0, g0 = complex(f0), complex(g0)
-    m = sm.theta_zero + g0 * sm.theta_minus + np.conj(f0) * sm.theta_plus
+    m = theta_zero + g0 * theta_minus + np.conj(f0) * theta_plus
     if mode == "physical":
-        m = m + (np.conj(f0) * g0) * np.eye(m.shape[0])
+        m = m + (np.conj(f0) * g0) * np.eye(m.shape[-1])
     return m
+
+
+def _block_generator(sm, f0, g0, mode):
+    """point_generator(sm, f0, g0, mode) assembled in sm's block basis and
+    scattered into a d**2 x d**2 matrix (its entries off the blocks are 0)."""
+    plan, stacks = sm.blocks
+    return _unblock([_generator(*maps, f0, g0, mode)
+                     for maps in zip(stacks[0], stacks[-1], stacks[1])],
+                    plan, sm.theta_zero.shape[0])
+
+
+def _factor(sm, f0, g0, length, mode):
+    """exp(length K(f0, g0)) as stacks in sm's block basis; the dense
+    exponential is dropped as soon as it is gathered."""
+    plan, _ = sm.blocks
+    m = matrix_exponential(_block_generator(sm, f0, g0, mode), length)
+    return tuple(_block(m, idx) for idx in plan)
 
 
 def evolution_map(sm, f, g, start, end, mode="physical"):
@@ -174,15 +228,14 @@ def _evolution_maps(sm, windows, mode="physical"):
     Every segment is planned first, keyed by the exact bits of
     (f0, g0, length), so equal keys give bit-identical factors. Each
     distinct factor is then exponentiated once, multiplied in each
-    window's time order and dropped after its last use.
+    window's time order in the block basis and dropped after its last
+    use. A window's first factor is its running product until the second
+    is multiplied in; an empty window is the identity.
     """
     plans = []
     for f, g, start, end in windows:
-        start, end = float(start), float(end)
-        if start > end:
-            raise ValueError(f"window is reversed: [{start}, {end}]")
         plan = []
-        for a, b in _segments(f, g, start, end):
+        for a, b in _segments(f, g, *_window_ends(start, end)):
             mid = 0.5 * (a + b)
             f0, g0 = f.value_at(mid), g.value_at(mid)
             plan.append((np.array([f0, g0, b - a]).tobytes(), f0, g0, b - a))
@@ -191,15 +244,17 @@ def _evolution_maps(sm, windows, mode="physical"):
     d2 = sm.theta_zero.shape[0]
     factors, maps = {}, []
     for plan in plans:
-        total = np.eye(d2, dtype=complex)
+        total = None
         for key, f0, g0, length in plan:
             if key not in factors:
-                factors[key] = matrix_exponential(point_generator(sm, f0, g0, mode), length)
-            total = total @ factors[key]
+                factors[key] = _factor(sm, f0, g0, length, mode)
+            total = factors[key] if total is None else tuple(
+                a @ b for a, b in zip(total, factors[key]))
             uses[key] -= 1
             if not uses[key]:
                 del factors[key]
-        maps.append(total)
+        maps.append(np.eye(d2, dtype=complex) if total is None
+                    else _unblock(total, sm.blocks[0], d2))
     return maps
 
 
@@ -225,12 +280,18 @@ def _as_step(f, window):
     return StepFunction.indicator(start, end, f) if f != 0 and end > start else StepFunction.zero()
 
 
-def _window_maps(sm, steps, *ts):
+def _window_maps(sm, fs, *ts):
     """For each t, the table [j][k] of the physical window [0, t] maps
-    between steps j and k; all tables come from one batch."""
+    between the test functions fs[j] and fs[k], taken as step functions on
+    [0, max(ts)]; all tables come from one batch."""
     for t in ts:
+        if not np.isfinite(t):
+            raise ValueError(f"window length must be finite, got {t}")
         if t < 0:
             raise ValueError(f"window length must be nonnegative, got {t}")
+    steps = [_as_step(f, (0.0, max(ts))) for f in fs]
+    if not steps:
+        raise ValueError("fs is empty: a Gram kernel needs at least one test function")
     maps = iter(_evolution_maps(sm, [(fj, fk, 0.0, t)
                                      for t in ts for fj in steps for fk in steps]))
     return [[[next(maps) for _ in steps] for _ in steps] for _ in ts]
@@ -253,7 +314,7 @@ def block_form(sm, fs, t, x):
     """
     t = float(t)
     x = _as_operator(x, sm.dim)
-    maps, = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
+    maps, = _window_maps(sm, fs, t)
     return _apply_grid(maps, sm.dim, lambda j, k: x)
 
 
@@ -268,7 +329,7 @@ def q_bound_check(sm, fs, t, x):
     x = _as_operator(x, sm.dim)
     eye = np.eye(sm.dim)
     bound = float(np.linalg.norm(x, 2))
-    maps, = _window_maps(sm, [_as_step(f, (0.0, t)) for f in fs], t)
+    maps, = _window_maps(sm, fs, t)
     big = (bound * _apply_grid(maps, sm.dim, lambda j, k: eye)
            - _apply_grid(maps, sm.dim, lambda j, k: x))
     return min_eig(big)
@@ -280,10 +341,8 @@ def kernel_cp_residual(sm, fs, xs, t):
     Complete positivity of the kernel makes this matrix PSD for every
     choice of test functions and operators.
     """
-    t = float(t)
-    steps = [_as_step(f, (0.0, t)) for f in fs]
-    operand = _pair_products(xs, len(steps), sm.dim)
-    maps, = _window_maps(sm, steps, t)
+    operand = _pair_products(xs, len(fs), sm.dim)
+    maps, = _window_maps(sm, fs, float(t))
     return min_eig(_apply_grid(maps, sm.dim, operand))
 
 
@@ -294,8 +353,7 @@ def schur_product_check(sm, fs, xs, t1, t2):
     evaluating on x_j* x_k; closure of the kernel family under this Schur
     composition keeps the matrix PSD.
     """
-    steps = [_as_step(f, (0.0, max(t1, t2))) for f in fs]
-    operand = _pair_products(xs, len(steps), sm.dim)
-    maps1, maps2 = _window_maps(sm, steps, t1, t2)
+    operand = _pair_products(xs, len(fs), sm.dim)
+    maps1, maps2 = _window_maps(sm, fs, t1, t2)
     maps = [[m1 @ m2 for m1, m2 in zip(r1, r2)] for r1, r2 in zip(maps1, maps2)]
     return min_eig(_apply_grid(maps, sm.dim, operand))

@@ -33,6 +33,12 @@ components (``_diagonal_blocks``, memoized per exact pattern) and solve
 each group of equal-size blocks in one stacked ``expm`` or ``eigvalsh``
 call; a singleton's eigenvalue is its diagonal entry. An input that is one
 block (any dense matrix) takes the single dense call, bit for bit.
+``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
+``_unblock`` scatters stacks back into a dense matrix that is 0 off the
+blocks. The flow layer computes in one such basis per model (the
+components of the structure maps' union pattern, ``StructureMapSet.blocks``):
+its factors and window products stay stacks, and only the generator handed
+to ``matrix_exponential`` and each finished window map are dense.
 """
 
 import functools
@@ -257,6 +263,15 @@ def _block(m, idx):
     return m[idx[:, :, None], idx[:, None, :]]
 
 
+def _unblock(stacks, plan, n):
+    """The complex n x n array whose diagonal blocks indexed by the plan's
+    index arrays are the matching stacks, and whose other entries are 0."""
+    out = np.zeros((n, n), dtype=complex)
+    for idx, stack in zip(plan, stacks):
+        out[idx[:, :, None], idx[:, None, :]] = stack
+    return out
+
+
 def matrix_exponential(m, t=1.0):
     """exp(t * M) by scaling-and-squaring (scipy.linalg.expm).
 
@@ -274,10 +289,7 @@ def matrix_exponential(m, t=1.0):
     blocks = _diagonal_blocks(a)
     if blocks is None:
         return scipy.linalg.expm(a)
-    out = np.zeros_like(a)
-    for idx in blocks:
-        out[idx[:, :, None], idx[:, None, :]] = scipy.linalg.expm(_block(a, idx))
-    return out
+    return _unblock((scipy.linalg.expm(_block(a, idx)) for idx in blocks), blocks, a.shape[0])
 
 
 def choi_of_map(s, check_hermitian=True, tol=1e-10):
@@ -303,6 +315,8 @@ def choi_of_map(s, check_hermitian=True, tol=1e-10):
 def _hermitian_eigvals(h):
     """Ascending eigenvalues of the Hermitian part of the square array h,
     from one stacked ``eigvalsh`` per group of equal-size diagonal blocks."""
+    if not h.size:
+        raise ValueError("h is an empty (0x0) matrix: it has no eigenvalues")
     hp = hermitian_part(h)
     blocks = _diagonal_blocks(hp)
     if blocks is None:
@@ -327,7 +341,7 @@ def is_psd(h, tol_scale=1e-9):
     """
     h = _as_square(h)
     evals = _hermitian_eigvals(h)
-    scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 0.0)
+    scale = max(1.0, float(np.max(np.abs(evals))))
     return bool(evals[0] >= -tol_scale * scale)
 
 

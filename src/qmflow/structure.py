@@ -34,12 +34,15 @@ nonzero or less.
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
 from .linalg import (
     _apply_each,
+    _block,
+    _diagonal_blocks,
     _draw_op,
     _superop_dim,
     _transpose_perm,
@@ -131,6 +134,33 @@ class StructureMapSet:
     def maps(self):
         """The three maps keyed by their noise index -1, 0, +1."""
         return {-1: self.theta_minus, 0: self.theta_zero, 1: self.theta_plus}
+
+    @cached_property
+    def blocks(self):
+        """The block basis of the flow layer, built on its first use.
+
+        A pair (plan, stacks). The plan is a tuple of index arrays, one of
+        shape (k, s) per block size s, whose rows are the connected
+        components of the union nonzero pattern of the three maps and the
+        identity (which adds only diagonal entries); together they cover
+        every index, and a set with one component has the plan
+        (arange(dim**2)[None],). stacks[alpha] is the tuple of (k, s, s)
+        stacks of theta_alpha's diagonal blocks, one per plan entry. All
+        of these arrays are read-only. Every point generator, its
+        exponentials and their products are block diagonal in this basis.
+        """
+        return _block_basis(self)
+
+
+def _block_basis(sm):
+    """``StructureMapSet.blocks`` of sm."""
+    union = (sm.theta_minus != 0) | (sm.theta_zero != 0) | (sm.theta_plus != 0)
+    plan = _diagonal_blocks(union) or (np.arange(union.shape[0])[None, :],)
+    stacks = {alpha: tuple(_block(m, idx) for idx in plan)
+              for alpha, m in sm.maps().items()}
+    for array in (*plan, *(s for group in stacks.values() for s in group)):
+        array.flags.writeable = False
+    return plan, stacks
 
 
 def _csr_views(theta_minus, theta_zero, theta_plus):

@@ -1,5 +1,6 @@
 """Batched evolution maps: bit-identical to the one-window product, one
-exponential per distinct factor, each factor freed after its last use."""
+exponential per distinct factor, each factor freed after its last use,
+all computed in the model's block basis."""
 
 import sys
 import weakref
@@ -10,18 +11,24 @@ import pytest
 import qmflow
 from qmflow import (
     StepFunction,
+    block_form,
+    build_glauber_structure_maps,
+    check_cp_rows,
     evolution_map,
     flow_matrix_element,
     kernel_cp_residual,
     matrix_exponential,
     parse_config,
     point_generator,
+    q_bound_check,
     rng_for,
     run_suite,
     schur_product_check,
+    step_inner_product,
 )
-from qmflow import flows
-from qmflow.flows import _as_step, _evolution_maps, _segments
+from qmflow import flows, structure
+from qmflow.flows import _as_step, _block_generator, _evolution_maps, _segments
+from qmflow.linalg import _unblock, max_abs
 from qmflow.suite import _random_step, _split_pieces
 
 
@@ -59,6 +66,13 @@ def expm_calls(monkeypatch):
                 if value is matrix_exponential:
                     monkeypatch.setattr(mod, key, counted)
     return calls
+
+
+@pytest.fixture(scope="module")
+def open4_sm():
+    """The 4-site open chain: 256 rows in blocks of 1, 3 and 9."""
+    return build_glauber_structure_maps(
+        parse_config({"model": {"glauber": {"sites": 4, "boundary": "open"}}}).glauber)
 
 
 F = StepFunction(((0.0, 0.7, 0.3 - 0.2j), (0.9, 1.6, -0.5 + 0.4j)))
@@ -134,41 +148,120 @@ class TestCallCounts:
         assert len(expm_calls) == len(keys)
 
 
+def watch_factors(monkeypatch, on_call):
+    """Weak references to the stacks of every factor, one list per factor
+    in the order they are computed. on_call(factors) runs before each
+    factor is computed, and each dense exponential must be dead once its
+    factor has been gathered into stacks."""
+    factors, dense = [], []
+    original = flows._factor
+
+    def exponential(m, t=1.0):
+        out = matrix_exponential(m, t)
+        dense.append(weakref.ref(out))
+        return out
+
+    def factor(*args):
+        on_call(factors)
+        stacks = original(*args)
+        assert dense[-1]() is None, "the dense exponential outlives its gathering"
+        factors.append([weakref.ref(stack) for stack in stacks])
+        return stacks
+
+    monkeypatch.setattr(flows, "matrix_exponential", exponential)
+    monkeypatch.setattr(flows, "_factor", factor)
+    return factors
+
+
+def alive(factors):
+    """Indices of the watched factors any of whose stacks is alive."""
+    return [i for i, refs in enumerate(factors) if any(r() is not None for r in refs)]
+
+
 class TestLastUse:
     def test_no_factor_outlives_its_last_use(self, qubit_sm, monkeypatch):
-        refs = []
-
-        def watched(m, t=1.0):
-            assert all(r() is None for r in refs), "an earlier factor is still alive"
-            out = matrix_exponential(m, t)
-            refs.append(weakref.ref(out))
-            return out
-
-        monkeypatch.setattr(flows, "matrix_exponential", watched)
+        seen = []
+        factors = watch_factors(monkeypatch, lambda fs: seen.append(alive(fs)))
         windows = [(F, G, 0.1, 1.8), (G, F, 0.0, 2.0)]
-        keys = [k for w in windows for k in segment_keys(*w)]
-        assert len(keys) == len(set(keys))
+        counts = [len(segment_keys(*w)) for w in windows]
+        assert sum(counts) == len({k for w in windows for k in segment_keys(*w)})
+        # a window's first factor is its running product until the second
+        # one is multiplied in; every other earlier factor is dead
+        want, first = [], 0
+        for n in counts:
+            want += [[first] if j == 1 else [] for j in range(n)]
+            first += n
         _evolution_maps(qubit_sm, windows)
-        assert len(refs) == len(keys)
-        assert all(r() is None for r in refs)
+        assert seen == want
+        assert len(factors) == sum(counts)
+        assert alive(factors) == []
 
     def test_repeated_factor_lives_until_its_last_use(self, qubit_sm, monkeypatch):
-        refs, alive = [], []
+        seen = []
+        factors = watch_factors(monkeypatch, lambda fs: seen.append(alive(fs)))
+        f = StepFunction(((0.5, 1.0, 1.0), (1.5, 2.0, 1.0)))
+        # [0.5, 1) and [1.5, 2) share one factor, which the second window
+        # uses again: it is alive when the [1, 1.5) factor is computed,
+        # while the window's first factor, [0.25, 0.5), is already gone
+        maps = _evolution_maps(qubit_sm, [(f, f, 0.25, 2.0), (f, f, 0.5, 1.0)])
+        assert seen == [[], [0], [1]]
+        assert alive(factors) == []
+        assert np.array_equal(maps[0], reference_map(qubit_sm, f, f, 0.25, 2.0, "physical"))
+        assert np.array_equal(maps[1], reference_map(qubit_sm, f, f, 0.5, 1.0, "physical"))
 
-        def watched(m, t=1.0):
-            alive.append([r() is not None for r in refs])
-            out = matrix_exponential(m, t)
-            refs.append(weakref.ref(out))
-            return out
 
-        monkeypatch.setattr(flows, "matrix_exponential", watched)
-        f = StepFunction(((0.0, 0.5, 1.0), (1.0, 1.5, 1.0)))
-        # [0, 0.5) and [1, 1.5) share one factor, which the second window
-        # uses again: it is alive when the [0.5, 1) factor is computed
-        maps = _evolution_maps(qubit_sm, [(f, f, 0.0, 1.5), (f, f, 0.0, 0.5)])
-        assert alive == [[], [True]]
-        assert all(r() is None for r in refs)
-        assert np.array_equal(maps[0], reference_map(qubit_sm, f, f, 0.0, 1.5, "physical"))
+class TestBlockBasis:
+    VALUES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+              (0.3 - 0.2j, 0.6 + 0.1j), (complex(-0.0, 0.0), -0.5 + 0.4j)]
+
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm"])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_generator_is_point_generator_bitwise(self, request, model, mode):
+        sm = request.getfixturevalue(model)
+        for f0, g0 in self.VALUES:
+            assert np.array_equal(_block_generator(sm, f0, g0, mode),
+                                  point_generator(sm, f0, g0, mode)), (f0, g0)
+
+    @pytest.mark.parametrize("model, sizes", [("qubit_sm", [4]), ("glauber_sm", [16]),
+                                              ("open4_sm", [1, 3, 9])])
+    def test_plan_covers_every_index_once(self, request, model, sizes):
+        sm = request.getfixturevalue(model)
+        plan, stacks = sm.blocks
+        n = sm.dim ** 2
+        assert [idx.shape[1] for idx in plan] == sizes
+        assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in plan])),
+                              np.arange(n))
+        # the maps are block diagonal in the basis: their stacks hold every entry
+        for alpha, m in sm.maps().items():
+            assert np.array_equal(_unblock(stacks[alpha], plan, n), m)
+
+    def test_one_component_is_one_block(self, qubit_sm):
+        plan, stacks = qubit_sm.blocks
+        assert len(plan) == 1
+        assert np.array_equal(plan[0], np.arange(4)[None])
+        assert np.array_equal(stacks[0][0][0], qubit_sm.theta_zero)
+
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_open4_batch_matches_reference(self, open4_sm, mode):
+        windows = batch_windows()
+        got = _evolution_maps(open4_sm, windows, mode)
+        for (f, g, s, t), m in zip(windows, got):
+            want = reference_map(open4_sm, f, g, s, t, mode)
+            assert max_abs(m - want) <= 1e-13 * max_abs(want), (s, t)
+            assert np.array_equal(evolution_map(open4_sm, f, g, s, t, mode), m), (s, t)
+
+    def test_plan_built_only_for_flows(self, monkeypatch):
+        built = []
+        original = structure._block_basis
+        monkeypatch.setattr(structure, "_block_basis",
+                            lambda sm: built.append(sm) or original(sm))
+        run_suite(parse_config({}), groups=("structure",))
+        check_cp_rows(parse_config({"t_grid": [0.5]}))
+        assert built == []
+        sm = build_glauber_structure_maps(parse_config({}).glauber)
+        evolution_map(sm, F, G, 0.0, 1.0)
+        evolution_map(sm, G, F, 0.0, 1.0)
+        assert built == [sm]
 
 
 class TestMessages:
@@ -184,6 +277,39 @@ class TestMessages:
             kernel_cp_residual(qubit_sm, [F, 1.0], xs, -0.1)
         with pytest.raises(ValueError, match=r"^window length must be nonnegative, got -0\.3$"):
             schur_product_check(qubit_sm, [F, 1.0], xs, 0.4, -0.3)
+
+    @pytest.mark.parametrize("window", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)])
+    def test_non_finite_window(self, qubit_sm, window):
+        msg = r"^window ends must be finite, got \[.*\]$"
+        with pytest.raises(ValueError, match=msg):
+            evolution_map(qubit_sm, F, G, *window)
+        with pytest.raises(ValueError, match=msg):
+            step_inner_product(F, G, window=window)
+        with pytest.raises(ValueError, match=msg):
+            flow_matrix_element(qubit_sm, F, G, *window, np.eye(2))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_kernel_time(self, qubit_sm, t):
+        xs = [np.eye(2)] * 2
+        msg = rf"^window length must be finite, got {t}$"
+        with pytest.raises(ValueError, match=msg):
+            kernel_cp_residual(qubit_sm, [F, 1.0], xs, t)
+        with pytest.raises(ValueError, match=msg):
+            q_bound_check(qubit_sm, [F, 1.0], t, np.eye(2))
+        with pytest.raises(ValueError, match=msg):
+            block_form(qubit_sm, [F, 1.0], t, np.eye(2))
+        for t1, t2 in ((0.4, t), (t, 0.4)):
+            with pytest.raises(ValueError, match=msg):
+                schur_product_check(qubit_sm, [F, 1.0], xs, t1, t2)
+
+    def test_empty_test_functions(self, qubit_sm):
+        msg = r"^fs is empty: a Gram kernel needs at least one test function$"
+        with pytest.raises(ValueError, match=msg):
+            kernel_cp_residual(qubit_sm, [], [], 0.5)
+        with pytest.raises(ValueError, match=msg):
+            q_bound_check(qubit_sm, [], 0.5, np.eye(2))
+        with pytest.raises(ValueError, match=msg):
+            schur_product_check(qubit_sm, [], [], 0.4, 0.3)
 
     def test_batch_routine_stays_private(self):
         assert "_evolution_maps" not in flows.__all__

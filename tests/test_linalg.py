@@ -237,6 +237,11 @@ class TestEigTools:
         # relative scaling: a tiny dip next to a huge eigenvalue passes
         assert is_psd(np.diag([1e6, -1e-4]))
 
+    @pytest.mark.parametrize("fn", [min_eig, is_psd])
+    def test_empty_matrix_refused(self, fn):
+        with pytest.raises(ValueError, match=r"^h is an empty \(0x0\) matrix: it has no eigenvalues$"):
+            fn(np.zeros((0, 0)))
+
 
 class TestAdjointTransform:
     def test_realizes_conjugated_map(self):

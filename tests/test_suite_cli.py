@@ -380,6 +380,24 @@ class TestCli:
         assert code == 2
         assert "--window" in err
 
+    @pytest.mark.parametrize("window", ["0,nan", "nan,1", "0,inf", "-inf,1"])
+    def test_flow_element_non_finite_window(self, tmp_path, capsys, qubit_sm, window):
+        mp = tmp_path / "maps.json"
+        save_json(structure_maps_to_obj(qubit_sm), mp)
+        rcp = tmp_path / "rc.json"
+        save_json({"model": {"structure_maps": str(mp)}}, rcp)
+        fp = tmp_path / "f.json"
+        save_json(step_function_to_obj(StepFunction.indicator(0.0, 1.0, 0.5)), fp)
+        xp = tmp_path / "x.json"
+        save_json(operator_to_obj(np.eye(2)), xp)
+        code, out, err = _run(capsys, ["flow-element", "--config", str(rcp),
+                                       "--f", str(fp), "--g", str(fp),
+                                       f"--window={window}",
+                                       "--observable", str(xp)])
+        assert code == 2
+        assert out == ""
+        assert "window ends must be finite" in err
+
     def test_suite_writes_deterministic_file(self, tmp_path, capsys):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for p in (p1, p2):
