@@ -24,6 +24,9 @@ through the one 2x2 table: ``_table`` builds a table entry by entry,
 place a negative time is refused), ``linalg._apply_grid`` applies a table
 to the blocks of an operator, and ``_unit_deviation`` measures how far a
 table is from sending the identity to fixed multiples of it.
+``generator_cp_min_eig`` decides complete positivity for every t, and the
+dissipativity form at every ampliation, from one eigenvalue of the
+generator with no exponential.
 """
 
 from dataclasses import dataclass, replace
@@ -35,6 +38,7 @@ from .flows import MODES, point_generator
 from .linalg import (
     _apply,
     _apply_grid,
+    _choi,
     _draw_op,
     choi_of_map,
     matrix_exponential,
@@ -47,8 +51,9 @@ __all__ = [
     "BlockOp2", "ExtendedGenerator", "build_extended_generator",
     "apply_extended", "extended_superop_matrix", "extended_choi_min_eig",
     "conservativity_residual", "normalization_residual", "kappa_residual",
-    "dissipativity_residual_min_eig", "delta_map", "delta_sq_map",
-    "delta_sq_semigroup", "commutation_residual", "resolvent_generator",
+    "generator_cp_min_eig", "dissipativity_residual_min_eig", "delta_map",
+    "delta_sq_map", "delta_sq_semigroup", "commutation_residual",
+    "resolvent_generator",
 ]
 
 # The full Choi matrix is dense with side (2d)**2, so it takes 16 (2d)**4
@@ -116,11 +121,6 @@ class BlockOp2:
     def adjoint(self):
         return BlockOp2(self.x00.conj().T, self.x10.conj().T,
                         self.x01.conj().T, self.x11.conj().T)
-
-    def __matmul__(self, other):
-        if not isinstance(other, BlockOp2) or other.dim != self.dim:
-            return NotImplemented
-        return BlockOp2.from_full(self.as_full() @ other.as_full())
 
     def __sub__(self, other):
         return BlockOp2(self.x00 - other.x00, self.x01 - other.x01,
@@ -248,12 +248,16 @@ def extended_choi_min_eig(gen, t):
     positive. Guarded against large dimensions: the Choi matrix has side
     (2d)**2.
     """
+    _choi_guard(gen)
+    full = extended_superop_matrix(gen, t)
+    return min_eig(choi_of_map(full))
+
+
+def _choi_guard(gen):
     if gen.dim > MAX_CHOI_BLOCK_DIM:
         raise ValueError(
             f"block dimension {gen.dim} exceeds the Choi diagnostic guard "
             f"({MAX_CHOI_BLOCK_DIM})")
-    full = extended_superop_matrix(gen, t)
-    return min_eig(choi_of_map(full))
 
 
 def conservativity_residual(gen, t):
@@ -285,6 +289,32 @@ def kappa_residual(gen):
     """
     return _unit_deviation(_in_mode(gen, "physical").entries,
                            ((0.0, 0.0), (0.0, 1.0)), gen.dim)
+
+
+def generator_cp_min_eig(gen):
+    """Smallest eigenvalue of the physical generator's Choi matrix C
+    projected away from the unit maximally entangled vector w.
+
+    The semigroup is completely positive for all t >= 0 iff its generator
+    preserves hermiticity (the conjugation axiom, checked at build) and
+    this is >= 0 (Lindblad 1976; Wolf and Cirac 2008). C is 0 off the
+    rows whose two block indices agree; what is left has side 2 d**2 and
+    (i, j) block Choi(L_ij), and the projection is the rank-two update
+    C - w(w*C) - (Cw)w* + (w*Cw)ww*, which keeps its blocks for
+    ``min_eig``. w itself gives the eigenvalue 0. The conservative
+    generator plus delta^2 / 2 differs from the physical one by a term
+    the projection removes, so this also decides the dissipativity form
+    at every block operator and ampliation level.
+    """
+    _choi_guard(gen)
+    gen = _in_mode(gen, "physical")
+    d, n = gen.dim, gen.dim ** 2
+    c = np.block([[_choi(gen.block(i, j), d) for j in (0, 1)] for i in (0, 1)])
+    w = np.zeros(2 * n)
+    w[np.r_[0:n:d + 1, n:2 * n:d + 1]] = (2 * d) ** -0.5
+    wc, cw = w @ c, c @ w
+    c -= np.outer(w, wc) + np.outer(cw - (w @ cw) * w, w)
+    return min_eig(c)
 
 
 def delta_map(x):
@@ -332,37 +362,28 @@ def commutation_residual(gen):
     return max_abs(kl @ kd - kd @ kl)
 
 
-def dissipativity_residual_min_eig(gen, x, level=1):
+def dissipativity_residual_min_eig(gen, x):
     """Smallest eigenvalue of the dissipativity form at a block operator.
 
     R = L(x*x) - L(x*)x - x*L(x) + delta(x)*delta(x)
 
     with L the conservative generator acting blockwise. Complete
     positivity of the semigroup forces R >= 0 for every x; a negative
-    eigenvalue is a constructive witness against it.
-
-    level=2 runs the same form after tensoring the doubled algebra with
-    2x2 complex matrices, catching violations invisible at level 1. At
-    level 2, x may be a 4d x 4d matrix (a 2x2 matrix of block operators);
-    level k lifts the generator onto each 2d x 2d sub-block of a k x k grid,
-    which is the 2k x 2k table of entries L_(p mod 2)(q mod 2) applied to
-    the d x d blocks (p, q).
+    eigenvalue is a constructive witness against it. This is the
+    pointwise form; ``generator_cp_min_eig`` decides the same property
+    for every x and every ampliation at once.
     """
     if gen.mode != "conservative":
         raise ValueError("dissipativity form is defined for the conservative mode")
-    if level not in (1, 2):
-        raise ValueError(f"ampliation level must be 1 or 2, got {level}")
-    k, d = level, gen.dim
+    d = gen.dim
     xs = x.as_full() if isinstance(x, BlockOp2) else np.asarray(x, dtype=complex)
-    if xs.shape != (2 * k * d, 2 * k * d):
-        raise ValueError(
-            f"level-{k} element must have shape {(2 * k * d, 2 * k * d)}, got {xs.shape}")
-    tiled = [[gen.entries[p % 2][q % 2] for q in range(2 * k)] for p in range(2 * k)]
+    if xs.shape != (2 * d, 2 * d):
+        raise ValueError(f"element must have shape {(2 * d, 2 * d)}, got {xs.shape}")
 
     def lift(m):
-        return _apply_grid(tiled, d, lambda p, q: m[p * d:(p + 1) * d, q * d:(q + 1) * d])
+        return _apply_grid(gen.entries, d, lambda i, j: m[i * d:(i + 1) * d, j * d:(j + 1) * d])
 
-    e = np.kron(np.eye(k), np.kron(np.diag([0.0, 1.0]), np.eye(d)))
+    e = np.kron(np.diag([0.0, 1.0]), np.eye(d))
     xstar = xs.conj().T
     r = lift(xstar @ xs) - lift(xstar) @ xs - xstar @ lift(xs)
     dx = 1j * (xs @ e - e @ xs)

@@ -53,22 +53,20 @@ def _label_signs(label):
     return _SIGN[label[0]], _SIGN[label[1]]
 
 
-def default_constants(seed, spread=0.5):
+def default_constants(seed):
     """Seeded random noise covariances, one complex number per channel.
 
-    Real parts are drawn from [1 - spread, 1 + spread]; keeping them at
+    Real parts are drawn from [1/2, 3/2]; keeping them at
     least 1/2 keeps the calibrated Ito constants at or above 1, which is
     exactly the regime where the dissipativity form and the extended
     map's complete positivity hold (below it they provably fail).
     Imaginary parts are drawn from [-1/2, 1/2].
     """
-    if not 0 <= spread <= 0.5:
-        raise ValueError(f"spread must lie in [0, 1/2], got {spread}")
     rng = np.random.default_rng([int(seed), 0x61AB])
     out = {}
     for kind in ("plus", "minus"):
         out[kind] = {
-            lab: complex(1.0 + spread * (2.0 * rng.random() - 1.0),
+            lab: complex(1.0 + 0.5 * (2.0 * rng.random() - 1.0),
                          rng.random() - 0.5)
             for lab in LABELS
         }

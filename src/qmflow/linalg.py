@@ -31,8 +31,8 @@ nonzero pattern (at 4 sites L_11 has 25 blocks, the largest 144 of 256
 rows). ``matrix_exponential``, ``min_eig`` and ``is_psd`` find those
 components (``_diagonal_blocks``, memoized per exact pattern) and solve
 each group of equal-size blocks in one stacked ``expm`` or ``eigvalsh``
-call; a singleton's eigenvalue is its diagonal entry. An input that is one
-block (any dense matrix) takes the single dense call, bit for bit.
+call. An input that is one block (any dense matrix) is a stack of one,
+which gives the same bits as the unstacked call.
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
 blocks. The flow layer computes in one such basis per model (the
@@ -223,17 +223,16 @@ def dissipator_map(l, w=1.0, mirrored=False):
 
 
 def _diagonal_blocks(m):
-    """The diagonal blocks of the square array m, or None when it is one block.
+    """The diagonal blocks of the square array m.
 
     The blocks are the connected components of the symmetrized nonzero
     pattern: permuted by them, m is block diagonal. Returns a tuple of
     read-only index arrays, one of shape (k, s) per block size s (ascending),
-    whose rows are the k blocks of that size. Plans are memoized under the
-    exact packed pattern.
+    whose rows are the k blocks of that size; a matrix that is one block
+    has the plan ``(arange(n)[None],)``. Plans are memoized under the exact
+    packed pattern.
     """
     n = m.shape[0]
-    if n <= 1:
-        return None
     nz = m != 0
     return _block_plan(n, np.packbits(nz | nz.T).tobytes())
 
@@ -246,8 +245,6 @@ def _block_plan(n, packed):
     # components, found without the transpose a weak search makes
     count, labels = connected_components(scipy.sparse.csr_array(pattern),
                                          directed=True, connection="strong")
-    if count == 1:
-        return None
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")   # grouped by component
     starts = np.cumsum(sizes) - sizes
@@ -287,28 +284,29 @@ def matrix_exponential(m, t=1.0):
         raise ValueError(f"time parameter must be finite, got {t}")
     a = t * m
     blocks = _diagonal_blocks(a)
-    if blocks is None:
-        return scipy.linalg.expm(a)
     return _unblock((scipy.linalg.expm(_block(a, idx)) for idx in blocks), blocks, a.shape[0])
 
 
-def choi_of_map(s, check_hermitian=True, tol=1e-10):
+def _choi(s, d):
+    """Unchecked Choi reshuffle: C[i*d + k, j*d + l] = S[l*d + k, j*d + i]."""
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
+def choi_of_map(s):
     """Choi matrix of a superoperator given as a d**2 x d**2 matrix.
 
     Returns C = sum_ij e_ij (x) Phi(e_ij), shape (d**2, d**2). The map is
-    completely positive iff C >= 0. With ``check_hermitian`` the Choi
-    matrix is required to be Hermitian up to ``tol`` relative to its
-    largest entry (i.e. the map must be hermiticity preserving), since
-    eigenvalue diagnostics are meaningless otherwise.
+    completely positive iff C >= 0. The Choi matrix is required to be
+    Hermitian up to 1e-10 relative to its largest entry (i.e. the map must
+    be hermiticity preserving), since eigenvalue diagnostics are
+    meaningless otherwise.
     """
     s, d = _superop_dim(s)
-    # Reshuffle: C[i*d + k, j*d + l] = S[l*d + k, j*d + i].
-    c = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-    if check_hermitian:
-        dev = max_abs(c - c.conj().T)
-        if dev > tol * max(1.0, max_abs(c)):
-            raise ValueError(
-                f"map not hermiticity-preserving: Choi asymmetry {dev:.3e}")
+    c = _choi(s, d)
+    dev = max_abs(c - c.conj().T)
+    if dev > 1e-10 * max(1.0, max_abs(c)):
+        raise ValueError(
+            f"map not hermiticity-preserving: Choi asymmetry {dev:.3e}")
     return c
 
 
@@ -318,13 +316,8 @@ def _hermitian_eigvals(h):
     if not h.size:
         raise ValueError("h is an empty (0x0) matrix: it has no eigenvalues")
     hp = hermitian_part(h)
-    blocks = _diagonal_blocks(hp)
-    if blocks is None:
-        return np.linalg.eigvalsh(hp)
-    # a singleton's eigenvalue is its (real) diagonal entry
     return np.sort(np.concatenate(
-        [hp[idx[:, 0], idx[:, 0]].real if idx.shape[1] == 1
-         else np.linalg.eigvalsh(_block(hp, idx)).ravel() for idx in blocks]))
+        [np.linalg.eigvalsh(_block(hp, idx)).ravel() for idx in _diagonal_blocks(hp)]))
 
 
 def min_eig(h):
@@ -333,16 +326,16 @@ def min_eig(h):
     return float(_hermitian_eigvals(h)[0])
 
 
-def is_psd(h, tol_scale=1e-9):
+def is_psd(h):
     """Positive-semidefinite test with a relative tolerance floor.
 
-    Accepts h when min_eig(h) >= -tol_scale * max(1, ||h||), with ||h||
-    the spectral norm of the Hermitian part.
+    Accepts h when min_eig(h) >= -1e-9 * max(1, ||h||), with ||h|| the
+    spectral norm of the Hermitian part.
     """
     h = _as_square(h)
     evals = _hermitian_eigvals(h)
     scale = max(1.0, float(np.max(np.abs(evals))))
-    return bool(evals[0] >= -tol_scale * scale)
+    return bool(evals[0] >= -1e-9 * scale)
 
 
 def _transpose_perm(d):

@@ -155,7 +155,7 @@ class StructureMapSet:
 def _block_basis(sm):
     """``StructureMapSet.blocks`` of sm."""
     union = (sm.theta_minus != 0) | (sm.theta_zero != 0) | (sm.theta_plus != 0)
-    plan = _diagonal_blocks(union) or (np.arange(union.shape[0])[None, :],)
+    plan = _diagonal_blocks(union)
     stacks = {alpha: tuple(_block(m, idx) for idx in plan)
               for alpha, m in sm.maps().items()}
     for array in (*plan, *(s for group in stacks.values() for s in group)):

@@ -291,7 +291,8 @@ _seeds = st.integers(0, 2**32 - 1)
 
 class TestDiagonalBlocks:
     """matrix_exponential, min_eig and is_psd solve each diagonal block of
-    the permuted input on its own; a single block takes the dense call."""
+    the permuted input on its own; a single block is a stack of one, with
+    the bits of the dense call."""
 
     @settings(max_examples=60, deadline=None)
     @given(_block_sizes, _seeds)
@@ -332,7 +333,8 @@ class TestDiagonalBlocks:
         if pattern == "one-way chain":
             # connected only through m[i, i + 1]: one block once symmetrized
             m = np.triu(np.tril(m, 1))
-        assert _diagonal_blocks(m) is None
+        (plan,) = _diagonal_blocks(m)
+        assert np.array_equal(plan, np.arange(7)[None])
         assert np.array_equal(matrix_exponential(m, 0.3), scipy.linalg.expm(0.3 * m))
         evals = np.linalg.eigvalsh(hermitian_part(m))
         assert min_eig(m) == evals[0]
@@ -361,7 +363,7 @@ class TestDiagonalBlocks:
         assert [sorted(row) for row in split[0].tolist()] == [[0, 1], [2, 3]]
         joined = m.copy()
         joined[1, 2] = 1.0
-        assert _diagonal_blocks(joined) is None
+        assert [idx.tolist() for idx in _diagonal_blocks(joined)] == [[[0, 1, 2, 3]]]
         assert _diagonal_blocks(m) is split   # memoized under its pattern
         assert _diagonal_blocks(3 * m) is split
 
