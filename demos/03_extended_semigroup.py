@@ -64,9 +64,11 @@ weak_worst = min(dissipativity_residual_min_eig(
     for _ in range(50))
 print("weak model dissipativity: %+.3e" % weak_worst)
 
-# 6. the inner-derivation square commutes with the generator, and the
-#    resolvent regularization converges at first order
-print("\ncommutation residual:", commutation_residual(gc))
+# 6. the generator, built at operator level from the structure maps,
+#    commutes with the inner-derivation square and is the table the
+#    semigroup exponentiates (the residual is the rounding-level gap between
+#    the two); the resolvent regularization converges at first order
+print("\ncommutation residual: %.3e" % commutation_residual(gc))
 errs = []
 eps_grid = (1e-2, 5e-3, 2.5e-3)
 for eps in eps_grid:

@@ -27,7 +27,7 @@ from .structure import (
 )
 from .extended import (
     BlockOp2, ExtendedGenerator, build_extended_generator, apply_extended,
-    extended_superop_matrix, extended_choi_min_eig, conservativity_residual,
+    extended_choi_min_eig, conservativity_residual,
     normalization_residual, kappa_residual, generator_cp_min_eig,
     dissipativity_residual_min_eig, delta_map, delta_sq_map, delta_sq_semigroup,
     commutation_residual, resolvent_generator,

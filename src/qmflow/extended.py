@@ -19,11 +19,12 @@ Everything here acts blockwise, so properties of the big map (complete
 positivity, dissipativity against the block derivation delta) reduce to
 joint properties of the four entries. The diagnostics in this module are
 the numerical versions of those properties, and every one of them acts
-through the one 2x2 table: ``_table`` builds a table entry by entry,
-``_semigroup`` is the table of time-t maps exp(t L_ij) (and the one
-place a negative time is refused), ``linalg._apply_grid`` applies a table
-to the blocks of an operator, and ``_unit_deviation`` measures how far a
-table is from sending the identity to fixed multiples of it.
+through the one 2x2 table, never a (2d)**2-side superoperator: ``_table``
+builds a table entry by entry, ``_semigroup`` is the table of time-t maps
+exp(t L_ij) (and the one place a negative time is refused),
+``linalg._apply_grid`` applies a table to the blocks of an operator,
+``_table_choi`` is a table's Choi matrix, and ``_unit_deviation`` measures
+how far a table is from sending the identity to fixed multiples of it.
 ``generator_cp_min_eig`` decides complete positivity for every t, and the
 dissipativity form at every ampliation, from one eigenvalue of the
 generator with no exponential.
@@ -40,7 +41,7 @@ from .linalg import (
     _apply_grid,
     _choi,
     _draw_op,
-    choi_of_map,
+    _hermitian_choi,
     matrix_exponential,
     max_abs,
     min_eig,
@@ -48,11 +49,10 @@ from .linalg import (
 from .structure import StructureMapSet, check_conjugation, leibnitz_residual
 
 __all__ = [
-    "BlockOp2", "ExtendedGenerator", "build_extended_generator",
-    "apply_extended", "extended_superop_matrix", "extended_choi_min_eig",
-    "conservativity_residual", "normalization_residual", "kappa_residual",
-    "generator_cp_min_eig", "dissipativity_residual_min_eig", "delta_map",
-    "delta_sq_map", "delta_sq_semigroup", "commutation_residual",
+    "BlockOp2", "ExtendedGenerator", "build_extended_generator", "apply_extended",
+    "extended_choi_min_eig", "conservativity_residual", "normalization_residual",
+    "kappa_residual", "generator_cp_min_eig", "dissipativity_residual_min_eig",
+    "delta_map", "delta_sq_map", "delta_sq_semigroup", "commutation_residual",
     "resolvent_generator",
 ]
 
@@ -78,19 +78,13 @@ class BlockOp2:
     x11: np.ndarray
 
     def __post_init__(self):
-        blocks = {}
-        shape = None
+        shape = np.shape(self.x00)
         for name in ("x00", "x01", "x10", "x11"):
             b = np.asarray(getattr(self, name), dtype=complex)
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ValueError(f"block {name} must be square, got shape {b.shape}")
-            if shape is None:
-                shape = b.shape
-            elif b.shape != shape:
-                raise ValueError(
-                    f"block {name} has shape {b.shape}, expected {shape}")
-            blocks[name] = b
-        for name, b in blocks.items():
+            if b.shape != shape:
+                raise ValueError(f"block {name} has shape {b.shape}, expected {shape}")
             object.__setattr__(self, name, b)
 
     @property
@@ -214,43 +208,26 @@ def apply_extended(gen, t, x):
     return BlockOp2.from_full(_apply_grid(_semigroup(gen, t), gen.dim, x.block))
 
 
-def _block_index_grid(d):
-    """vec indices (in the 2d x 2d stacking) of each d x d block.
-
-    Entry [i][j] lists where block (i, j)'s own column stacking lands
-    inside the big vectorization, so blockwise maps assemble into the full
-    superoperator matrix by plain index placement.
-    """
-    p = np.arange(d * d)
-    cc, rr = p // d, p % d
-    return _table(lambda i, j: (j * d + cc) * (2 * d) + i * d + rr)
-
-
-def _assemble_blockwise(block_mats, d):
-    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
-    grid = _block_index_grid(d)
-    for i in (0, 1):
-        for j in (0, 1):
-            q = grid[i][j]
-            full[np.ix_(q, q)] = block_mats[i][j]
-    return full
-
-
-def extended_superop_matrix(gen, t):
-    """Matrix of the time-t extended map on the doubled space."""
-    return _assemble_blockwise(_semigroup(gen, t), gen.dim)
+def _table_choi(table, d):
+    """The 2 d**2-side matrix whose (i, j) block is Choi(table[i][j])."""
+    return np.block([[_choi(table[i][j], d) for j in (0, 1)] for i in (0, 1)])
 
 
 def extended_choi_min_eig(gen, t):
     """Smallest Choi eigenvalue of the time-t extended map.
 
     Nonnegative (to tolerance) iff the extended map is completely
-    positive. Guarded against large dimensions: the Choi matrix has side
-    (2d)**2.
+    positive. Its Choi matrix (side (2d)**2, guarded) is ``_table_choi``
+    with row p*d + k of block row i moved to (i*d + p)*2d + i*d + k, 0 else.
     """
     _choi_guard(gen)
-    full = extended_superop_matrix(gen, t)
-    return min_eig(choi_of_map(full))
+    d = gen.dim
+    c = _hermitian_choi(_table_choi(_semigroup(gen, t), d))
+    p, k = np.divmod(np.arange(d * d), d)
+    rows = np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
+    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
+    full[rows[:, None], rows] = c
+    return min_eig(full)
 
 
 def _choi_guard(gen):
@@ -309,7 +286,7 @@ def generator_cp_min_eig(gen):
     _choi_guard(gen)
     gen = _in_mode(gen, "physical")
     d, n = gen.dim, gen.dim ** 2
-    c = np.block([[_choi(gen.block(i, j), d) for j in (0, 1)] for i in (0, 1)])
+    c = _table_choi(gen.entries, d)
     w = np.zeros(2 * n)
     w[np.r_[0:n:d + 1, n:2 * n:d + 1]] = (2 * d) ** -0.5
     wc, cw = w @ c, c @ w
@@ -349,17 +326,31 @@ def delta_sq_semigroup(t, x):
 
 
 def commutation_residual(gen):
-    """||L delta^2 - delta^2 L|| on the doubled space (max-abs).
-
-    Both maps act entrywise in the block indices, so this vanishes up to
-    rounding; the residual is computed from the full assembled matrices,
-    not assumed.
+    """Worst over seeded block operators x of max(||L delta^2 x - delta^2 L x||,
+    ||T x - L x||) / max(1, ||L x||) (max-abs), T the table and L the generator
+    from the structure maps: L(x) = Theta_0(x) + Theta_minus(xE) + Theta_plus(Ex)
+    (+ ExE when physical), delta^2(x) = -(xE + Ex - 2ExE), E = diag(0, 1). The
+    first gap is 0 for any entrywise L; the second flags a table that is not L.
     """
-    d = gen.dim
-    eye = np.eye(d * d)
-    kl = _assemble_blockwise(gen.entries, d)
-    kd = _assemble_blockwise(_table(lambda i, j: -eye if i != j else 0.0 * eye), d)
-    return max_abs(kl @ kd - kd @ kl)
+    sm, d = gen.source, gen.dim
+    e = np.kron(np.diag([0.0, 1.0]), np.eye(d))
+
+    def generator(x):
+        lx = sum(_apply_grid(((s, s), (s, s)), d, BlockOp2.from_full(y).block)
+                 for s, y in ((sm.csr[0], x), (sm.csr[-1], x @ e), (sm.csr[1], e @ x)))
+        return lx + e @ x @ e if gen.mode == "physical" else lx
+
+    def delta_sq(x):
+        return -(x @ e + e @ x - 2 * e @ x @ e)
+
+    rng = np.random.default_rng([0xC0DE, d])
+    worst = 0.0
+    for x in (_draw_op(rng, 2 * d) for _ in range(4)):
+        lx = generator(x)
+        gap = max(max_abs(generator(delta_sq(x)) - delta_sq(lx)),
+                  max_abs(_apply_grid(gen.entries, d, BlockOp2.from_full(x).block) - lx))
+        worst = max(worst, gap / max(1.0, max_abs(lx)))
+    return worst
 
 
 def dissipativity_residual_min_eig(gen, x):
@@ -381,14 +372,13 @@ def dissipativity_residual_min_eig(gen, x):
         raise ValueError(f"element must have shape {(2 * d, 2 * d)}, got {xs.shape}")
 
     def lift(m):
-        return _apply_grid(gen.entries, d, lambda i, j: m[i * d:(i + 1) * d, j * d:(j + 1) * d])
+        return _apply_grid(gen.entries, d, BlockOp2.from_full(m).block)
 
     e = np.kron(np.diag([0.0, 1.0]), np.eye(d))
     xstar = xs.conj().T
     r = lift(xstar @ xs) - lift(xstar) @ xs - xstar @ lift(xs)
     dx = 1j * (xs @ e - e @ xs)
-    r = r + dx.conj().T @ dx
-    return min_eig(r)
+    return min_eig(r + dx.conj().T @ dx)
 
 
 def resolvent_generator(gen, eps):

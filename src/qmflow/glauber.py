@@ -38,8 +38,9 @@ LABELS = ("pp", "pm", "mp", "mm")
 
 _SIGN = {"p": +1, "m": -1}
 
+# 6 sites cannot run: 268 MB per dense map, d = 64 > MAX_CHOI_BLOCK_DIM
 MIN_SITES = 3
-MAX_SITES = 6
+MAX_SITES = 5
 
 _P_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
 _P_DOWN = np.array([[0.0, 0.0], [0.0, 1.0]])

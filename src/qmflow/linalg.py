@@ -302,7 +302,11 @@ def choi_of_map(s):
     meaningless otherwise.
     """
     s, d = _superop_dim(s)
-    c = _choi(s, d)
+    return _hermitian_choi(_choi(s, d))
+
+
+def _hermitian_choi(c):
+    """The Choi matrix c, checked Hermitian as ``choi_of_map`` states."""
     dev = max_abs(c - c.conj().T)
     if dev > 1e-10 * max(1.0, max_abs(c)):
         raise ValueError(

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from qmflow import (
     DEFAULT_TOLERANCES,
     BlockOp2,
+    ExtendedGenerator,
     GlauberConfig,
     StructureMapSet,
     apply_extended,
@@ -16,6 +17,7 @@ from qmflow import (
     build_glauber_structure_maps,
     choi_of_map,
     commutation_residual,
+    commutator_map,
     conservativity_residual,
     default_constants,
     delta_map,
@@ -24,17 +26,19 @@ from qmflow import (
     devectorize,
     dissipativity_residual_min_eig,
     extended_choi_min_eig,
-    extended_superop_matrix,
     generator_cp_min_eig,
     kappa_residual,
     matrix_exponential,
     max_abs,
     min_eig,
     normalization_residual,
+    parse_config,
     point_generator,
     resolvent_generator,
+    run_suite,
     vectorize,
 )
+from qmflow.extended import _semigroup
 from conftest import random_op
 
 
@@ -95,7 +99,6 @@ class TestGeneratorTable:
     def test_axiom_failures_rejected(self):
         rng = np.random.default_rng(43)
         f = random_op(rng, 2, unit=False)
-        from qmflow import commutator_map
         broken = StructureMapSet(dim=2, theta_minus=commutator_map(f),
                                  theta_zero=np.zeros((4, 4)),
                                  theta_plus=commutator_map(f))
@@ -129,17 +132,65 @@ class TestApplyExtended:
                 residual(qubit_gen_phys, -0.1)
 
 
+def _block_index_grid(d):
+    """vec indices (in the 2d x 2d stacking) of each d x d block's own
+    column stacking."""
+    p = np.arange(d * d)
+    cc, rr = p // d, p % d
+    return [[(j * d + cc) * (2 * d) + i * d + rr for j in (0, 1)] for i in (0, 1)]
+
+
+def _assemble_blockwise(block_mats, d):
+    """The dense (2d)**2-side matrix of the entrywise map with the given
+    table, by index placement."""
+    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
+    grid = _block_index_grid(d)
+    for i in (0, 1):
+        for j in (0, 1):
+            q = grid[i][j]
+            full[np.ix_(q, q)] = block_mats[i][j]
+    return full
+
+
 class TestFullMatrixAssembly:
+    """A dense assembly of the extended map is the oracle for the Choi test,
+    which builds only the table's Choi matrix and places it."""
+
     def test_matches_blockwise_application(self, qubit_gen_phys):
         # the assembled big matrix must act exactly like entrywise
         # evolution on arbitrary doubled-space operators
         rng = np.random.default_rng(46)
-        full = extended_superop_matrix(qubit_gen_phys, 0.8)
+        full = _assemble_blockwise(_semigroup(qubit_gen_phys, 0.8), 2)
         for _ in range(5):
             x = random_op(rng, 4, unit=False)
             via_matrix = devectorize(full @ vectorize(x), 4)
             via_blocks = apply_extended(qubit_gen_phys, 0.8, BlockOp2.from_full(x))
             assert_allclose(via_matrix, via_blocks.as_full(), atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["good qubit", "3-site periodic chain", "4-site open chain"])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_choi_bitwise_equal_to_dense_assembly(self, name, mode, monkeypatch):
+        import qmflow.extended as ext
+
+        gen = build_extended_generator(_CP_MODELS[name](), mode)
+        placed = []
+        monkeypatch.setattr(ext, "min_eig", lambda h: placed.append(h) or min_eig(h))
+        for t in (0.0, 0.3, 1.1):
+            value = extended_choi_min_eig(gen, t)
+            want = choi_of_map(_assemble_blockwise(_semigroup(gen, t), gen.dim))
+            assert np.array_equal(placed.pop(), want)
+            assert value == min_eig(want)
+
+    def test_broken_conjugation_refused(self):
+        # built past build_extended_generator's axiom check: theta_minus and
+        # theta_plus are the same commutator with a non-Hermitian operator
+        rng = np.random.default_rng(43)
+        theta = commutator_map(random_op(rng, 2, unit=False))
+        broken = StructureMapSet(dim=2, theta_minus=theta, theta_zero=np.zeros((4, 4)),
+                                 theta_plus=theta)
+        gen = ExtendedGenerator(source=broken, mode="physical")
+        with pytest.raises(ValueError, match="map not hermiticity-preserving"):
+            extended_choi_min_eig(gen, 0.5)
 
 
 class TestPositivity:
@@ -269,6 +320,8 @@ _CP_MODELS = {
                                              np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 0.0),
     "3-site periodic chain": lambda: _chain(3, "periodic"),
     "3-site open chain": lambda: _chain(3, "open"),
+    "4-site open chain": lambda: _chain(4, "open"),
+    "5-site periodic chain": lambda: _chain(5, "periodic"),
     "weak qubit": _weak_qubit,
     "qubit, negated drift": lambda: _negated_drift(_CP_MODELS["good qubit"]()),
     "3-site chain, real parts x 0.3": lambda: _chain(3, "periodic", 0.3),
@@ -392,6 +445,55 @@ class TestDelta:
     def test_commutation_with_generator(self, qubit_gen_cons, glauber_gen_cons):
         assert commutation_residual(qubit_gen_cons) < 1e-14
         assert commutation_residual(glauber_gen_cons) < 1e-13
+
+    def test_delta_formula_record_flags_a_wrong_rate(self, monkeypatch):
+        # the record compares delta_sq_semigroup with expm of delta^2's 4 x 4
+        # matrix on M_2; a semigroup damping at rate t instead of t / 2 fails
+        import qmflow.suite as suite
+
+        def record():
+            report = run_suite(parse_config({"t_grid": [0.5]}), groups=("extended",))
+            return next(r for r in report.records if r.name == "extended-delta-formula")
+
+        assert record().passed
+
+        def too_fast(t, x):
+            return BlockOp2(x.x00, np.exp(-t) * x.x01, np.exp(-t) * x.x10, x.x11)
+
+        monkeypatch.setattr(suite, "delta_sq_semigroup", too_fast)
+        assert not record().passed
+
+
+def _swapped_corners(gen):
+    """gen with the table entries L01 and L10 exchanged."""
+    (l00, l01), (l10, l11) = gen.entries
+    gen.__dict__["entries"] = ((l00, l10), (l01, l11))
+    return gen
+
+
+def _physical_table(gen):
+    """A conservative-mode gen carrying the physical table."""
+    gen.__dict__["entries"] = replace(gen, mode="physical").entries
+    return gen
+
+
+class TestCommutation:
+    """commutation_residual: the operator-level generator commutes with
+    delta^2, and the table the semigroup exponentiates is that generator."""
+
+    @pytest.mark.parametrize("name", ["good qubit", "3-site periodic chain", "3-site open chain",
+                                      "4-site open chain", "5-site periodic chain"])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_good_models_pass(self, name, mode):
+        gen = build_extended_generator(_CP_MODELS[name](), mode)
+        assert commutation_residual(gen) <= DEFAULT_TOLERANCES["commutation"]
+
+    @pytest.mark.parametrize("name", ["good qubit", "3-site periodic chain", "4-site open chain"])
+    @pytest.mark.parametrize("adversary", [_swapped_corners, _physical_table])
+    def test_adversaries_fail(self, name, adversary):
+        gen = adversary(build_extended_generator(_CP_MODELS[name](), "conservative"))
+        # far above the record's tolerance, 1e-12
+        assert commutation_residual(gen) > 1e-2
 
 
 class TestResolvent:

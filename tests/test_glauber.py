@@ -43,7 +43,7 @@ def _site_oracle(n, r, eps, mu):
 
 class TestConfig:
     def test_site_range(self):
-        for n in (2, 7):
+        for n in (2, 6, 7):
             with pytest.raises(ValueError, match="sites"):
                 GlauberConfig.with_random_constants(sites=n, boundary="periodic", seed=1)
 
@@ -174,10 +174,13 @@ class TestCollectiveOperators:
         assert np.array_equal(u @ f @ u.T, f)
 
     def test_distant_sites_commute(self):
-        cfg = GlauberConfig.with_random_constants(sites=6, boundary="periodic", seed=5)
-        a = build_site_operator(cfg, 1, 1, 1)
-        b = build_site_operator(cfg, 4, 1, 1)
-        assert np.array_equal(a @ b, b @ a)
+        # sites 1 and 3 share only site 2, where both act by projections
+        cfg = GlauberConfig.with_random_constants(sites=5, boundary="periodic", seed=5)
+        for eps in (1, -1):
+            for mu in (1, -1):
+                a = build_site_operator(cfg, 1, eps, mu)
+                b = build_site_operator(cfg, 3, eps, mu)
+                assert np.array_equal(a @ b, b @ a)
 
     def test_partial_isometry_blocks(self):
         # each site term has F*F and FF* diagonal 0/1 projections

@@ -420,6 +420,19 @@ class TestCli:
         code, out, err = _run(capsys, ["suite", "--config", str(rcp)])
         assert code == 1
 
+    def test_six_site_chain_refused(self, tmp_path, capsys):
+        # a 6-site chain cannot run (268 MB per dense map, past the Choi
+        # guard), so it is refused as bad input before any work
+        rcp, chainp = tmp_path / "rc.json", tmp_path / "chain.json"
+        save_json({"model": {"glauber": {"sites": 6}}}, rcp)
+        save_json({"sites": 6}, chainp)
+        for argv in (["check-cp", "--config", str(rcp)], ["suite", "--config", str(rcp)],
+                     ["build-glauber", "--config", str(chainp)]):
+            code, out, err = _run(capsys, argv)
+            assert code == 2, argv[0]
+            assert out == ""
+            assert "sites must lie in [3, 5], got 6" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, out, err = _run(capsys, ["suite", "--config",
                                        str(tmp_path / "absent.json")])
