@@ -31,6 +31,7 @@ from .serialize import (
     structure_maps_to_obj,
 )
 from .suite import (
+    _csv_text,
     build_model,
     check_cp_rows,
     parse_config,
@@ -146,6 +147,21 @@ def _emit_report(report, args):
     return 0 if report.passed else 1
 
 
+def _emit(args, header, rows, obj):
+    """rows under header as CSV (``report_to_csv``'s cells) or obj as
+    sorted, indented JSON, as --format says."""
+    if args.format == "csv":
+        _write(_csv_text(header, rows), args.out)
+    else:
+        _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
+
+
+def _entries(m):
+    """(row, col, re, im) of every entry of the matrix m, row by row."""
+    return ((r, c, float(v.real), float(v.imag))
+            for r, row in enumerate(m) for c, v in enumerate(row))
+
+
 def _cmd_build_glauber(args):
     cfg = glauber_config_from_obj(load_json(args.config), seed=args.seed)
     from .glauber import build_glauber_structure_maps
@@ -168,20 +184,15 @@ def _cmd_suite(args):
     return _emit_report(run_suite(rc), args)
 
 
+_CP_COLUMNS = ("t", "choi_min_eig", "conservativity_residual", "normalization_residual")
+
+
 def _cmd_check_cp(args):
     rc = _load_run_config(args)
     rows, passed = check_cp_rows(rc)
-    if args.format == "csv":
-        lines = ["t,choi_min_eig,conservativity_residual,normalization_residual,pass"]
-        for r in rows:
-            lines.append(f"{r['t']!r},{r['choi_min_eig']!r},"
-                         f"{r['conservativity_residual']!r},"
-                         f"{r['normalization_residual']!r},"
-                         f"{str(r['passed']).lower()}")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        obj = {"config": serialize_config(rc), "rows": rows, "passed": passed}
-        _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(args, (*_CP_COLUMNS, "pass"),
+          ([*(r[k] for k in _CP_COLUMNS), r["passed"]] for r in rows),
+          {"config": serialize_config(rc), "rows": rows, "passed": passed})
     return 0 if passed else 1
 
 
@@ -191,23 +202,14 @@ def _cmd_evolve(args):
     x = _load_observable(args.observable, sm)
     gen = build_extended_generator(sm, rc.mode)
     evolved = [(t, apply_extended(gen, t, BlockOp2(x, x, x, x))) for t in rc.t_grid]
-    if args.format == "csv":
-        lines = ["t,block,row,col,re,im"]
-        for t, out in evolved:
-            for i in (0, 1):
-                for j in (0, 1):
-                    m = out.block(i, j)
-                    for r in range(m.shape[0]):
-                        for c in range(m.shape[1]):
-                            lines.append(f"{t!r},{i}{j},{r},{c},"
-                                         f"{float(m[r, c].real)!r},{float(m[r, c].imag)!r}")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        results = [{"t": t, **{f"P{i}{j}": operator_to_obj(out.block(i, j))
-                               for i in (0, 1) for j in (0, 1)}}
-                   for t, out in evolved]
-        obj = {"config": serialize_config(rc), "results": results}
-        _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
+    blocks = [(i, j) for i in (0, 1) for j in (0, 1)]
+    _emit(args, ("t", "block", "row", "col", "re", "im"),
+          ((t, f"{i}{j}", *entry) for t, out in evolved for i, j in blocks
+           for entry in _entries(out.block(i, j))),
+          {"config": serialize_config(rc),
+           "results": [{"t": t, **{f"P{i}{j}": operator_to_obj(out.block(i, j))
+                                   for i, j in blocks}}
+                       for t, out in evolved]})
     return 0
 
 
@@ -222,15 +224,8 @@ def _cmd_flow_element(args):
     sm = build_model(rc)
     x = _load_observable(args.observable, sm)
     out = flow_matrix_element(sm, f, g, s, t, x, mode=rc.mode)
-    if args.format == "csv":
-        lines = ["row,col,re,im"]
-        for r in range(out.shape[0]):
-            for c in range(out.shape[1]):
-                lines.append(f"{r},{c},{float(out[r, c].real)!r},{float(out[r, c].imag)!r}")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        obj = {"window": [s, t], "element": operator_to_obj(out)}
-        _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(args, ("row", "col", "re", "im"), _entries(out),
+          {"window": [s, t], "element": operator_to_obj(out)})
     return 0
 
 

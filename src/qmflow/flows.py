@@ -22,19 +22,21 @@ Windows are evaluated in batches: a factor is keyed by the exact bits of
 after its last use. A batch's maps are bit for bit the maps computed one
 window at a time.
 
-Factors and products are computed in the model's block basis
+Generators, factors and products are computed in the model's block basis
 (``StructureMapSet.blocks``): the connected components of the union
 nonzero pattern of theta_0, theta_minus, theta_plus and the identity. Every
 K(f0, g0) is block diagonal in it, and so are its exponentials and their
-products. A factor's generator is assembled from the maps' stacks of
-diagonal blocks, scattered once into a d**2 x d**2 matrix for
-``matrix_exponential``, and the exponential is gathered straight back into
-stacks. A window's product starts from its first factor and multiplies
-stack by stack; it is scattered into a dense matrix once, at the end. At 4
-open sites the 256 rows split into blocks of 1, 3 and 9 rows, so a product
-is three batched products of small blocks instead of one 256 x 256
-product. A model with one component (such as the qubit) has one block
-covering every index.
+products. ``point_generator`` is the one place that assembles K: it builds
+each diagonal block from the maps' stacks and scatters the blocks once
+into a d**2 x d**2 matrix. The extended semigroup's four entries, the
+suite's norm bound and every flow factor take it from there. A factor
+hands that matrix to ``matrix_exponential`` and gathers the exponential
+straight back into stacks. A window's product starts from its first factor
+and multiplies stack by stack; it is scattered into a dense matrix once,
+at the end. At 4 open sites the 256 rows split into blocks of 1, 3 and 9
+rows, so a product is three batched products of small blocks instead of
+one 256 x 256 product. A model with one component (such as the qubit) has
+one block covering every index.
 """
 
 from collections import Counter
@@ -176,37 +178,29 @@ def _window_ends(start, end):
 
 
 def point_generator(sm, f0, g0, mode="physical"):
-    """Single-exponential generator for constant test-function values."""
-    return _generator(sm.theta_zero, sm.theta_minus, sm.theta_plus, f0, g0, mode)
+    """K(f0, g0) for constant test-function values, as a d**2 x d**2 matrix.
 
-
-def _generator(theta_zero, theta_minus, theta_plus, f0, g0, mode):
-    """K(f0, g0) from the three maps, or from stacks of their diagonal
-    blocks (the identity is then each block's identity)."""
+    Each diagonal block is assembled from the maps' stacks in sm's block
+    basis (the identity is each block's identity) and the blocks are
+    scattered once; the entries off the blocks are 0, as they are in every
+    map.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     f0, g0 = complex(f0), complex(g0)
-    m = theta_zero + g0 * theta_minus + np.conj(f0) * theta_plus
-    if mode == "physical":
-        m = m + (np.conj(f0) * g0) * np.eye(m.shape[-1])
-    return m
-
-
-def _block_generator(sm, f0, g0, mode):
-    """point_generator(sm, f0, g0, mode) assembled in sm's block basis and
-    scattered into a d**2 x d**2 matrix (its entries off the blocks are 0)."""
     plan, stacks = sm.blocks
-    return _unblock([_generator(*maps, f0, g0, mode)
-                     for maps in zip(stacks[0], stacks[-1], stacks[1])],
-                    plan, sm.theta_zero.shape[0])
+    blocks = [zero + g0 * minus + np.conj(f0) * plus
+              for zero, minus, plus in zip(stacks[0], stacks[-1], stacks[1])]
+    if mode == "physical":
+        blocks = [k + (np.conj(f0) * g0) * np.eye(k.shape[-1]) for k in blocks]
+    return _unblock(blocks, plan, sm.theta_zero.shape[0])
 
 
 def _factor(sm, f0, g0, length, mode):
     """exp(length K(f0, g0)) as stacks in sm's block basis; the dense
     exponential is dropped as soon as it is gathered."""
-    plan, _ = sm.blocks
-    m = matrix_exponential(_block_generator(sm, f0, g0, mode), length)
-    return tuple(_block(m, idx) for idx in plan)
+    m = matrix_exponential(point_generator(sm, f0, g0, mode), length)
+    return tuple(_block(m, idx) for idx in sm.blocks[0])
 
 
 def evolution_map(sm, f, g, start, end, mode="physical"):

@@ -88,7 +88,10 @@ class GlauberConfig:
     gg_minus: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = int(self.sites)
+        n = self.sites
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"sites must be an integer, got {n!r}")
+        n = int(n)
         if not MIN_SITES <= n <= MAX_SITES:
             raise ValueError(
                 f"sites must lie in [{MIN_SITES}, {MAX_SITES}], got {n}")

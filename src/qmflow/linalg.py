@@ -35,10 +35,11 @@ call. An input that is one block (any dense matrix) is a stack of one,
 which gives the same bits as the unstacked call.
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
-blocks. The flow layer computes in one such basis per model (the
-components of the structure maps' union pattern, ``StructureMapSet.blocks``):
-its factors and window products stay stacks, and only the generator handed
-to ``matrix_exponential`` and each finished window map are dense.
+blocks. Each model has one such basis (the components of the structure
+maps' union pattern, ``StructureMapSet.blocks``): every point generator is
+assembled in it and scattered once, and the flow layer's factors and window
+products stay stacks; only the generators and each finished window map
+are dense.
 """
 
 import functools

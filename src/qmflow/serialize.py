@@ -43,6 +43,14 @@ def _finite_float(v):
     return x if np.isfinite(x) else None
 
 
+def _dim(obj, what):
+    """obj["dim"], refused unless a positive integer (booleans are not)."""
+    d = obj["dim"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"{what}: dim must be a positive integer, got {d!r}")
+    return d
+
+
 def _matrix_to_obj(m, dim_value):
     m = np.asarray(m, dtype=complex)
     return {
@@ -58,9 +66,7 @@ def _matrix_from_obj(obj, what):
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise ValueError(f"{what}: missing key {key!r}")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"{what}: dim must be a positive integer, got {d!r}")
+    d = _dim(obj, what)
     for key in ("re", "im"):
         rows = obj[key] if isinstance(obj[key], list) else []
         if any(isinstance(row, list) and bool in set(map(type, row)) for row in rows):
@@ -138,9 +144,7 @@ def structure_maps_from_obj(obj):
     for key in ("dim", "theta_minus", "theta_zero", "theta_plus", "ito"):
         if key not in obj:
             raise ValueError(f"structure maps: missing key {key!r}")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"structure maps: dim must be a positive integer, got {d!r}")
+    d = _dim(obj, "structure maps")
     mats = {}
     for key in ("theta_minus", "theta_zero", "theta_plus"):
         try:

@@ -137,7 +137,7 @@ class StructureMapSet:
 
     @cached_property
     def blocks(self):
-        """The block basis of the flow layer, built on its first use.
+        """The block basis of every point generator, built on first use.
 
         A pair (plan, stacks). The plan is a tuple of index arrays, one of
         shape (k, s) per block size s, whose rows are the connected
@@ -147,7 +147,9 @@ class StructureMapSet:
         (arange(dim**2)[None],). stacks[alpha] is the tuple of (k, s, s)
         stacks of theta_alpha's diagonal blocks, one per plan entry. All
         of these arrays are read-only. Every point generator, its
-        exponentials and their products are block diagonal in this basis.
+        exponentials and their products are block diagonal in this basis;
+        ``flows.point_generator`` assembles each K(f0, g0) from these
+        stacks, for the flow factors and the extended entries alike.
         """
         return _block_basis(self)
 

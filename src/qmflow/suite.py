@@ -565,11 +565,25 @@ def report_to_json_bytes(report):
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def report_to_csv(report):
-    lines = ["check,t,residual,tolerance,pass"]
-    for r in report.records:
-        t = "" if r.t is None else repr(r.t)
-        value = "" if r.value is None else repr(r.value)
-        tolerance = "" if r.tolerance is None else repr(r.tolerance)
-        lines.append(f"{r.name},{t},{value},{tolerance},{str(r.passed).lower()}")
+def _csv_cell(v):
+    """A CSV cell: floats by repr, booleans in lower case, None empty."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def _csv_text(header, rows):
+    """The header line, then one line of cells per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report):
+    return _csv_text(("check", "t", "residual", "tolerance", "pass"),
+                     ((r.name, r.t, r.value, r.tolerance, r.passed)
+                      for r in report.records))

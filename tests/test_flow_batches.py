@@ -12,6 +12,7 @@ import qmflow
 from qmflow import (
     StepFunction,
     block_form,
+    build_extended_generator,
     build_glauber_structure_maps,
     check_cp_rows,
     evolution_map,
@@ -27,7 +28,7 @@ from qmflow import (
     step_inner_product,
 )
 from qmflow import flows, structure
-from qmflow.flows import _as_step, _block_generator, _evolution_maps, _segments
+from qmflow.flows import _as_step, _evolution_maps, _segments
 from qmflow.linalg import _unblock, max_abs
 from qmflow.suite import _random_step, _split_pieces
 
@@ -210,17 +211,35 @@ class TestLastUse:
         assert np.array_equal(maps[1], reference_map(qubit_sm, f, f, 0.5, 1.0, "physical"))
 
 
+def dense_generator(sm, f0, g0, mode):
+    """K(f0, g0) = theta_0 + g0 theta_minus + conj(f0) theta_plus
+    [+ conj(f0) g0 id], straight from the dense maps."""
+    f0, g0 = complex(f0), complex(g0)
+    k = sm.theta_zero + g0 * sm.theta_minus + np.conj(f0) * sm.theta_plus
+    if mode == "physical":
+        k = k + (np.conj(f0) * g0) * np.eye(k.shape[0])
+    return k
+
+
+@pytest.fixture(scope="module")
+def periodic4_sm():
+    """The 4-site periodic chain: 256 rows in blocks of 1, 12 and 144."""
+    return build_glauber_structure_maps(
+        parse_config({"model": {"glauber": {"sites": 4, "boundary": "periodic"}}}).glauber)
+
+
 class TestBlockBasis:
     VALUES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
               (0.3 - 0.2j, 0.6 + 0.1j), (complex(-0.0, 0.0), -0.5 + 0.4j)]
 
-    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm"])
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm", "periodic4_sm"])
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
     def test_generator_is_point_generator_bitwise(self, request, model, mode):
+        # the block-assembled generator against the dense formula
         sm = request.getfixturevalue(model)
         for f0, g0 in self.VALUES:
-            assert np.array_equal(_block_generator(sm, f0, g0, mode),
-                                  point_generator(sm, f0, g0, mode)), (f0, g0)
+            assert np.array_equal(point_generator(sm, f0, g0, mode),
+                                  dense_generator(sm, f0, g0, mode)), (f0, g0)
 
     @pytest.mark.parametrize("model, sizes", [("qubit_sm", [4]), ("glauber_sm", [16]),
                                               ("open4_sm", [1, 3, 9])])
@@ -250,18 +269,21 @@ class TestBlockBasis:
             assert max_abs(m - want) <= 1e-13 * max_abs(want), (s, t)
             assert np.array_equal(evolution_map(open4_sm, f, g, s, t, mode), m), (s, t)
 
-    def test_plan_built_only_for_flows(self, monkeypatch):
+    def test_plan_built_once_per_model_never_for_structure(self, monkeypatch):
         built = []
         original = structure._block_basis
         monkeypatch.setattr(structure, "_block_basis",
                             lambda sm: built.append(sm) or original(sm))
         run_suite(parse_config({}), groups=("structure",))
-        check_cp_rows(parse_config({"t_grid": [0.5]}))
         assert built == []
+        check_cp_rows(parse_config({"t_grid": [0.5, 1.0]}))
+        assert len(built) == 1
         sm = build_glauber_structure_maps(parse_config({}).glauber)
+        build_extended_generator(sm, "physical").entries
+        build_extended_generator(sm, "conservative").entries
         evolution_map(sm, F, G, 0.0, 1.0)
         evolution_map(sm, G, F, 0.0, 1.0)
-        assert built == [sm]
+        assert built[1:] == [sm]
 
 
 class TestMessages:

@@ -50,6 +50,10 @@ class TestOperatorRoundtrip:
         with pytest.raises(ValueError, match="dim"):
             operator_from_obj({"dim": "two", "re": [[1.0]], "im": [[0.0]]})
 
+    def test_boolean_dim(self):
+        with pytest.raises(ValueError, match=r"^operator: dim must be a positive integer, got True$"):
+            operator_from_obj({"dim": True, "re": [[1.0]], "im": [[0.0]]})
+
     def test_wrong_shape(self):
         with pytest.raises(ValueError, match="must be 2x2"):
             operator_from_obj({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
@@ -77,6 +81,11 @@ class TestSuperopRoundtrip:
                               "im": np.zeros((3, 3)).tolist()})
 
 
+    def test_boolean_dim(self):
+        with pytest.raises(ValueError, match=r"^superoperator: dim must be a positive integer, got True$"):
+            superop_from_obj({"dim": True, "re": [[1.0]], "im": [[0.0]]})
+
+
 class TestStructureMapsRoundtrip:
     def test_exact_roundtrip(self, qubit_sm):
         back = structure_maps_from_obj(structure_maps_to_obj(qubit_sm))
@@ -97,6 +106,15 @@ class TestStructureMapsRoundtrip:
         obj = structure_maps_to_obj(qubit_sm)
         obj["dim"] = 3
         with pytest.raises(ValueError, match="expected \\(9, 9\\)"):
+            structure_maps_from_obj(obj)
+
+    def test_boolean_dim(self):
+        zero = superop_to_obj(np.zeros((1, 1)))
+        obj = {"dim": 1, "theta_minus": zero, "theta_zero": zero, "theta_plus": zero,
+               "ito": {"c_mp": [0.0, 0.0], "c_pm": [0.0, 0.0]}}
+        assert structure_maps_from_obj(obj).dim == 1
+        obj["dim"] = True
+        with pytest.raises(ValueError, match=r"^structure maps: dim must be a positive integer, got True$"):
             structure_maps_from_obj(obj)
 
     def test_bad_ito_keys(self, qubit_sm):

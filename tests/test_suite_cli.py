@@ -433,6 +433,17 @@ class TestCli:
             assert out == ""
             assert "sites must lie in [3, 5], got 6" in err
 
+    @pytest.mark.parametrize("sites", [None, [3], "x", float("nan"), 3.9, "4", True],
+                             ids=["null", "list", "string", "nan", "fraction",
+                                  "numeric-string", "bool"])
+    def test_non_integer_sites_refused(self, tmp_path, capsys, sites):
+        rcp = tmp_path / "rc.json"
+        save_json({"model": {"glauber": {"sites": sites}}}, rcp)
+        code, out, err = _run(capsys, ["check-structure", "--config", str(rcp)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sites must be an integer, got {sites!r}\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, out, err = _run(capsys, ["suite", "--config",
                                        str(tmp_path / "absent.json")])
