@@ -42,12 +42,6 @@ _SIGN = {"p": +1, "m": -1}
 MIN_SITES = 3
 MAX_SITES = 5
 
-_P_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
-_P_DOWN = np.array([[0.0, 0.0], [0.0, 1.0]])
-_FLIP_TO_UP = np.array([[0.0, 1.0], [0.0, 0.0]])    # |+><-|
-_FLIP_TO_DOWN = np.array([[0.0, 0.0], [1.0, 0.0]])  # |-><+|
-
-
 def _label_signs(label):
     if label not in LABELS:
         raise ValueError(f"orientation label must be one of {LABELS}, got {label!r}")
@@ -124,6 +118,32 @@ class GlauberConfig:
         return cls(sites=sites, boundary=boundary, gg_plus=plus, gg_minus=minus)
 
 
+def _check_orientations(eps, mu):
+    if eps not in (1, -1) or mu not in (1, -1):
+        raise ValueError(f"orientations must be +1 or -1, got ({eps}, {mu})")
+
+
+def _flip_entries(cfg, r, eps, mu):
+    """Rows and columns of the 1.0 entries of the site-r flip term.
+
+    Computed from the basis-index bits (bit value 1 is spin down): a
+    column's site-r bit flips, and the column is kept when its neighbor
+    bits read eps and mu relative to the flipped bit.
+    """
+    n = cfg.sites
+    slot = r - 1
+    idx = np.arange(cfg.dim)
+
+    def bit(k):
+        return (idx >> (n - 1 - k)) & 1
+
+    flipped = 1 - bit(slot)   # the spin at r after the flip
+    keep = ((bit((slot - 1) % n) == flipped ^ (eps < 0))
+            & (bit((slot + 1) % n) == flipped ^ (mu < 0)))
+    cols = idx[keep]
+    return cols ^ (1 << (n - 1 - slot)), cols
+
+
 def build_site_operator(cfg, r, eps, mu):
     """Site-r jump operator for neighbor orientations (eps, mu).
 
@@ -133,37 +153,29 @@ def build_site_operator(cfg, r, eps, mu):
     n = cfg.sites
     if not 1 <= r <= n:
         raise ValueError(f"site index must lie in [1, {n}], got {r}")
-    if eps not in (1, -1) or mu not in (1, -1):
-        raise ValueError(f"orientations must be +1 or -1, got ({eps}, {mu})")
+    _check_orientations(eps, mu)
     if cfg.boundary == "open" and (r == 1 or r == n):
         raise ValueError(
             f"site {r} of the open chain has no flip term (missing a neighbor)")
-
-    slot = r - 1
-    left = (slot - 1) % n
-    right = (slot + 1) % n
-    total = np.zeros((cfg.dim, cfg.dim))
-    for s in (+1, -1):
-        factors = [np.eye(2)] * n
-        factors[left] = _P_UP if eps * s == 1 else _P_DOWN
-        factors[slot] = _FLIP_TO_UP if s == 1 else _FLIP_TO_DOWN
-        factors[right] = _P_UP if mu * s == 1 else _P_DOWN
-        term = factors[0]
-        for fac in factors[1:]:
-            term = np.kron(term, fac)
-        total = total + term
-    return total
+    out = np.zeros((cfg.dim, cfg.dim))
+    out[_flip_entries(cfg, r, eps, mu)] = 1.0
+    return out
 
 
 def build_F_lambda(cfg, eps, mu):
-    """Chain jump operator: site terms summed in site order."""
+    """Chain jump operator: the sum of the site terms.
+
+    Each site's term flips its own bit, so no two terms share an entry
+    and the sum is their 1.0 entries placed into one zero matrix.
+    """
+    _check_orientations(eps, mu)
     if cfg.boundary == "periodic":
         sites = range(1, cfg.sites + 1)
     else:
         sites = range(2, cfg.sites)
     total = np.zeros((cfg.dim, cfg.dim))
     for r in sites:
-        total = total + build_site_operator(cfg, r, eps, mu)
+        total[_flip_entries(cfg, r, eps, mu)] = 1.0
     return total
 
 

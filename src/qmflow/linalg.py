@@ -25,6 +25,17 @@ to several operators in one product on their column-stacked block.
 operator blocks (the extended semigroup, the dissipativity lift and the
 flow's Gram kernels).
 
+CSR builders: the public map builders (``sandwich_map``, ``commutator_map``,
+``dissipator_map``, ...) are dense ``np.kron`` products and stay the
+reference. ``_csr_commutator`` and ``_csr_dissipator`` build the same maps
+as canonical CSR matrices with no stored zeros: ``_coo_kron`` lists the
+nonzero products of each Kronecker factor pair with numpy, and
+``_csr_combine`` evaluates the dense formula on the union of their
+positions and converts once. Each stored entry is computed as the dense
+builder computes it; ``_todense`` makes the dense map from the CSR matrix,
+with the value the dense builder leaves off the stored entries (0, or
+``-1j * 0j`` for a commutator map).
+
 Block-diagonal solves: the chain's generators and Choi matrices are block
 diagonal once their rows are permuted by the connected components of the
 nonzero pattern (at 4 sites L_11 has 25 blocks, the largest 144 of 256
@@ -32,7 +43,10 @@ rows). ``matrix_exponential``, ``min_eig`` and ``is_psd`` find those
 components (``_diagonal_blocks``, memoized per exact pattern) and solve
 each group of equal-size blocks in one stacked ``expm`` or ``eigvalsh``
 call. An input that is one block (any dense matrix) is a stack of one,
-which gives the same bits as the unstacked call.
+which gives the same bits as the unstacked call. The eigensolves take the
+Hermitian part of each gathered block, not of the whole matrix, and
+``matrix_exponential`` checks the gathered stacks for an overflow, which
+it refuses with the time in the message.
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
 blocks. Each model has one such basis (the components of the structure
@@ -223,6 +237,83 @@ def dissipator_map(l, w=1.0, mirrored=False):
     return w * (gain - loss)
 
 
+# --- CSR builders: the maps above as canonical CSR matrices -------------------
+
+def _coo_kron(a, b):
+    """The nonzero products of ``np.kron(a, b)`` for square a and b: their
+    flat positions ``row * n + col`` in the n x n result and their values,
+    computed elementwise as kron computes them."""
+    ra, ca = np.nonzero(a)
+    rb, cb = np.nonzero(b)
+    m, n = b.shape[0], a.shape[0] * b.shape[0]
+    keys = ((ra * m)[:, None] + rb) * n + (ca * m)[:, None] + cb
+    return keys.ravel(), np.multiply.outer(a[ra, ca], b[rb, cb]).ravel()
+
+
+def _csr_combine(n, terms, combine):
+    """The canonical n x n CSR matrix of ``combine(*values)`` on the union
+    of the terms' positions, for terms (positions, values) as ``_coo_kron``
+    returns them. Each term's values are aligned to the union with 0 where
+    it has no entry, so combine is the dense formula of the terms, applied
+    where any of them is nonzero; entries equal to 0 are not stored."""
+    keys = np.unique(np.concatenate([k for k, _ in terms]))
+    aligned = []
+    for k, v in terms:
+        full = np.zeros(keys.size, dtype=complex)
+        full[np.searchsorted(keys, k)] = v
+        aligned.append(full)
+    values = combine(*aligned)
+    keep = values != 0
+    keys, values = keys[keep], values[keep]
+    # the union is sorted by row, then by column
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    return scipy.sparse.csr_array((values, (keys % n).astype(np.int32), indptr),
+                                  shape=(n, n))
+
+
+def _csr_commutator(a):
+    """``commutator_map(a)`` as a canonical CSR matrix: its stored entries
+    are -1j * (R - L) with R = kron(a.T, 1) and L = kron(1, a), as the
+    dense builder computes them. Off them the dense builder leaves
+    -1j * (R - L) = ``-1j * 0j`` = (0, -0) wherever R - L is 0j, as it is
+    for a real a with no negative entry; ``_todense`` with that fill gives
+    those bits."""
+    a = _as_square(a)
+    eye = np.eye(a.shape[0])
+    return _csr_combine(a.size, [_coo_kron(a.T, eye), _coo_kron(eye, a)],
+                        lambda r, l: -1j * (r - l))
+
+
+def _csr_dissipator(l, w=1.0, mirrored=False):
+    """``dissipator_map(l, w, mirrored)`` as a canonical CSR matrix, its
+    stored entries computed as the dense builder computes them."""
+    l = _as_square(l, "jump operator")
+    w = float(w)
+    if w < 0:
+        raise ValueError(f"dissipator weight must be nonnegative, got {w}")
+    if mirrored:
+        l = l.conj().T
+    lsl = l.conj().T @ l
+    eye = np.eye(l.shape[0])
+    # gain kron(L.T, L*) (twice X -> L* X L), loss kron(1, L*L) + kron((L*L).T, 1)
+    terms = [_coo_kron(l.T, l.conj().T), _coo_kron(eye, lsl), _coo_kron(lsl.T, eye)]
+    return _csr_combine(l.size, terms, lambda g, a, b: w * (2.0 * g - (a + b)))
+
+
+def _todense(csrs, fills):
+    """The complex (k, n, n) stack of the dense forms of k n x n CSR
+    matrices, in one allocation: layer i holds ``csrs[i]``'s stored
+    entries and ``fills[i]`` (None for 0) off them."""
+    n = csrs[0].shape[0]
+    out = np.zeros((len(csrs), n, n), dtype=complex)
+    for layer, csr, fill in zip(out, csrs, fills):
+        if fill is not None:
+            layer.fill(fill)
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        layer[rows, csr.indices] = csr.data
+    return out
+
+
 def _diagonal_blocks(m):
     """The diagonal blocks of the square array m.
 
@@ -273,19 +364,30 @@ def _unblock(stacks, plan, n):
 def matrix_exponential(m, t=1.0):
     """exp(t * M) by scaling-and-squaring (scipy.linalg.expm).
 
-    Each group of equal-size diagonal blocks of t * M is exponentiated in
-    one stacked call (scipy scales each block on its own); the entries off
-    the blocks are exactly 0.
+    Each group of equal-size diagonal blocks of M is scaled by t and
+    exponentiated in one stacked call (scipy scales each block on its
+    own); the entries off the blocks are exactly 0.
 
-    Rejects non-square or non-finite input and non-finite t.
+    Rejects non-square or non-finite input and non-finite t, and refuses
+    with a ValueError naming t when t * M or exp(t * M) overflows, in
+    place of numpy's overflow warning.
     """
     m = _as_square(m, "generator")
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"time parameter must be finite, got {t}")
-    a = t * m
-    blocks = _diagonal_blocks(a)
-    return _unblock((scipy.linalg.expm(_block(a, idx)) for idx in blocks), blocks, a.shape[0])
+    blocks = _diagonal_blocks(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the blocks of t * M, entry for entry t * m[i, j]
+        stacks = [t * _block(m, idx) for idx in blocks]
+        if not all(np.all(np.isfinite(s)) for s in stacks):
+            raise ValueError(f"t * M overflows at t = {t!r}: the generator "
+                             "is too large for this time")
+        stacks = [scipy.linalg.expm(s) for s in stacks]
+    if not all(np.all(np.isfinite(s)) for s in stacks):
+        raise ValueError(f"exp(t * M) overflows at t = {t!r}: the semigroup "
+                         "is not finite at this time")
+    return _unblock(stacks, blocks, m.shape[0])
 
 
 def _choi(s, d):
@@ -320,9 +422,12 @@ def _hermitian_eigvals(h):
     from one stacked ``eigvalsh`` per group of equal-size diagonal blocks."""
     if not h.size:
         raise ValueError("h is an empty (0x0) matrix: it has no eigenvalues")
-    hp = hermitian_part(h)
+    # the Hermitian part of each block is the block of hermitian_part(h),
+    # formed without a dense copy of h
+    stacks = (_block(h, idx) for idx in _diagonal_blocks(h))
     return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(_block(hp, idx)).ravel() for idx in _diagonal_blocks(hp)]))
+        [np.linalg.eigvalsh(0.5 * (s + s.conj().transpose(0, 2, 1))).ravel()
+         for s in stacks]))
 
 
 def min_eig(h):

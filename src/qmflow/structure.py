@@ -24,12 +24,17 @@ pinned by the maps themselves, so :func:`build_evans_hudson` measures them
 values, warning when a supplied table disagrees.
 
 A :class:`StructureMapSet` keeps its maps as dense matrices (they feed the
-exponentials, the Choi matrices, file output and the model digest) and
-builds one ``scipy.sparse`` CSR view of each when it is constructed. The
-checks in this module (unitality, conjugation, the product rule and the
-Ito calibration) apply the maps through those views, one product per map
-on all of its operands: the maps of chain models are a few percent
-nonzero or less.
+exponentials, the Choi matrices, file output and the model digest) and one
+``scipy.sparse`` CSR view of each. The checks in this module (unitality,
+conjugation, the product rule and the Ito calibration) apply the maps
+through those views, one product per map on all of its operands: the maps
+of chain models are a few percent nonzero or less (0.24-1.1% at 5 sites).
+:func:`build_evans_hudson` builds the maps CSR first, from the nonzero
+products of their Kronecker factors (``linalg._csr_commutator`` and
+``linalg._csr_dissipator``), calibrates on those views and then makes each
+dense map once from its view, with the bytes of the public dense builders.
+A set built from dense maps (a structure-map file) makes its views from
+them.
 """
 
 import warnings
@@ -42,12 +47,13 @@ import scipy.sparse
 from .linalg import (
     _apply_each,
     _block,
+    _csr_commutator,
+    _csr_dissipator,
     _diagonal_blocks,
     _draw_op,
     _superop_dim,
+    _todense,
     _transpose_perm,
-    commutator_map,
-    dissipator_map,
     hermitian_part,
     max_abs,
 )
@@ -120,11 +126,13 @@ class StructureMapSet:
             if m.shape != (d * d, d * d):
                 raise ValueError(
                     f"{name} must have shape {(d * d, d * d)}, got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, m)
         if _views is None:
             _views = _csr_views(self.theta_minus, self.theta_zero, self.theta_plus)
+        # a view stores every entry of its map that is not 0, NaN included
+        for alpha, name in ((-1, "theta_minus"), (0, "theta_zero"), (1, "theta_plus")):
+            if not np.all(np.isfinite(_views[alpha].data)):
+                raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "csr", _views)
         resid = check_unital(self)
         if resid > UNITAL_TOL:
@@ -323,14 +331,11 @@ def build_evans_hudson(h, f, w_minus, w_plus, ito=None):
         h = hermitian_part(h)
     d = h.shape[0]
 
-    theta_plus = commutator_map(f)
-    theta_minus = commutator_map(f.conj().T)
-    theta_zero = (commutator_map(h)
-                  + dissipator_map(f, w_minus)
-                  + dissipator_map(f, w_plus, mirrored=True))
-
-    # the set validates the maps once, after they are calibrated
-    views = _csr_views(theta_minus, theta_zero, theta_plus)
+    views = {-1: _csr_commutator(f.conj().T),
+             0: (_csr_commutator(h)
+                 + _csr_dissipator(f, w_minus)
+                 + _csr_dissipator(f, w_plus, mirrored=True)),
+             1: _csr_commutator(f)}
     calibrated, _ = _calibrate_ito(views, d)
     if ito is not None:
         dev = max(abs(ito.c_mp - calibrated.c_mp), abs(ito.c_pm - calibrated.c_pm))
@@ -339,6 +344,13 @@ def build_evans_hudson(h, f, w_minus, w_plus, ito=None):
                 f"declared Ito constants ({ito.c_mp:.6g}, {ito.c_pm:.6g}) disagree "
                 f"with calibrated ({calibrated.c_mp:.6g}, {calibrated.c_pm:.6g}); "
                 "storing the calibrated values")
-    return StructureMapSet(dim=d, theta_minus=theta_minus,
-                           theta_zero=theta_zero, theta_plus=theta_plus,
-                           ito=calibrated, _views=views)
+    # Each dense map once, from its view; the set validates them. One
+    # allocation holds all three: a process that frees a model then frees
+    # one block of 3 d**4 entries, and glibc raises its heap trim threshold
+    # to twice that, so the d**2-row temporaries of later flow factors are
+    # reused from the heap instead of page-faulted in afresh.
+    zero = -1j * 0j   # a commutator map's entries off its view
+    theta_minus, theta_zero, theta_plus = _todense(
+        [views[-1], views[0], views[1]], [zero, None, zero])
+    return StructureMapSet(dim=d, theta_minus=theta_minus, theta_zero=theta_zero,
+                           theta_plus=theta_plus, ito=calibrated, _views=views)

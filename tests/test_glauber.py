@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qmflow.glauber
 from qmflow import (
     GlauberConfig,
     LABELS,
@@ -130,6 +131,60 @@ class TestSiteOperators:
         for r in (0, 4):
             with pytest.raises(ValueError, match="site"):
                 build_site_operator(cfg, r, 1, 1)
+
+
+_PROJ = {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])}    # onto spin up, down
+_FLIP = {1: np.array([[0.0, 1.0], [0.0, 0.0]]),              # |+><-|
+         -1: np.array([[0.0, 0.0], [1.0, 0.0]])}             # |-><+|
+
+
+def _kron_site_operator(n, r, eps, mu):
+    """The site-r term as the np.kron product of its site factors, summed
+    over the spin s at r after the flip."""
+    slot = r - 1
+    total = np.zeros((2 ** n, 2 ** n))
+    for s in (1, -1):
+        factors = [np.eye(2)] * n
+        factors[(slot - 1) % n] = _PROJ[eps * s]
+        factors[slot] = _FLIP[s]
+        factors[(slot + 1) % n] = _PROJ[mu * s]
+        term = factors[0]
+        for fac in factors[1:]:
+            term = np.kron(term, fac)
+        total = total + term
+    return total
+
+
+def _assert_index_built_equals_kron(cfg):
+    n = cfg.sites
+    sites = range(1, n + 1) if cfg.boundary == "periodic" else range(2, n)
+    for lab in LABELS:
+        eps, mu = _S[lab[0]], _S[lab[1]]
+        want = np.zeros((cfg.dim, cfg.dim))
+        for r in sites:
+            term = _kron_site_operator(n, r, eps, mu)
+            assert build_site_operator(cfg, r, eps, mu).tobytes() == term.tobytes()
+            want = want + term
+        assert build_F_lambda(cfg, eps, mu).tobytes() == want.tobytes(), lab
+
+
+class TestIndexBuiltOperators:
+    """F(label) comes from the basis-index bits; its bytes are those of the
+    np.kron product of the site factors."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_equals_kron_product(self, n, boundary):
+        _assert_index_built_equals_kron(
+            GlauberConfig.with_random_constants(sites=n, boundary=boundary, seed=0))
+
+    def test_flipped_neighbor_mask_fails(self, monkeypatch):
+        inner = qmflow.glauber._flip_entries
+        monkeypatch.setattr(qmflow.glauber, "_flip_entries",
+                            lambda cfg, r, eps, mu: inner(cfg, r, -eps, mu))
+        with pytest.raises(AssertionError):
+            _assert_index_built_equals_kron(
+                GlauberConfig.with_random_constants(sites=3, boundary="periodic", seed=0))
 
 
 class TestCollectiveOperators:

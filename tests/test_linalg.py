@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,7 +24,8 @@ from qmflow import (
     sandwich_map,
     vectorize,
 )
-from qmflow.linalg import _block_plan, _diagonal_blocks
+import qmflow.linalg
+from qmflow.linalg import _block, _block_plan, _diagonal_blocks, _hermitian_eigvals
 from conftest import random_op
 
 
@@ -168,6 +171,27 @@ class TestMatrixExponential:
             matrix_exponential(np.array([[np.inf]]))
         with pytest.raises(ValueError, match="finite"):
             matrix_exponential(np.eye(2), t=np.nan)
+
+
+    @pytest.mark.parametrize("m, t, message", [
+        # t * M itself overflows
+        (np.array([[2.0]]), 1e308, r"^t \* M overflows at t = 1e\+308: "),
+        # t * M is finite, its exponential is not (one block of two)
+        (np.diag([1.0, -1.0]), 1000.0, r"^exp\(t \* M\) overflows at t = 1000\.0: "),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]) + np.diag([0.0, 750.0]), 1.0,
+         r"^exp\(t \* M\) overflows at t = 1\.0: "),
+    ])
+    def test_refuses_overflow_naming_t(self, m, t, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # the error replaces numpy's warning
+            with pytest.raises(ValueError, match=message):
+                matrix_exponential(m, t)
+
+    def test_large_finite_exponential_allowed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = matrix_exponential(np.diag([1.0, -1.0]), 700.0)
+        assert np.all(np.isfinite(e)) and e[0, 0] == np.exp(700.0)
 
 
 def _choi_by_loop(s, d):
@@ -340,6 +364,20 @@ class TestDiagonalBlocks:
         assert min_eig(m) == evals[0]
         scale = max(1.0, float(np.max(np.abs(evals))))
         assert is_psd(m) == bool(evals[0] >= -1e-9 * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_block_sizes, _seeds)
+    def test_blockwise_hermitian_part_has_the_dense_bits(self, sizes, seed):
+        # the Hermitian part of each gathered block, never of the whole
+        # matrix, gives the bits of eigvalsh on blocks of hermitian_part(m)
+        m, _ = _permuted_blocks(sizes, seed)
+        hp = hermitian_part(m)
+        want = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(_block(hp, idx)).ravel() for idx in _diagonal_blocks(hp)]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qmflow.linalg, "hermitian_part", None)
+            got = _hermitian_eigvals(m)
+        assert got.tobytes() == want.tobytes()
 
     def test_isolated_negative_entry_is_found(self):
         # PSD 4x4 block plus one isolated diagonal entry -0.5, permuted

@@ -8,6 +8,8 @@ import pytest
 import scipy.sparse
 from numpy.testing import assert_allclose
 
+import qmflow.glauber
+import qmflow.linalg
 import qmflow.structure
 from qmflow import (
     GlauberConfig,
@@ -22,6 +24,7 @@ from qmflow import (
     check_conjugation,
     check_unital,
     commutator_map,
+    dissipator_map,
     flow_matrix_element,
     left_mul_map,
     leibnitz_residual,
@@ -66,6 +69,15 @@ class TestStructureMapSetValidation:
         with pytest.raises(ValueError, match="kill the identity"):
             StructureMapSet(dim=2, theta_minus=np.zeros((4, 4)),
                             theta_zero=eye4, theta_plus=np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("name", ["theta_minus", "theta_zero", "theta_plus"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, qubit_sm, name, bad):
+        # the check reads the CSR views, which store every entry that is not 0
+        m = getattr(qubit_sm, name).copy()
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            replace(qubit_sm, **{name: m})
 
     def test_bad_dimension_rejected(self, qubit_sm):
         with pytest.raises(ValueError, match="positive"):
@@ -477,6 +489,110 @@ class TestDenseOracle:
         for alpha, m in sm.maps().items():
             assert scipy.sparse.issparse(sm.csr[alpha])
             assert np.array_equal(sm.csr[alpha].toarray(), m)
+
+
+# --- the CSR-first build against the public dense builders -------------------
+
+_CHAINS = [(n, boundary, seed) for n in (3, 4, 5)
+           for boundary in ("periodic", "open") for seed in (0, 7)]
+
+
+def _chain_build(monkeypatch, n, boundary, seed):
+    """The chain's structure maps and the (h, f, w_minus, w_plus) that its
+    build_evans_hudson call was given."""
+    calls = []
+    inner = qmflow.glauber.build_evans_hudson
+
+    def recording(h, f, w_minus, w_plus, ito=None):
+        calls.append((h, f, w_minus, w_plus))
+        return inner(h, f, w_minus, w_plus, ito)
+
+    monkeypatch.setattr(qmflow.glauber, "build_evans_hudson", recording)
+    sm = build_glauber_structure_maps(
+        GlauberConfig.with_random_constants(sites=n, boundary=boundary, seed=seed))
+    monkeypatch.setattr(qmflow.glauber, "build_evans_hudson", inner)
+    (args,) = calls
+    return sm, args
+
+
+def _assert_maps_equal_dense_builders(monkeypatch, n, boundary, seed):
+    """Every map of the chain has the bytes (signed zeros included) of the
+    public dense builders, which are np.kron's."""
+    sm, (h, f, w_minus, w_plus) = _chain_build(monkeypatch, n, boundary, seed)
+    f = np.asarray(f, dtype=complex)
+    want = {-1: commutator_map(f.conj().T),
+            0: (commutator_map(h) + dissipator_map(f, w_minus)
+                + dissipator_map(f, w_plus, mirrored=True)),
+            1: commutator_map(f)}
+    for alpha, m in sm.maps().items():
+        assert m.tobytes() == want[alpha].tobytes(), alpha
+
+
+def _assert_views_canonical(sm):
+    """Each view is canonical CSR (columns strictly increasing in each
+    row), stores no zero, and equals csr_array of its dense map."""
+    n = sm.dim ** 2
+    for alpha, m in sm.maps().items():
+        v = sm.csr[alpha]
+        rows = np.repeat(np.arange(n), np.diff(v.indptr))
+        assert np.all(np.diff(rows * n + v.indices) > 0), alpha
+        assert np.all(v.data != 0), alpha
+        ref = scipy.sparse.csr_array(m)
+        assert np.array_equal(v.indptr, ref.indptr), alpha
+        assert np.array_equal(v.indices, ref.indices), alpha
+        assert v.data.tobytes() == ref.data.tobytes(), alpha
+
+
+def _diagonal_coupling_sm():
+    """A qubit model whose commutator maps cancel on their diagonal
+    (F has a diagonal), so dropping the zero entries matters."""
+    f = np.array([[0.5, 1.0], [0.0, -0.25]])
+    return build_evans_hudson(np.diag([0.3, -0.3]), f, 1.0, 0.5)
+
+
+def _csr_combine_keeping_zeros(n, terms, combine):
+    """linalg._csr_combine without dropping the entries that come out 0."""
+    keys = np.unique(np.concatenate([k for k, _ in terms]))
+    aligned = [np.zeros(keys.size, dtype=complex) for _ in terms]
+    for full, (k, v) in zip(aligned, terms):
+        full[np.searchsorted(keys, k)] = v
+    return scipy.sparse.csr_array((combine(*aligned), (keys // n, keys % n)), shape=(n, n))
+
+
+class TestCsrBuild:
+    """build_evans_hudson builds the maps as CSR first and each dense map
+    once from its view; the bytes are the dense builders'."""
+
+    @pytest.mark.parametrize("n, boundary, seed", _CHAINS)
+    def test_maps_equal_dense_builders_bytewise(self, monkeypatch, n, boundary, seed):
+        _assert_maps_equal_dense_builders(monkeypatch, n, boundary, seed)
+
+    # kron(a, b).T = kron(a.T, b.T) breaks the drift's product rule, so the
+    # calibration refuses it; kron(b, a) (the row-stacking convention) is a
+    # valid set, X -> theta(X.T).T, that only the byte oracle tells apart
+    @pytest.mark.parametrize("wrong, error", [
+        (lambda kron: lambda a, b: kron(a.T, b.T), ValueError),
+        (lambda kron: lambda a, b: kron(b, a), AssertionError),
+    ], ids=["transposed", "swapped-factors"])
+    def test_wrong_kron_fails_the_byte_oracle(self, monkeypatch, wrong, error):
+        monkeypatch.setattr(qmflow.linalg, "_coo_kron", wrong(qmflow.linalg._coo_kron))
+        with pytest.raises(error):
+            _assert_maps_equal_dense_builders(monkeypatch, 3, "periodic", 0)
+
+    @pytest.mark.parametrize("n, boundary, seed", _CHAINS)
+    def test_views_canonical_and_equal_to_csr_of_dense(self, monkeypatch, n, boundary, seed):
+        sm, _ = _chain_build(monkeypatch, n, boundary, seed)
+        _assert_views_canonical(sm)
+
+    def test_views_canonical_with_cancelling_entries(self):
+        _assert_views_canonical(_diagonal_coupling_sm())
+
+    def test_kept_zeros_fail_the_canonical_check(self, monkeypatch):
+        monkeypatch.setattr(qmflow.linalg, "_csr_combine", _csr_combine_keeping_zeros)
+        sm = _diagonal_coupling_sm()
+        assert np.any(sm.csr[1].data == 0)
+        with pytest.raises(AssertionError):
+            _assert_views_canonical(sm)
 
 
 # --- reports and adversaries --------------------------------------------------

@@ -551,6 +551,34 @@ class TestCli:
         assert code == 2
 
 
+class TestOverflowRefusals:
+    """A time whose exponential overflows is refused with exit 2 and a
+    message naming it, and no output file is written; run under
+    ``python -W error``, so numpy's overflow warning would fail the run."""
+
+    @pytest.mark.parametrize("command, args", [
+        ("evolve", ["--observable", "x.json", "--t", "1e308"]),
+        ("check-cp", ["--t", "1e308"]),
+        ("flow-element", ["--f", "f.json", "--g", "f.json", "--window", "1,1e308",
+                          "--observable", "x.json"]),
+    ])
+    def test_refused_under_warnings_as_errors(self, tmp_path, command, args):
+        save_json(operator_to_obj(np.eye(8)), tmp_path / "x.json")
+        save_json(step_function_to_obj(StepFunction.indicator(0.0, 1.0, 0.5)),
+                  tmp_path / "f.json")
+        src = str(Path(qmflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qmflow.cli", command, *args,
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "t = 1e+308" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
+
 class TestBlasThreads:
     def test_report_bytes_do_not_depend_on_the_thread_variables(self):
         # the package sets both variables to 1 when the caller left them
