@@ -21,10 +21,16 @@ joint properties of the four entries. The diagnostics in this module are
 the numerical versions of those properties, and every one of them acts
 through the one 2x2 table, never a (2d)**2-side superoperator: ``_table``
 builds a table entry by entry, ``_semigroup`` is the table of time-t maps
-exp(t L_ij) (and the one place a negative time is refused),
+exp(t L_ij) (``_time`` is the one place a negative time is refused),
 ``linalg._apply_grid`` applies a table to the blocks of an operator,
 ``_table_choi`` is a table's Choi matrix, and ``_unit_deviation`` measures
-how far a table is from sending the identity to fixed multiples of it.
+how far a table's images of the identity (``_unit_images``) are from
+fixed multiples of it. When the model has a sector basis
+(``structure._Sectors``, the periodic chain's), ``_semigroup`` assembles
+each entry in it, exponentiates it there in one call and maps it back,
+and ``_unit_images`` exponentiates only the trivial-character blocks that
+hold vec(1); every other model, and ``apply_extended`` always,
+exponentiates each entry as it is.
 ``generator_cp_min_eig`` decides complete positivity for every t, and the
 dissipativity form at every ampliation, from one eigenvalue of the
 generator with no exponential.
@@ -35,13 +41,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import MODES, point_generator
+from .flows import MODES, _generator_blocks, point_generator
 from .linalg import (
     _apply,
     _apply_grid,
     _choi,
+    _diagonal_blocks,
     _draw_op,
     _hermitian_choi,
+    _unblock,
     matrix_exponential,
     max_abs,
     min_eig,
@@ -180,32 +188,79 @@ def build_extended_generator(sm, mode="physical"):
     return ExtendedGenerator(source=sm, mode=mode)
 
 
-def _semigroup(gen, t):
-    """The table of time-t maps exp(t L_ij); refuses negative times."""
+def _time(t):
+    """t as a float; refuses negative times."""
     t = float(t)
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
+    return t
+
+
+def _entry_semigroup(gen, t):
+    """The table of time-t maps exp(t L_ij), each entry exponentiated as
+    it is."""
+    t = _time(t)
     return _table(lambda i, j: matrix_exponential(gen.block(i, j), t))
 
 
-def _unit_deviation(maps, scale, d):
-    """Worst relative deviation of a table from a profile of identities.
+def _semigroup(gen, t):
+    """The table of time-t maps exp(t L_ij) that the positivity test reads.
 
-    max over (i, j) of max_abs(map_ij(1) - c_ij 1) / max(1, |c_ij|) with
+    With the source's sector basis each entry is assembled in it,
+    exponentiated there in one call and turned back into the std basis,
+    0 off L_ij's diagonal blocks as the exact map is; otherwise it is
+    ``_entry_semigroup``.
+    """
+    sectors = gen.source._sectors
+    if sectors is None:
+        return _entry_semigroup(gen, t)
+    t, n = _time(t), gen.dim ** 2
+
+    def entry(i, j):
+        m = _unblock(_generator_blocks(sectors.stacks, i, j, gen.mode), sectors.plan, n)
+        return sectors.to_standard(matrix_exponential(m, t), _diagonal_blocks(gen.block(i, j)))
+
+    return _table(entry)
+
+
+def _unit_images(gen, t):
+    """The table of exp(t L_ij)(1). With the source's sector basis only
+    the blocks that vec(1) lies in are exponentiated, one call per entry."""
+    t = _time(t)
+    sectors = gen.source._sectors
+    if sectors is None:
+        eye = np.eye(gen.dim)
+        return _table(lambda i, j: _apply(matrix_exponential(gen.block(i, j), t), eye))
+    n = sectors.unit_one.size
+
+    def entry(i, j):
+        m = _unblock(_generator_blocks(sectors.unit_stacks, i, j, gen.mode),
+                     sectors.unit_plan, n)
+        return sectors.unit_image(matrix_exponential(m, t))
+
+    return _table(entry)
+
+
+def _unit_deviation(images, scale, d):
+    """Worst relative deviation of a table of images of the identity from
+    a profile of identities.
+
+    max over (i, j) of max_abs(images_ij - c_ij 1) / max(1, |c_ij|) with
     c = scale: how far map_ij is from sending the identity to c_ij times it.
     """
     eye = np.eye(d)
-    return max(max_abs(_apply(maps[i][j], eye) - scale[i][j] * eye)
+    return max(max_abs(images[i][j] - scale[i][j] * eye)
                / max(1.0, abs(scale[i][j])) for i in (0, 1) for j in (0, 1))
 
 
 def apply_extended(gen, t, x):
-    """Evolve a block operator: entry (i, j) goes through exp(t L_ij)."""
+    """Evolve a block operator: entry (i, j) goes through exp(t L_ij),
+    for every model the entry's own ``matrix_exponential``."""
     if not isinstance(x, BlockOp2):
         x = BlockOp2.from_full(x)
     if x.dim != gen.dim:
         raise ValueError(f"block dimension {x.dim} does not match generator dimension {gen.dim}")
-    return BlockOp2.from_full(_apply_grid(_semigroup(gen, t), gen.dim, x.block))
+    return BlockOp2.from_full(_apply_grid(_entry_semigroup(gen, t), gen.dim, x.block))
 
 
 def _table_choi(table, d):
@@ -243,7 +298,7 @@ def conservativity_residual(gen, t):
     Applies the conservative-normalization entries to the all-identity
     block operator and returns the max-abs deviation from it.
     """
-    return _unit_deviation(_semigroup(_in_mode(gen, "conservative"), t),
+    return _unit_deviation(_unit_images(_in_mode(gen, "conservative"), t),
                            ((1.0, 1.0), (1.0, 1.0)), gen.dim)
 
 
@@ -254,7 +309,7 @@ def normalization_residual(gen, t):
     identity; returns the worst blockwise max-abs deviation divided by
     max(1, |target|).
     """
-    return _unit_deviation(_semigroup(_in_mode(gen, "physical"), t),
+    return _unit_deviation(_unit_images(_in_mode(gen, "physical"), t),
                            ((1.0, 1.0), (1.0, float(np.exp(t)))), gen.dim)
 
 
@@ -264,7 +319,8 @@ def kappa_residual(gen):
     Returns the max-abs deviation of the physical generator applied to the
     all-identity block operator from [[0, 0], [0, identity]].
     """
-    return _unit_deviation(_in_mode(gen, "physical").entries,
+    entries, eye = _in_mode(gen, "physical").entries, np.eye(gen.dim)
+    return _unit_deviation(_table(lambda i, j: _apply(entries[i][j], eye)),
                            ((0.0, 0.0), (0.0, 1.0)), gen.dim)
 
 

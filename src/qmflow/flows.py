@@ -187,13 +187,18 @@ def point_generator(sm, f0, g0, mode="physical"):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    f0, g0 = complex(f0), complex(g0)
     plan, stacks = sm.blocks
+    return _unblock(_generator_blocks(stacks, f0, g0, mode), plan, sm.theta_zero.shape[0])
+
+
+def _generator_blocks(stacks, f0, g0, mode):
+    """The diagonal blocks of K(f0, g0) from the maps' stacks in one basis."""
+    f0, g0 = complex(f0), complex(g0)
     blocks = [zero + g0 * minus + np.conj(f0) * plus
               for zero, minus, plus in zip(stacks[0], stacks[-1], stacks[1])]
     if mode == "physical":
         blocks = [k + (np.conj(f0) * g0) * np.eye(k.shape[-1]) for k in blocks]
-    return _unblock(blocks, plan, sm.theta_zero.shape[0])
+    return blocks
 
 
 def _factor(sm, f0, g0, length, mode):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitian_part
-from .structure import build_evans_hudson
+from .structure import _cyclic_shift, build_evans_hudson
 
 __all__ = [
     "LABELS", "GlauberConfig", "default_constants",
@@ -188,17 +188,12 @@ def shift_matrix(n):
     """Permutation moving each site's spin one slot to the right (cyclic).
 
     Conjugating a site operator by this matrix advances its site index by
-    one, modulo the chain length.
+    one, modulo the chain length. Its permutation of the basis indices is
+    the one the sector basis of periodic chains is built from.
     """
     dim = 2 ** n
     u = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - k)) & 1 for k in range(n)]
-        shifted = [bits[-1]] + bits[:-1]
-        new = 0
-        for b in shifted:
-            new = (new << 1) | b
-        u[new, idx] = 1.0
+    u[_cyclic_shift(n), np.arange(dim)] = 1.0
     return u
 
 

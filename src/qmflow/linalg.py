@@ -49,11 +49,14 @@ Hermitian part of each gathered block, not of the whole matrix, and
 it refuses with the time in the message.
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
-blocks. Each model has one such basis (the components of the structure
-maps' union pattern, ``StructureMapSet.blocks``): every point generator is
-assembled in it and scattered once, and the flow layer's factors and window
-products stay stacks; only the generators and each finished window map
-are dense.
+blocks; ``_pattern_plan`` finds the plan from a list of nonzero positions
+with no dense pass. Flows use the components of the structure maps' union
+pattern (``StructureMapSet.blocks``): every point generator is assembled in
+it and scattered once, and the flow layer's factors and window products
+stay stacks; only the generators and each finished window map are dense.
+The extended exponentials use the model's sector basis instead when it
+has smaller blocks (the character basis of the periodic chain's shift and
+flip, ``structure._Sectors``).
 """
 
 import functools
@@ -333,10 +336,26 @@ def _diagonal_blocks(m):
 def _block_plan(n, packed):
     """``_diagonal_blocks`` of the n x n symmetric pattern packed in bytes."""
     pattern = np.unpackbits(np.frombuffer(packed, np.uint8), count=n * n).reshape(n, n)
+    return _components_plan(scipy.sparse.csr_array(pattern))
+
+
+def _pattern_plan(n, rows, cols):
+    """``_diagonal_blocks`` of an n x n array whose nonzero entries sit at
+    (rows, cols), from those positions alone: the same plan, bit for bit,
+    with no dense pass."""
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    # the CSR array that csr_array makes of the dense packed pattern
+    pattern = scipy.sparse.csr_array(
+        (np.ones(keys.size, np.uint8), (keys % n).astype(np.int32), indptr), shape=(n, n))
+    return _components_plan(pattern)
+
+
+def _components_plan(pattern):
+    """The plan of the connected components of a symmetric CSR pattern."""
     # the pattern is symmetric, so its strong components are its connected
     # components, found without the transpose a weak search makes
-    count, labels = connected_components(scipy.sparse.csr_array(pattern),
-                                         directed=True, connection="strong")
+    count, labels = connected_components(pattern, directed=True, connection="strong")
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")   # grouped by component
     starts = np.cumsum(sizes) - sizes

@@ -35,6 +35,22 @@ products of their Kronecker factors (``linalg._csr_commutator`` and
 dense map once from its view, with the bytes of the public dense builders.
 A set built from dense maps (a structure-map file) makes its views from
 them.
+
+Two bases, both built on first use from the views' stored positions,
+make the maps block diagonal. ``StructureMapSet.blocks`` holds the
+connected components of the maps' union pattern; the flow layer works in
+it. The sector basis (``_sector_basis``) is found from the maps alone:
+when d = 2**n, the cyclic shift of the n index bits and the flip of all
+bits are candidate symmetries, and each is accepted only if conjugation
+by it moves every map onto itself exactly, entry for entry. The
+character basis of the group they generate splits each orbit of vec
+indices into one column per character (Buca and Prosen, New J. Phys. 14,
+073007, 2012), and its blocks are the components of the orbit coupling
+within each character. It is used only when its largest block is smaller
+than the largest component: at 4 periodic sites 40 blocks of at most 22
+rows against one of 144; the open chain (the flip alone leaves 9 rows,
+as many as its largest component), the qubit and file models without the
+symmetry have none. The extended exponentials use it.
 """
 
 import warnings
@@ -49,11 +65,12 @@ from .linalg import (
     _block,
     _csr_commutator,
     _csr_dissipator,
-    _diagonal_blocks,
     _draw_op,
+    _pattern_plan,
     _superop_dim,
     _todense,
     _transpose_perm,
+    _unblock,
     hermitian_part,
     max_abs,
 )
@@ -161,16 +178,244 @@ class StructureMapSet:
         """
         return _block_basis(self)
 
+    @cached_property
+    def _sectors(self):
+        """The character basis of the maps' symmetries (``_Sectors``), built
+        on first use, or None when the set has none that splits its
+        largest block; the extended layer's exponentials use it."""
+        return _sector_basis(self)
+
 
 def _block_basis(sm):
     """``StructureMapSet.blocks`` of sm."""
-    union = (sm.theta_minus != 0) | (sm.theta_zero != 0) | (sm.theta_plus != 0)
-    plan = _diagonal_blocks(union)
+    plan = _pattern_plan(sm.dim ** 2, *_union_pattern(sm))
     stacks = {alpha: tuple(_block(m, idx) for idx in plan)
               for alpha, m in sm.maps().items()}
     for array in (*plan, *(s for group in stacks.values() for s in group)):
         array.flags.writeable = False
     return plan, stacks
+
+
+def _cyclic_shift(n):
+    """The basis-index permutation of n sites that moves each site's spin
+    one slot to the right, cyclically: index i goes to shift[i]. Slot k
+    (k = 0 the leftmost) is bit n - 1 - k of the index."""
+    idx = np.arange(2 ** n)
+    return (idx >> 1) | ((idx & 1) << (n - 1))
+
+
+def _symmetries(sm):
+    """The index permutations among the cyclic bit shift and the flip of
+    every bit (for dim = 2**n, n >= 1) that sm's maps are invariant under,
+    as (order, permutation) pairs; the trivial shift of one bit is not a
+    candidate. A permutation p of the basis indices acts on vec indices
+    as (i, j) -> (p[i], p[j]); it is accepted when it moves every view's
+    stored entries onto the same positions with the same values, exactly.
+    """
+    d = sm.dim
+    n = d.bit_length() - 1
+    if n < 1 or d != 1 << n:
+        return []
+    candidates = [(n, _cyclic_shift(n)), (2, np.arange(d) ^ (d - 1))]
+    views = []
+    for view in sm.csr.values():
+        rows = np.repeat(np.arange(d * d), np.diff(view.indptr))
+        nonzero = view.data != 0
+        views.append((rows[nonzero], view.indices[nonzero], view.data[nonzero]))
+
+    def invariant(vec):
+        for rows, cols, data in views:
+            keys, moved = rows * d * d + cols, vec[rows] * d * d + vec[cols]
+            a, b = np.argsort(keys), np.argsort(moved)
+            if not (np.array_equal(keys[a], moved[b]) and np.array_equal(data[a], data[b])):
+                return False
+        return True
+
+    return [(order, perm) for order, perm in candidates
+            if order > 1 and invariant(_vec_permutation(perm))]
+
+
+def _vec_permutation(perm):
+    """The vec-index permutation of X -> U X U* for the basis permutation
+    U e_i = e_perm[i]: vec index j*d + i goes to perm[j]*d + perm[i]."""
+    d = perm.size
+    return (perm[:, None] * d + perm[None, :]).ravel()
+
+
+@dataclass(frozen=True)
+class _Sectors:
+    """The character basis Q of a symmetry group G of a structure-map set.
+
+    Its columns are indexed by layout positions: the orbits of the vec
+    indices under G one after another, smaller orbits first, and within
+    an orbit O of size s its s characters chi that are trivial on O's
+    stabilizer. Column (O, chi) is the sum over w in O of
+    conj(chi(g_w)) e_w / sqrt(s), with g_w taking O's least index to w, so
+    Q is block diagonal in orbits; ``fourier`` holds its unitary s x s
+    blocks as (first position, (k, s, s) stack) per orbit size, rows in
+    ascending std order, and ``position`` the layout position of each std
+    index's row.
+
+    ``plan`` and ``stacks`` are as in ``StructureMapSet.blocks``, in layout
+    positions: the sector blocks and the stacks Q_b* theta Q_b. The
+    ``unit_*`` fields are the sector blocks that vec(1) lies in, all of
+    trivial character: their plan and stacks in local positions, vec(1)
+    in them, and for each std index its trivial column's local position
+    (-1 outside them) and 1 / sqrt of its orbit size.
+    """
+
+    plan: tuple
+    stacks: dict
+    position: np.ndarray
+    fourier: tuple
+    unit_plan: tuple
+    unit_stacks: dict
+    unit_one: np.ndarray
+    unit_local: np.ndarray
+    unit_scale: np.ndarray
+
+    def to_standard(self, m, plan):
+        """Q m Q* for an n x n array m in layout positions, 0 off the
+        diagonal blocks of the std plan. Each product with Q is one
+        batched product per orbit size."""
+        n = m.shape[0]
+        left, both = np.empty_like(m), np.empty_like(m)
+        for start, f in self.fourier:
+            k, s, _ = f.shape
+            rows = slice(start, start + k * s)
+            left[rows] = (f @ m[rows].reshape(k, s, n)).reshape(k * s, n)
+        for start, f in self.fourier:
+            k, s, _ = f.shape
+            cols = slice(start, start + k * s)
+            part = left[:, cols].reshape(n, k, s).transpose(1, 0, 2) @ f.conj().transpose(0, 2, 1)
+            both[:, cols] = part.transpose(1, 0, 2).reshape(n, k * s)
+        return _unblock([_block(both, self.position[idx]) for idx in plan], plan, n)
+
+    def unit_image(self, e):
+        """The operator exp(t L)(1), for e = exp(t L) on the unit blocks."""
+        vec = np.where(self.unit_local >= 0, (e @ self.unit_one)[self.unit_local], 0)
+        d = int(round(np.sqrt(vec.size)))
+        return (vec * self.unit_scale).reshape((d, d), order="F")
+
+
+def _sector_basis(sm):
+    """The character basis of sm's symmetries (``_symmetries``), or None
+    when there are none or when its largest block is not smaller than the
+    largest in ``sm.blocks``."""
+    found = _symmetries(sm)
+    if not found:
+        return None
+    d, n = sm.dim, sm.dim ** 2
+    # element a of G is prod_l g_l**a_l, kept as its vec permutation; the
+    # character a takes the value exp(2 pi i phase[a, b] / period) on b
+    orders = [order for order, _ in found]
+    period = int(np.prod(orders))
+    coords = np.array(list(np.ndindex(*orders)))
+    steps = [_vec_permutation(perm) for _, perm in found]
+    images = []
+    for a in coords:
+        vec = np.arange(n)
+        for step, power in zip(steps, a):
+            for _ in range(power):
+                vec = step[vec]
+        images.append(vec)
+    images = np.array(images)
+    phase = (coords * (period // np.array(orders))) @ coords.T % period
+
+    # orbits, the element taking each one's least index to each member, and
+    # the characters trivial on each one's stabilizer
+    least, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    size = np.bincount(orbit)
+    element = np.argmax(images[:, least[orbit]] == np.arange(n), axis=0)
+    stabilizer = images[:, least] == least
+    allowed = ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
+
+    # layout: orbits by size, then by least index; columns by character
+    order = np.argsort(size, kind="stable")
+    layout = np.lexsort((np.arange(n), np.argsort(order)[orbit]))
+    col_orbit, col_char = np.nonzero(allowed[order])
+    col_orbit = order[col_orbit]
+    column = np.full(allowed.shape, -1)
+    column[col_orbit, col_char] = np.arange(n)
+
+    # sector blocks: orbits coupled by a map, within each character
+    rows, cols = _union_pattern(sm)
+    pairs = np.unique(orbit[rows] * size.size + orbit[cols])
+    o1, o2 = np.divmod(pairs, size.size)
+    pair, char = np.nonzero(allowed[o1] & allowed[o2])
+    plan = _pattern_plan(n, column[o1[pair], char], column[o2[pair], char])
+    if plan[-1].shape[1] >= sm.blocks[0][-1].shape[1]:
+        return None
+
+    roots = np.exp(-2j * np.pi * np.arange(period) / period)
+    fourier, q_rows, q_cols = [], [], []
+    for s in np.unique(size):
+        span = np.flatnonzero(size[col_orbit] == s)
+        k = span.size // s
+        g = element[layout[span]].reshape(k, s, 1)
+        f = roots[phase[col_char[span].reshape(k, 1, s), g]] / np.sqrt(s)
+        fourier.append((int(span[0]), f))
+        q_rows.append(np.broadcast_to(layout[span].reshape(k, s, 1), f.shape).ravel())
+        q_cols.append(np.broadcast_to(span.reshape(k, 1, s), f.shape).ravel())
+    q = scipy.sparse.csr_array(
+        (np.concatenate([f.ravel() for _, f in fourier]),
+         (np.concatenate(q_rows), np.concatenate(q_cols))), shape=(n, n))
+    qh = q.conj().T.tocsr()
+
+    # each layout position's plan group, row in the group, slot in the row
+    group, row, slot = (np.empty(n, int) for _ in range(3))
+    for i, idx in enumerate(plan):
+        group[idx] = i
+        row[idx] = np.arange(idx.shape[0])[:, None]
+        slot[idx] = np.arange(idx.shape[1])
+    block = np.cumsum([0] + [idx.shape[0] for idx in plan])[group] + row
+    stacks = {}
+    for alpha, view in sm.csr.items():
+        sec = (qh @ view @ q).tocoo()
+        # entries between blocks are rounding on an exact 0: dropped
+        inside = block[sec.row] == block[sec.col]
+        r, c, v = sec.row[inside], sec.col[inside], sec.data[inside]
+        stacks[alpha] = tuple(np.zeros((idx.shape[0], idx.shape[1], idx.shape[1]), complex)
+                              for idx in plan)
+        for i, stack in enumerate(stacks[alpha]):
+            mine = group[r] == i
+            stack[row[r[mine]], slot[r[mine]], slot[c[mine]]] = v[mine]
+
+    # the unit blocks: those holding the trivial columns of diagonal orbits
+    diagonal = np.unique(orbit[np.arange(d) * (d + 1)])
+    trivial = column[diagonal, 0]
+    held = np.isin(block, block[trivial])
+    local = np.full(n, -1)
+    local[held] = np.arange(np.count_nonzero(held))
+    keep = [held[idx[:, 0]] for idx in plan]
+    unit_plan = tuple(local[idx[k]] for idx, k in zip(plan, keep) if k.any())
+    unit_stacks = {alpha: tuple(stack[k] for stack, k in zip(group_, keep) if k.any())
+                   for alpha, group_ in stacks.items()}
+    unit_one = np.zeros(np.count_nonzero(held))
+    unit_one[local[trivial]] = np.sqrt(size[diagonal])
+
+    sectors = _Sectors(plan=plan, stacks=stacks, position=np.argsort(layout),
+                       fourier=tuple(fourier), unit_plan=unit_plan, unit_stacks=unit_stacks,
+                       unit_one=unit_one, unit_local=local[column[orbit, 0]],
+                       unit_scale=1.0 / np.sqrt(size[orbit]))
+    for array in (sectors.position, *plan, *unit_plan, *(f for _, f in fourier),
+                  *(s for group_ in (*stacks.values(), *unit_stacks.values()) for s in group_),
+                  sectors.unit_one, sectors.unit_local, sectors.unit_scale):
+        array.flags.writeable = False
+    return sectors
+
+
+def _union_pattern(sm):
+    """(rows, cols) of every position at which some map of sm is nonzero,
+    each once, read from the CSR views."""
+    n = sm.dim ** 2
+    keys = []
+    for view in sm.csr.values():
+        rows = np.repeat(np.arange(n), np.diff(view.indptr))
+        nonzero = view.data != 0
+        keys.append(rows[nonzero] * n + view.indices[nonzero])
+    keys = np.unique(np.concatenate(keys))
+    return keys // n, keys % n
 
 
 def _csr_views(theta_minus, theta_zero, theta_plus):

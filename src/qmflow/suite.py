@@ -445,13 +445,29 @@ _REGISTRY = (
 )
 
 
+def _refuse_overflowing_times(rc, *gens):
+    """Refuse the first grid time t at which t * L_ij has a non-finite entry
+    for some entry of the generators: the time at which ``matrix_exponential``
+    would refuse it. Read from the entries' stored values, nothing is
+    exponentiated; t * z overflows for a complex z exactly when t times the
+    largest real or imaginary magnitude does."""
+    size = max(max(max_abs(m.real), max_abs(m.imag))
+               for gen in gens for row in gen.entries for m in row)
+    for t in rc.t_grid:
+        if not np.isfinite(t * size):
+            raise ValueError(f"t * M overflows at t = {t!r}: the generator "
+                             "is too large for this time")
+
+
 def run_suite(rc, groups=None):
     """Execute the registered checks and collect a report.
 
     groups, when given, restricts to a subset of {"structure", "extended",
     "flow"}. Construction failures become failing records instead of
     exceptions, so a bad model still yields a report (and a nonzero exit
-    downstream).
+    downstream). With the extended group, a grid time at which an entry
+    of the generator times t overflows is refused with a ValueError before
+    any group runs.
     """
     wanted = set(groups) if groups else {name for name, _ in _REGISTRY}
     unknown = wanted - {name for name, _ in _REGISTRY}
@@ -466,6 +482,8 @@ def run_suite(rc, groups=None):
         records.append(CheckRecord(name="model-construction", kind="error",
                                    passed=False, message=str(exc)))
     else:
+        if "extended" in wanted:
+            _refuse_overflowing_times(rc, ctx["gen_phys"], ctx["gen_cons"])
         for name, check in _REGISTRY:
             if name not in wanted:
                 continue

@@ -29,7 +29,7 @@ from qmflow import (
 )
 from qmflow import flows, structure
 from qmflow.flows import _as_step, _evolution_maps, _segments
-from qmflow.linalg import _unblock, max_abs
+from qmflow.linalg import _block, _diagonal_blocks, _unblock, max_abs
 from qmflow.suite import _random_step, _split_pieces
 
 
@@ -253,6 +253,21 @@ class TestBlockBasis:
         # the maps are block diagonal in the basis: their stacks hold every entry
         for alpha, m in sm.maps().items():
             assert np.array_equal(_unblock(stacks[alpha], plan, n), m)
+
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm", "periodic4_sm"])
+    def test_basis_from_views_is_the_dense_union_basis(self, request, model):
+        # the plan from the views' stored positions and the stacks gathered
+        # by it have the bytes of the plan of the dense union pattern
+        sm = request.getfixturevalue(model)
+        union = (sm.theta_minus != 0) | (sm.theta_zero != 0) | (sm.theta_plus != 0)
+        want = _diagonal_blocks(union)
+        plan, stacks = structure._block_basis(sm)
+        assert len(plan) == len(want)
+        for got, idx in zip(plan, want):
+            assert got.dtype == idx.dtype and np.array_equal(got, idx)
+        for alpha, m in sm.maps().items():
+            for stack, idx in zip(stacks[alpha], want):
+                assert stack.tobytes() == _block(m, idx).tobytes()
 
     def test_one_component_is_one_block(self, qubit_sm):
         plan, stacks = qubit_sm.blocks

@@ -217,6 +217,19 @@ class TestCollectiveOperators:
             # the labeled dictionary agrees with direct construction
             assert np.array_equal(ops["pm"], build_F_lambda(cfg, 1, -1))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shift_matrix_bits(self, n):
+        # the matrix from the index bits, built one index at a time
+        dim = 2 ** n
+        want = np.zeros((dim, dim))
+        for idx in range(dim):
+            bits = [(idx >> (n - 1 - k)) & 1 for k in range(n)]
+            new = 0
+            for b in [bits[-1]] + bits[:-1]:
+                new = (new << 1) | b
+            want[new, idx] = 1.0
+        assert shift_matrix(n).tobytes() == want.tobytes()
+
     def test_translation_covariance(self):
         n = 4
         cfg = GlauberConfig.with_random_constants(sites=n, boundary="periodic", seed=5)

@@ -561,6 +561,7 @@ class TestOverflowRefusals:
         ("check-cp", ["--t", "1e308"]),
         ("flow-element", ["--f", "f.json", "--g", "f.json", "--window", "1,1e308",
                           "--observable", "x.json"]),
+        ("suite", ["--t", "0.5,1e308"]),
     ])
     def test_refused_under_warnings_as_errors(self, tmp_path, command, args):
         save_json(operator_to_obj(np.eye(8)), tmp_path / "x.json")
@@ -577,6 +578,40 @@ class TestOverflowRefusals:
         assert proc.stderr.startswith("error: ") and "t = 1e+308" in proc.stderr
         assert "Warning" not in proc.stderr
         assert not out.exists()
+
+
+class TestSuiteGridRefusal:
+    """The suite refuses a grid time at which t * L_ij overflows before
+    any group runs, from the entries alone."""
+
+    def test_refused_before_any_group(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qmflow.suite, "check_unital", lambda sm: calls.append("unital"))
+        monkeypatch.setattr(qmflow.extended, "matrix_exponential",
+                            lambda m, t=1.0: calls.append("expm"))
+        rc = parse_config({"t_grid": [0.5, 1e308, 1.5e308]})
+        with pytest.raises(ValueError, match=r"^t \* M overflows at t = 1e\+308: "):
+            run_suite(rc)
+        with pytest.raises(ValueError, match=r"t = 1e\+308"):
+            run_suite(rc, groups=("extended",))
+        assert calls == []
+
+    def test_the_bar_is_the_exponential_s(self):
+        rc = parse_config({"t_grid": [1e308]})
+        gen = build_extended_generator(build_model(rc), "conservative")
+        with pytest.raises(ValueError, match=r"t = 1e\+308"):
+            matrix_exponential(gen.block(1, 1), 1e308)
+        # the largest time the entries allow runs: the group reports a
+        # failing exponential, not a refusal
+        size = max(max(np.max(np.abs(m.real)), np.max(np.abs(m.imag)))
+                   for row in gen.entries for m in row)
+        t = np.finfo(float).max / size
+        report = run_suite(parse_config({"t_grid": [float(t)]}), groups=("extended",))
+        assert [r.name for r in report.records] == ["extended-group"]
+
+    def test_structure_group_ignores_the_grid(self):
+        report = run_suite(parse_config({"t_grid": [1e308]}), groups=("structure",))
+        assert report.passed
 
 
 class TestBlasThreads:
