@@ -217,11 +217,7 @@ def _symmetries(sm):
     if n < 1 or d != 1 << n:
         return []
     candidates = [(n, _cyclic_shift(n)), (2, np.arange(d) ^ (d - 1))]
-    views = []
-    for view in sm.csr.values():
-        rows = np.repeat(np.arange(d * d), np.diff(view.indptr))
-        nonzero = view.data != 0
-        views.append((rows[nonzero], view.indices[nonzero], view.data[nonzero]))
+    views = _stored_entries(sm)
 
     def invariant(vec):
         for rows, cols, data in views:
@@ -405,16 +401,21 @@ def _sector_basis(sm):
     return sectors
 
 
+def _stored_entries(sm):
+    """(rows, cols, values) of the nonzero entries each CSR view stores."""
+    out = []
+    for view in sm.csr.values():
+        rows = np.repeat(np.arange(view.shape[0]), np.diff(view.indptr))
+        nonzero = view.data != 0
+        out.append((rows[nonzero], view.indices[nonzero], view.data[nonzero]))
+    return out
+
+
 def _union_pattern(sm):
     """(rows, cols) of every position at which some map of sm is nonzero,
     each once, read from the CSR views."""
     n = sm.dim ** 2
-    keys = []
-    for view in sm.csr.values():
-        rows = np.repeat(np.arange(n), np.diff(view.indptr))
-        nonzero = view.data != 0
-        keys.append(rows[nonzero] * n + view.indices[nonzero])
-    keys = np.unique(np.concatenate(keys))
+    keys = np.unique(np.concatenate([rows * n + cols for rows, cols, _ in _stored_entries(sm)]))
     return keys // n, keys % n
 
 
