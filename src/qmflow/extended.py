@@ -21,16 +21,15 @@ joint properties of the four entries. The diagnostics in this module are
 the numerical versions of those properties, and every one of them acts
 through the one 2x2 table, never a (2d)**2-side superoperator: ``_table``
 builds a table entry by entry, ``_semigroup`` is the table of time-t maps
-exp(t L_ij) (``_time`` is the one place a negative time is refused),
-``linalg._apply_grid`` applies a table to the blocks of an operator,
-``_table_choi`` is a table's Choi matrix, and ``_unit_deviation`` measures
-how far a table's images of the identity (``_unit_images``) are from
-fixed multiples of it. When the model has a sector basis
-(``structure._Sectors``, the periodic chain's), ``_semigroup`` assembles
-each entry in it, exponentiates it there in one call and maps it back,
-and ``_unit_images`` exponentiates only the trivial-character blocks that
-hold vec(1); every other model, and ``apply_extended`` always,
-exponentiates each entry as it is.
+exp(t L_ij) (``_time`` is the one place a non-finite or negative time is
+refused), ``linalg._apply_grid`` applies a table to the blocks of an
+operator, ``_table_choi`` is a table's Choi matrix, and ``_unit_deviation``
+measures how far a table's images of the identity (``_unit_images``) are
+from fixed multiples of it. Exponentials and resolvents are computed in
+the model's one sector basis (``structure._Sectors``): ``_semigroup``
+exponentiates each entry there in one call and maps it back,
+``_unit_images`` only the blocks that hold vec(1), and
+``resolvent_generator`` solves each entry block by block.
 ``generator_cp_min_eig`` decides complete positivity for every t, and the
 dissipativity form at every ampliation, from one eigenvalue of the
 generator with no exponential.
@@ -189,32 +188,22 @@ def build_extended_generator(sm, mode="physical"):
 
 
 def _time(t):
-    """t as a float; refuses negative times."""
+    """t as a float; refuses non-finite and negative times."""
     t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     return t
 
 
-def _entry_semigroup(gen, t):
-    """The table of time-t maps exp(t L_ij), each entry exponentiated as
-    it is."""
-    t = _time(t)
-    return _table(lambda i, j: matrix_exponential(gen.block(i, j), t))
-
-
 def _semigroup(gen, t):
-    """The table of time-t maps exp(t L_ij) that the positivity test reads.
+    """The table of time-t maps exp(t L_ij).
 
-    With the source's sector basis each entry is assembled in it,
-    exponentiated there in one call and turned back into the std basis,
-    0 off L_ij's diagonal blocks as the exact map is; otherwise it is
-    ``_entry_semigroup``.
+    Each entry is assembled in the source's ``_Sectors``, exponentiated there in one call and turned back into the std basis,
+    0 off L_ij's diagonal blocks as the exact map is.
     """
-    sectors = gen.source._sectors
-    if sectors is None:
-        return _entry_semigroup(gen, t)
-    t, n = _time(t), gen.dim ** 2
+    sectors, t, n = gen.source._sectors, _time(t), gen.dim ** 2
 
     def entry(i, j):
         m = _unblock(_generator_blocks(sectors.stacks, i, j, gen.mode), sectors.plan, n)
@@ -224,13 +213,9 @@ def _semigroup(gen, t):
 
 
 def _unit_images(gen, t):
-    """The table of exp(t L_ij)(1). With the source's sector basis only
-    the blocks that vec(1) lies in are exponentiated, one call per entry."""
-    t = _time(t)
-    sectors = gen.source._sectors
-    if sectors is None:
-        eye = np.eye(gen.dim)
-        return _table(lambda i, j: _apply(matrix_exponential(gen.block(i, j), t), eye))
+    """The table of exp(t L_ij)(1): only the blocks that vec(1) lies in
+    are exponentiated, one call per entry."""
+    sectors, t = gen.source._sectors, _time(t)
     n = sectors.unit_one.size
 
     def entry(i, j):
@@ -254,13 +239,13 @@ def _unit_deviation(images, scale, d):
 
 
 def apply_extended(gen, t, x):
-    """Evolve a block operator: entry (i, j) goes through exp(t L_ij),
-    for every model the entry's own ``matrix_exponential``."""
+    """Evolve a block operator: entry (i, j) goes through exp(t L_ij)
+    (``_semigroup``)."""
     if not isinstance(x, BlockOp2):
         x = BlockOp2.from_full(x)
     if x.dim != gen.dim:
         raise ValueError(f"block dimension {x.dim} does not match generator dimension {gen.dim}")
-    return BlockOp2.from_full(_apply_grid(_entry_semigroup(gen, t), gen.dim, x.block))
+    return BlockOp2.from_full(_apply_grid(_semigroup(gen, t), gen.dim, x.block))
 
 
 def _table_choi(table, d):
@@ -372,9 +357,7 @@ def delta_sq_map(x):
 def delta_sq_semigroup(t, x):
     """exp(t delta^2 / 2): leaves diagonal blocks alone, damps the
     off-diagonal ones by e^(-t/2)."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
+    t = _time(t)
     if not isinstance(x, BlockOp2):
         x = BlockOp2.from_full(x)
     s = np.exp(-t / 2.0)
@@ -443,17 +426,24 @@ def resolvent_generator(gen, eps):
     Returns the regularized entries as ((r00, r01), (r10, r11)); they are
     not point generators, so they are not an ExtendedGenerator. They
     converge to the originals as eps -> 0 with first-order error in eps.
-    Raises when 1 - eps L is numerically singular for some entry.
+    Each entry is solved block by block in the source's ``_Sectors``.
+    Raises when 1 - eps L_ij is numerically singular: its largest singular
+    value over its smallest, across the blocks, exceeds 1e12.
     """
     eps = float(eps)
+    if not np.isfinite(eps):
+        raise ValueError(f"resolvent parameter must be finite, got {eps}")
     if eps <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
-    eye = np.eye(gen.dim ** 2)
+    sectors, n = gen.source._sectors, gen.dim ** 2
 
     def regularize(i, j):
-        a = eye - eps * gen.block(i, j)
-        if np.linalg.cond(a) > 1e12:
+        blocks = _generator_blocks(sectors.stacks, i, j, gen.mode)
+        a = [np.eye(b.shape[-1]) - eps * b for b in blocks]
+        sv = np.concatenate([np.linalg.svd(x, compute_uv=False).ravel() for x in a])
+        if sv.max() > 1e12 * sv.min():
             raise ValueError(f"resolvent parameter too large for entry ({i}, {j})")
-        return np.linalg.solve(a, gen.block(i, j))
+        r = _unblock([np.linalg.solve(x, b) for x, b in zip(a, blocks)], sectors.plan, n)
+        return sectors.to_standard(r, _diagonal_blocks(gen.block(i, j)))
 
     return _table(regularize)

@@ -54,9 +54,8 @@ with no dense pass. Flows use the components of the structure maps' union
 pattern (``StructureMapSet.blocks``): every point generator is assembled in
 it and scattered once, and the flow layer's factors and window products
 stay stacks; only the generators and each finished window map are dense.
-The extended exponentials use the model's sector basis instead when it
-has smaller blocks (the character basis of the periodic chain's shift and
-flip, ``structure._Sectors``).
+The extended layer uses the model's sector basis (``structure._Sectors``):
+these components, unless the periodic chain's shift and flip split them.
 """
 
 import functools

@@ -46,11 +46,12 @@ by it moves every map onto itself exactly, entry for entry. The
 character basis of the group they generate splits each orbit of vec
 indices into one column per character (Buca and Prosen, New J. Phys. 14,
 073007, 2012), and its blocks are the components of the orbit coupling
-within each character. It is used only when its largest block is smaller
-than the largest component: at 4 periodic sites 40 blocks of at most 22
-rows against one of 144; the open chain (the flip alone leaves 9 rows,
-as many as its largest component), the qubit and file models without the
-symmetry have none. The extended exponentials use it.
+within each character; it must split the largest component (at 4
+periodic sites 40 blocks of at most 22 rows against one of 144). Every
+other model gets the trivial group's basis from the same code, in which
+Q is the identity and the blocks are the components: the open chain (its
+flip leaves 9 rows, as many as its largest component), the qubit and file
+models without the symmetry. The extended layer works in this one basis.
 """
 
 import warnings
@@ -181,8 +182,8 @@ class StructureMapSet:
     @cached_property
     def _sectors(self):
         """The character basis of the maps' symmetries (``_Sectors``), built
-        on first use, or None when the set has none that splits its
-        largest block; the extended layer's exponentials use it."""
+        on first use; the trivial group's when the set has none that splits
+        its largest block. The extended layer works in it."""
         return _sector_basis(self)
 
 
@@ -240,7 +241,8 @@ def _vec_permutation(perm):
 
 @dataclass(frozen=True)
 class _Sectors:
-    """The character basis Q of a symmetry group G of a structure-map set.
+    """The character basis Q of a symmetry group G of a structure-map set;
+    for the trivial group Q is the identity.
 
     Its columns are indexed by layout positions: the orbits of the vec
     indices under G one after another, smaller orbits first, and within
@@ -273,19 +275,21 @@ class _Sectors:
     def to_standard(self, m, plan):
         """Q m Q* for an n x n array m in layout positions, 0 off the
         diagonal blocks of the std plan. Each product with Q is one
-        batched product per orbit size."""
-        n = m.shape[0]
-        left, both = np.empty_like(m), np.empty_like(m)
+        batched product per orbit size, on a copy of m; an orbit of size 1
+        has the Fourier block 1, so its rows and columns are kept."""
+        n, out = m.shape[0], m.copy()
         for start, f in self.fourier:
             k, s, _ = f.shape
-            rows = slice(start, start + k * s)
-            left[rows] = (f @ m[rows].reshape(k, s, n)).reshape(k * s, n)
+            if s > 1:
+                rows = slice(start, start + k * s)
+                out[rows] = (f @ out[rows].reshape(k, s, n)).reshape(k * s, n)
         for start, f in self.fourier:
             k, s, _ = f.shape
-            cols = slice(start, start + k * s)
-            part = left[:, cols].reshape(n, k, s).transpose(1, 0, 2) @ f.conj().transpose(0, 2, 1)
-            both[:, cols] = part.transpose(1, 0, 2).reshape(n, k * s)
-        return _unblock([_block(both, self.position[idx]) for idx in plan], plan, n)
+            if s > 1:
+                cols = slice(start, start + k * s)
+                part = out[:, cols].reshape(n, k, s).transpose(1, 0, 2) @ f.conj().transpose(0, 2, 1)
+                out[:, cols] = part.transpose(1, 0, 2).reshape(n, k * s)
+        return _unblock([_block(out, self.position[idx]) for idx in plan], plan, n)
 
     def unit_image(self, e):
         """The operator exp(t L)(1), for e = exp(t L) on the unit blocks."""
@@ -295,53 +299,52 @@ class _Sectors:
 
 
 def _sector_basis(sm):
-    """The character basis of sm's symmetries (``_symmetries``), or None
-    when there are none or when its largest block is not smaller than the
-    largest in ``sm.blocks``."""
-    found = _symmetries(sm)
-    if not found:
-        return None
+    """The character basis of sm's symmetries (``_symmetries``) when its
+    largest block is smaller than the largest in ``sm.blocks``; otherwise
+    that of the trivial group, whose Q is the identity and whose plan is
+    ``sm.blocks[0]``."""
     d, n = sm.dim, sm.dim ** 2
-    # element a of G is prod_l g_l**a_l, kept as its vec permutation; the
-    # character a takes the value exp(2 pi i phase[a, b] / period) on b
-    orders = [order for order, _ in found]
-    period = int(np.prod(orders))
-    coords = np.array(list(np.ndindex(*orders)))
-    steps = [_vec_permutation(perm) for _, perm in found]
-    images = []
-    for a in coords:
-        vec = np.arange(n)
-        for step, power in zip(steps, a):
-            for _ in range(power):
-                vec = step[vec]
-        images.append(vec)
-    images = np.array(images)
-    phase = (coords * (period // np.array(orders))) @ coords.T % period
-
-    # orbits, the element taking each one's least index to each member, and
-    # the characters trivial on each one's stabilizer
-    least, orbit = np.unique(images.min(axis=0), return_inverse=True)
-    size = np.bincount(orbit)
-    element = np.argmax(images[:, least[orbit]] == np.arange(n), axis=0)
-    stabilizer = images[:, least] == least
-    allowed = ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
-
-    # layout: orbits by size, then by least index; columns by character
-    order = np.argsort(size, kind="stable")
-    layout = np.lexsort((np.arange(n), np.argsort(order)[orbit]))
-    col_orbit, col_char = np.nonzero(allowed[order])
-    col_orbit = order[col_orbit]
-    column = np.full(allowed.shape, -1)
-    column[col_orbit, col_char] = np.arange(n)
-
-    # sector blocks: orbits coupled by a map, within each character
     rows, cols = _union_pattern(sm)
-    pairs = np.unique(orbit[rows] * size.size + orbit[cols])
-    o1, o2 = np.divmod(pairs, size.size)
-    pair, char = np.nonzero(allowed[o1] & allowed[o2])
-    plan = _pattern_plan(n, column[o1[pair], char], column[o2[pair], char])
-    if plan[-1].shape[1] >= sm.blocks[0][-1].shape[1]:
-        return None
+    for found in (_symmetries(sm), []):
+        # element a of G is prod_l g_l**a_l, kept as its vec permutation; the
+        # character a takes the value exp(2 pi i phase[a, b] / period) on b
+        orders = np.array([order for order, _ in found], dtype=int)
+        period = int(np.prod(orders))
+        coords = np.array(list(np.ndindex(*orders)), dtype=int)
+        steps = [_vec_permutation(perm) for _, perm in found]
+        images = []
+        for a in coords:
+            vec = np.arange(n)
+            for step, power in zip(steps, a):
+                for _ in range(power):
+                    vec = step[vec]
+            images.append(vec)
+        images = np.array(images)
+        phase = (coords * (period // orders)) @ coords.T % period
+
+        # orbits, the element taking each one's least index to each member,
+        # and the characters trivial on each one's stabilizer
+        least, orbit = np.unique(images.min(axis=0), return_inverse=True)
+        size = np.bincount(orbit)
+        element = np.argmax(images[:, least[orbit]] == np.arange(n), axis=0)
+        stabilizer = images[:, least] == least
+        allowed = ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
+
+        # layout: orbits by size, then by least index; columns by character
+        order = np.argsort(size, kind="stable")
+        layout = np.lexsort((np.arange(n), np.argsort(order)[orbit]))
+        col_orbit, col_char = np.nonzero(allowed[order])
+        col_orbit = order[col_orbit]
+        column = np.full(allowed.shape, -1)
+        column[col_orbit, col_char] = np.arange(n)
+
+        # sector blocks: orbits coupled by a map, within each character
+        pairs = np.unique(orbit[rows] * size.size + orbit[cols])
+        o1, o2 = np.divmod(pairs, size.size)
+        pair, char = np.nonzero(allowed[o1] & allowed[o2])
+        plan = _pattern_plan(n, column[o1[pair], char], column[o2[pair], char])
+        if not found or plan[-1].shape[1] < sm.blocks[0][-1].shape[1]:
+            break
 
     roots = np.exp(-2j * np.pi * np.arange(period) / period)
     fourier, q_rows, q_cols = [], [], []

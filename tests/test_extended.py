@@ -39,6 +39,8 @@ from qmflow import (
     vectorize,
 )
 from qmflow.extended import _semigroup
+from qmflow.flows import _generator_blocks
+from qmflow.suite import _RESOLVENT_EPS
 from conftest import random_op
 
 
@@ -435,6 +437,13 @@ class TestDelta:
         assert_allclose(out.x10, s * x.x10)
         assert_allclose(out.x11, x.x11)
 
+    @pytest.mark.parametrize("t, word", [(float("nan"), "finite"), (float("inf"), "finite"),
+                                         (-0.1, "nonnegative")])
+    def test_delta_sq_semigroup_refuses_bad_times(self, t, word):
+        x = BlockOp2.identity_pattern(2)
+        with pytest.raises(ValueError, match=f"^evolution time must be {word}, got {t}$"):
+            delta_sq_semigroup(t, x)
+
     def test_delta_sq_semigroup_composition(self):
         rng = np.random.default_rng(53)
         x = BlockOp2.from_full(random_op(rng, 4))
@@ -519,6 +528,50 @@ class TestResolvent:
         with pytest.raises(ValueError, match="positive"):
             resolvent_generator(qubit_gen_cons, -0.1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        gen = _chain_gen(3, "periodic", "conservative")
+        with pytest.raises(ValueError, match=f"^resolvent parameter must be finite, got {eps}$"):
+            resolvent_generator(gen, eps)
+
+    @pytest.mark.parametrize("sites, boundary", [(3, "periodic"), (4, "open")])
+    def test_singular_parameter_rejected_on_chains(self, sites, boundary):
+        # L_11(1) = 1, so 1 - L_11 is singular at eps = 1
+        with pytest.raises(ValueError, match=r"^resolvent parameter too large for entry \(1, 1\)$"):
+            resolvent_generator(_chain_gen(sites, boundary, "physical"), 1.0)
+
+    @pytest.mark.parametrize("sites, boundary", [(3, "periodic"), (4, "open")])
+    def test_block_condition_number_is_the_dense_one(self, sites, boundary):
+        # the basis is unitary and 1 - eps L_ij block diagonal in it, so the
+        # blocks' singular values are the dense matrix's
+        gen = _chain_gen(sites, boundary, "conservative")
+        eye = np.eye(gen.dim ** 2)
+        for eps in _RESOLVENT_EPS:
+            for i in (0, 1):
+                for j in (0, 1):
+                    blocks = _generator_blocks(gen.source._sectors.stacks, i, j, gen.mode)
+                    sv = np.concatenate([np.linalg.svd(np.eye(b.shape[-1]) - eps * b,
+                                                       compute_uv=False).ravel() for b in blocks])
+                    want = np.linalg.cond(eye - eps * gen.block(i, j))
+                    assert abs(sv.max() / sv.min() - want) <= 1e-12 * want, (eps, i, j)
+
+    @pytest.mark.parametrize("sites, boundary", [(3, "periodic"), (4, "open")])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_entries_match_the_dense_solve(self, sites, boundary, mode):
+        gen = _chain_gen(sites, boundary, mode)
+        eye = np.eye(gen.dim ** 2)
+        for eps in _RESOLVENT_EPS:
+            got = resolvent_generator(gen, eps)
+            for i in (0, 1):
+                for j in (0, 1):
+                    want = np.linalg.solve(eye - eps * gen.block(i, j), gen.block(i, j))
+                    assert max_abs(got[i][j] - want) <= 1e-13 * max(1.0, max_abs(want))
+
+
+def _chain_gen(sites, boundary, mode):
+    rc = parse_config({"model": {"glauber": {"sites": sites, "boundary": boundary}}})
+    return build_extended_generator(build_glauber_structure_maps(rc.glauber), mode)
+
 
 def _rk4_evolve(l, t, steps):
     # Fixed-step integration of dP/dt = P L from the identity; an
@@ -578,8 +631,10 @@ def _dissipativity_reference(gen, xs, level):
 
 
 class TestGridApplication:
-    """The extended semigroup and the dissipativity lift are bit-identical
-    to applying each entry through the public apply_superop block by block."""
+    """The dissipativity lift is bit-identical to applying each entry
+    through the public apply_superop block by block, and so is the
+    extended semigroup of a model without a splitting symmetry; a periodic
+    chain's is computed in its sector basis and agrees at rounding level."""
 
     @pytest.mark.parametrize("model", ["qubit_gen_phys", "glauber_gen_phys"])
     def test_apply_extended_bitwise_equal_to_reference(self, model, request):
@@ -587,10 +642,13 @@ class TestGridApplication:
         rng = np.random.default_rng(47)
         for t in (0.0, 0.3, 1.1):
             x = BlockOp2.from_full(random_op(rng, 2 * gen.dim, unit=False))
-            got = apply_extended(gen, t, x)
+            got = apply_extended(gen, t, x).as_full()
             want = np.block([[apply_superop(matrix_exponential(gen.block(i, j), t),
                                             x.block(i, j)) for j in (0, 1)] for i in (0, 1)])
-            assert np.array_equal(got.as_full(), want)
+            if model == "qubit_gen_phys":
+                assert np.array_equal(got, want)
+            else:
+                assert max_abs(got - want) <= 1e-14 * max(1.0, x.max_abs())
 
     # the form is computed at level 1 only; higher levels are decided by
     # generator_cp_min_eig (TestDissipativity.test_ampliated_level)

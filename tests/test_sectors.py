@@ -1,6 +1,7 @@
 """The character basis of the periodic chain's symmetries: detection from
-the maps, the extended exponentials computed in it, and the models that
-must keep the per-entry exponentials bit for bit."""
+the maps, the extended exponentials computed in it, and the trivial
+group's basis of every other model, which keeps the per-entry
+exponentials bit for bit."""
 
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from qmflow import (
     structure_maps_to_obj,
 )
 from qmflow import extended
-from qmflow.extended import _entry_semigroup, _semigroup, _table_choi, _unit_images
+from qmflow.extended import _semigroup, _table_choi, _unit_images
 from qmflow.linalg import _apply, _diagonal_blocks, _unblock
 from qmflow.structure import _cyclic_shift, _symmetries, _vec_permutation
 
@@ -69,6 +70,17 @@ def padded_choi_plan(table, d):
     return _diagonal_blocks(full)
 
 
+def assert_trivial_basis(sm):
+    """sm's block basis is the trivial group's: Q is the identity, each
+    index its own orbit, and the plan is sm.blocks[0]."""
+    sectors, n = sm._sectors, sm.dim ** 2
+    assert len(sectors.plan) == len(sm.blocks[0])
+    assert all(np.array_equal(a, b) for a, b in zip(sectors.plan, sm.blocks[0]))
+    assert np.array_equal(sectors.position, np.arange(n))
+    assert [f.shape for _, f in sectors.fourier] == [(n, 1, 1)]
+    assert np.all(sectors.fourier[0][1] == 1)
+
+
 def site_z_breaker(sm):
     """sm with -i [., sigma_z on site 1] added to theta_0: a Hermitian
     commutator term, so the set stays valid, on one site only."""
@@ -87,12 +99,13 @@ class TestDetection:
 
     def test_open_chain_has_the_flip_alone_and_no_sectors(self, open4):
         assert [order for order, _ in _symmetries(open4)] == [2]
-        # the flip leaves a 9-row block, as large as the largest component
-        assert open4._sectors is None
+        # the flip leaves a 9-row block, as large as the largest component,
+        # so the basis falls back to the trivial group
+        assert_trivial_basis(open4)
 
     def test_qubit_has_none(self, qubit_sm):
         assert _symmetries(qubit_sm) == []
-        assert qubit_sm._sectors is None
+        assert_trivial_basis(qubit_sm)
 
     @settings(max_examples=12, deadline=None)
     @given(sites=st.integers(3, 5),
@@ -119,12 +132,12 @@ class TestDetection:
         tz[r, c] = np.nextafter(tz[r, c].real, np.inf) + 1j * tz[r, c].imag
         broken = replace(periodic3, theta_zero=tz)
         assert _symmetries(broken) == []
-        assert broken._sectors is None
+        assert_trivial_basis(broken)
 
     def test_site_dependent_term_takes_the_entry_path(self, periodic4):
         bad = site_z_breaker(periodic4)
         assert _symmetries(bad) == []
-        assert bad._sectors is None
+        assert_trivial_basis(bad)
         gen = build_extended_generator(bad, "physical")
         eye = np.eye(bad.dim)
         for t in (0.1, 1.0):
@@ -133,7 +146,7 @@ class TestDetection:
                 for j in (0, 1):
                     want = matrix_exponential(gen.block(i, j), t)
                     assert np.array_equal(table[i][j], want)
-                    assert np.array_equal(images[i][j], _apply(want, eye))
+                    assert np.max(np.abs(images[i][j] - _apply(want, eye))) <= 1e-14
 
 
 class TestSectorBasis:
@@ -176,7 +189,9 @@ class TestSectorSemigroup:
         gen = build_extended_generator(sm, "physical")
         for t in DEFAULT_GRID:
             got = padded_choi_plan(_semigroup(gen, t), sm.dim)
-            want = padded_choi_plan(_entry_semigroup(gen, t), sm.dim)
+            # each entry's own exponential
+            want = padded_choi_plan([[matrix_exponential(gen.block(i, j), t) for j in (0, 1)]
+                                     for i in (0, 1)], sm.dim)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -208,9 +223,18 @@ class TestSectorSemigroup:
             with pytest.raises(ValueError, match="^evolution time must be nonnegative"):
                 fn(gen, -0.5)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_refused(self, periodic3, t):
+        gen = build_extended_generator(periodic3, "physical")
+        for fn in (_semigroup, _unit_images):
+            with pytest.raises(ValueError, match=f"^evolution time must be finite, got {t}$"):
+                fn(gen, t)
+
 
 class TestEntryPathUnchanged:
-    """Models without a splitting symmetry keep the per-entry exponentials."""
+    """Models without a splitting symmetry are exponentiated in the trivial
+    group's basis, which keeps the per-entry exponentials bit for bit; the
+    images of 1 come from the blocks that hold vec(1) alone."""
 
     @pytest.mark.parametrize("model", ["open4", "qubit_sm"])
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
@@ -224,7 +248,7 @@ class TestEntryPathUnchanged:
                 for j in (0, 1):
                     want = matrix_exponential(gen.block(i, j), t)
                     assert np.array_equal(table[i][j], want)
-                    assert np.array_equal(images[i][j], _apply(want, eye))
+                    assert np.max(np.abs(images[i][j] - _apply(want, eye))) <= 1e-14
 
 
 def test_chain_and_its_file_give_the_same_rows(tmp_path, periodic4):
