@@ -29,14 +29,23 @@ K(f0, g0) is block diagonal in it, and so are its exponentials and their
 products. ``point_generator`` is the one place that assembles K: it builds
 each diagonal block from the maps' stacks and scatters the blocks once
 into a d**2 x d**2 matrix. The extended semigroup's four entries, the
-suite's norm bound and every flow factor take it from there. A factor
-hands that matrix to ``matrix_exponential`` and gathers the exponential
-straight back into stacks. A window's product starts from its first factor
+suite's norm bound and every factor of a window map take it from there.
+A factor hands that matrix to ``matrix_exponential`` and gathers the
+exponential straight back into stacks. A window's product starts from its first factor
 and multiplies stack by stack; it is scattered into a dense matrix once,
 at the end. At 4 open sites the 256 rows split into blocks of 1, 3 and 9
 rows, so a product is three batched products of small blocks instead of
 one 256 x 256 product. A model with one component (such as the qubit) has
 one block covering every index.
+
+A window's image of the identity needs no window map: the generators keep
+the sector blocks that vec(1) lies in (``_Sectors.unit_stacks``, the
+blocks the extended layer's unit images use), so ``_unit_window_image``
+assembles each factor's generator on those blocks alone, exponentiates
+them with ``linalg._expm_stacks`` and multiplies the factors there. At 3
+periodic sites that is one block of 6 rows, at 4 periodic sites 23 of
+256 rows and at 5 periodic sites 52 of 1024. Both routines plan a
+window's segments with ``_window_plan``.
 """
 
 from collections import Counter
@@ -48,6 +57,7 @@ from .linalg import (
     _apply_grid,
     _as_operator,
     _block,
+    _expm_stacks,
     _unblock,
     apply_superop,
     matrix_exponential,
@@ -185,10 +195,14 @@ def point_generator(sm, f0, g0, mode="physical"):
     scattered once; the entries off the blocks are 0, as they are in every
     map.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     plan, stacks = sm.blocks
     return _unblock(_generator_blocks(stacks, f0, g0, mode), plan, sm.theta_zero.shape[0])
+
+
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _generator_blocks(stacks, f0, g0, mode):
@@ -221,24 +235,30 @@ def evolution_map(sm, f, g, start, end, mode="physical"):
     return _evolution_maps(sm, [(f, g, start, end)], mode)[0]
 
 
+def _window_plan(f, g, start, end):
+    """The segments of the window [start, end] in time order, as
+    (key, f0, g0, length): the functions' values on the segment and its
+    length, keyed by their exact bits."""
+    plan = []
+    for a, b in _segments(f, g, *_window_ends(start, end)):
+        mid = 0.5 * (a + b)
+        f0, g0 = f.value_at(mid), g.value_at(mid)
+        plan.append((np.array([f0, g0, b - a]).tobytes(), f0, g0, b - a))
+    return plan
+
+
 def _evolution_maps(sm, windows, mode="physical"):
     """evolution_map of each (f, g, start, end) window, as one batch.
 
-    Every segment is planned first, keyed by the exact bits of
-    (f0, g0, length), so equal keys give bit-identical factors. Each
-    distinct factor is then exponentiated once, multiplied in each
-    window's time order in the block basis and dropped after its last
-    use. A window's first factor is its running product until the second
-    is multiplied in; an empty window is the identity.
+    Every segment is planned first (``_window_plan``), so equal keys give
+    bit-identical factors. Each distinct factor is then exponentiated
+    once, multiplied in each window's time order in the block basis and
+    dropped after its last use. A window's first factor is its running
+    product until the second is multiplied in; an empty window is the
+    identity.
     """
-    plans = []
-    for f, g, start, end in windows:
-        plan = []
-        for a, b in _segments(f, g, *_window_ends(start, end)):
-            mid = 0.5 * (a + b)
-            f0, g0 = f.value_at(mid), g.value_at(mid)
-            plan.append((np.array([f0, g0, b - a]).tobytes(), f0, g0, b - a))
-        plans.append(plan)
+    _check_mode(mode)
+    plans = [_window_plan(*window) for window in windows]
     uses = Counter(key for plan in plans for key, *_ in plan)
     d2 = sm.theta_zero.shape[0]
     factors, maps = {}, []
@@ -255,6 +275,26 @@ def _evolution_maps(sm, windows, mode="physical"):
         maps.append(np.eye(d2, dtype=complex) if total is None
                     else _unblock(total, sm.blocks[0], d2))
     return maps
+
+
+def _unit_window_image(sm, f, g, start, end, mode="physical"):
+    """The window's image of the identity, the operator
+    ``_apply(evolution_map(sm, f, g, start, end, mode), 1)``, computed on
+    the sector blocks that vec(1) lies in (``_Sectors.unit_stacks``).
+
+    The window is planned as in ``_evolution_maps``; each segment's factor
+    is exponentiated on those blocks alone and the factors multiply in
+    time order. An empty window gives the identity.
+    """
+    _check_mode(mode)
+    sectors = sm._sectors
+    total = None
+    for _, f0, g0, length in _window_plan(f, g, start, end):
+        factor = _expm_stacks(_generator_blocks(sectors.unit_stacks, f0, g0, mode), length)
+        total = factor if total is None else [a @ b for a, b in zip(total, factor)]
+    if total is None:
+        return np.eye(sm.dim, dtype=complex)
+    return sectors.unit_image(_unblock(total, sectors.unit_plan, sectors.unit_one.size))
 
 
 def flow_matrix_element(sm, f, g, start, end, x, mode="physical"):

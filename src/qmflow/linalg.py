@@ -44,9 +44,12 @@ components (``_diagonal_blocks``, memoized per exact pattern) and solve
 each group of equal-size blocks in one stacked ``expm`` or ``eigvalsh``
 call. An input that is one block (any dense matrix) is a stack of one,
 which gives the same bits as the unstacked call. The eigensolves take the
-Hermitian part of each gathered block, not of the whole matrix, and
-``matrix_exponential`` checks the gathered stacks for an overflow, which
-it refuses with the time in the message.
+Hermitian part of each gathered block, not of the whole matrix.
+``_expm_stacks`` is the body of ``matrix_exponential``: it scales the
+gathered stacks by t, exponentiates each in one stacked call and refuses
+an overflow of either with the time in the message. The flow layer calls
+it directly on stacks it assembled itself (a window's image of the
+identity, on the sector blocks that hold vec(1)).
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
 blocks; ``_pattern_plan`` finds the plan from a list of nonzero positions
@@ -54,8 +57,9 @@ with no dense pass. Flows use the components of the structure maps' union
 pattern (``StructureMapSet.blocks``): every point generator is assembled in
 it and scattered once, and the flow layer's factors and window products
 stay stacks; only the generators and each finished window map are dense.
-The extended layer uses the model's sector basis (``structure._Sectors``):
-these components, unless the periodic chain's shift and flip split them.
+The extended layer and a window's image of the identity use the model's
+sector basis (``structure._Sectors``): these components, unless the
+periodic chain's shift and flip split them.
 """
 
 import functools
@@ -395,9 +399,18 @@ def matrix_exponential(m, t=1.0):
     if not np.isfinite(t):
         raise ValueError(f"time parameter must be finite, got {t}")
     blocks = _diagonal_blocks(m)
+    # each block is gathered, scaled and dropped in turn
+    return _unblock(_expm_stacks((_block(m, idx) for idx in blocks), t), blocks, m.shape[0])
+
+
+def _expm_stacks(stacks, t):
+    """The list of exp(t * S) for each (k, s, s) stack S of an iterable,
+    in one stacked ``scipy.linalg.expm`` call per stack, for a finite
+    float t; the overflow of t * S or of its exponential is refused as
+    ``matrix_exponential`` refuses it."""
     with np.errstate(over="ignore", invalid="ignore"):
         # the blocks of t * M, entry for entry t * m[i, j]
-        stacks = [t * _block(m, idx) for idx in blocks]
+        stacks = [t * s for s in stacks]
         if not all(np.all(np.isfinite(s)) for s in stacks):
             raise ValueError(f"t * M overflows at t = {t!r}: the generator "
                              "is too large for this time")
@@ -405,7 +418,7 @@ def matrix_exponential(m, t=1.0):
     if not all(np.all(np.isfinite(s)) for s in stacks):
         raise ValueError(f"exp(t * M) overflows at t = {t!r}: the semigroup "
                          "is not finite at this time")
-    return _unblock(stacks, blocks, m.shape[0])
+    return stacks
 
 
 def _choi(s, d):

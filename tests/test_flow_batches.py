@@ -28,8 +28,8 @@ from qmflow import (
     step_inner_product,
 )
 from qmflow import flows, structure
-from qmflow.flows import _as_step, _evolution_maps, _segments
-from qmflow.linalg import _block, _diagonal_blocks, _unblock, max_abs
+from qmflow.flows import _as_step, _evolution_maps, _segments, _unit_window_image, _window_plan
+from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock, max_abs
 from qmflow.suite import _random_step, _split_pieces
 
 
@@ -117,8 +117,25 @@ class TestBitIdentical:
 
 class TestCallCounts:
     def test_flow_group(self, expm_calls):
+        # the 924 factors of flow-unitality's 100 windows go through
+        # linalg._expm_stacks on the unit blocks, not matrix_exponential
         run_suite(parse_config({}), groups=("flow",))
-        assert len(expm_calls) == 2044
+        assert len(expm_calls) == 1120
+
+    def test_unitality_loop_makes_no_matrix_exponential_call(self, expm_calls, monkeypatch):
+        stacked = []
+        original = flows._expm_stacks
+        monkeypatch.setattr(flows, "_expm_stacks",
+                            lambda stacks, t: stacked.append(t) or original(stacks, t))
+        sm = build_glauber_structure_maps(parse_config({}).glauber)
+        rng = rng_for(0, "flow-unitality")
+        segments = 0
+        for _ in range(100):
+            f, g = _random_step(rng), _random_step(rng)
+            _unit_window_image(sm, f, g, 0.0, 2.0)
+            segments += len(_window_plan(f, g, 0.0, 2.0))
+        assert expm_calls == []
+        assert len(stacked) == segments == 924
 
     def test_composition_batch_one_call_per_distinct_key(self, glauber_sm, expm_calls):
         rng = rng_for(0, "flow-composition")
@@ -349,5 +366,63 @@ class TestMessages:
             schur_product_check(qubit_sm, [], [], 0.4, 0.3)
 
     def test_batch_routine_stays_private(self):
-        assert "_evolution_maps" not in flows.__all__
-        assert not hasattr(qmflow, "_evolution_maps")
+        for name in ("_evolution_maps", "_unit_window_image"):
+            assert name not in flows.__all__
+            assert not hasattr(qmflow, name)
+
+    @pytest.mark.parametrize("window", [(1.0, 1.0), (0.1, 1.8)], ids=["empty", "non-empty"])
+    def test_invalid_mode_refused_on_every_window(self, qubit_sm, window):
+        msg = r"^mode must be one of \('conservative', 'physical'\), got 'bogus'$"
+        with pytest.raises(ValueError, match=msg):
+            evolution_map(qubit_sm, F, G, *window, mode="bogus")
+        with pytest.raises(ValueError, match=msg):
+            flow_matrix_element(qubit_sm, F, G, *window, np.eye(2), mode="bogus")
+        with pytest.raises(ValueError, match=msg):
+            _evolution_maps(qubit_sm, [(F, G, 0.0, 1.0), (F, G, *window)], "bogus")
+        with pytest.raises(ValueError, match=msg):
+            _unit_window_image(qubit_sm, F, G, *window, mode="bogus")
+
+    def test_invalid_mode_refused_before_the_window(self, qubit_sm):
+        msg = r"^mode must be one of"
+        with pytest.raises(ValueError, match=msg):
+            evolution_map(qubit_sm, F, G, 1.0, 0.5, mode="bogus")
+        with pytest.raises(ValueError, match=msg):
+            _unit_window_image(qubit_sm, F, G, 1.0, 0.5, mode="bogus")
+
+
+@pytest.fixture(scope="module")
+def open3_sm():
+    """The 3-site open chain, whose sector basis is its block basis."""
+    return build_glauber_structure_maps(
+        parse_config({"model": {"glauber": {"sites": 3, "boundary": "open"}}}).glauber)
+
+
+class TestUnitWindowImage:
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open3_sm",
+                                       "periodic4_sm", "open4_sm"])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_equals_dense_image_of_the_identity(self, request, model, mode):
+        sm = request.getfixturevalue(model)
+        eye = np.eye(sm.dim)
+        for f, g, s, t in batch_windows():
+            want = _apply(reference_map(sm, f, g, s, t, mode), eye)
+            got = _unit_window_image(sm, f, g, s, t, mode)
+            scale = max(1.0, abs(np.exp(step_inner_product(f, g, window=(s, t)))))
+            assert max_abs(got - want) <= 1e-14 * scale, (s, t)
+
+    def test_empty_window_is_the_identity(self, glauber_sm):
+        got = _unit_window_image(glauber_sm, F, G, 1.2, 1.2)
+        assert got.dtype == complex and np.array_equal(got, np.eye(glauber_sm.dim))
+
+    @pytest.mark.parametrize("mode, value, end, msg", [
+        ("physical", 1e5, 1e305, r"^t \* M overflows at t = 1e\+305: "),
+        ("conservative", 1e5, 1e305, r"^t \* M overflows at t = 1e\+305: "),
+        ("physical", 30.0, 1.0, r"^exp\(t \* M\) overflows at t = 1\.0: "),
+    ])
+    def test_overflow_refused_as_evolution_map_refuses_it(self, glauber_sm, mode, value, end, msg):
+        f = StepFunction.indicator(0.0, end, value)
+        with pytest.raises(ValueError, match=msg) as dense:
+            evolution_map(glauber_sm, f, f, 0.0, end, mode)
+        with pytest.raises(ValueError, match=msg) as unit:
+            _unit_window_image(glauber_sm, f, f, 0.0, end, mode)
+        assert str(unit.value) == str(dense.value)

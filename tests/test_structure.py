@@ -615,7 +615,9 @@ class TestCsrBuild:
 # no flow-* record and no digest moved. It was re-pinned when the resolvent
 # was solved block by block in that basis: extended-resolvent-order moved
 # from 1.008535769247632 to 1.0085357692476498, and no other record moved.
-_DEFAULT_EXTENDED_FLOW_SHA = "e3c8b95d03d756f5064e997aa16e3319005db7a9ad31963927b254a87eae6769"
+# It was re-pinned when flow-unitality took each window's image of 1 on the
+# unit sector blocks: 3.1163084932107726e-15 to 2.27658459741775e-15.
+_DEFAULT_EXTENDED_FLOW_SHA = "1dd3cb2c31c805d9ff71b647fd4165a56e575e0352b02f808b2b301ecbcf9b77"
 
 
 def _derivation_breaker(sm, eps):
