@@ -32,6 +32,7 @@ from .serialize import (
 )
 from .suite import (
     _csv_text,
+    _refuse_overflowing_times,
     build_model,
     check_cp_rows,
     parse_config,
@@ -201,6 +202,7 @@ def _cmd_evolve(args):
     sm = build_model(rc)
     x = _load_observable(args.observable, sm)
     gen = build_extended_generator(sm, rc.mode)
+    _refuse_overflowing_times(rc, gen)
     evolved = [(t, apply_extended(gen, t, BlockOp2(x, x, x, x))) for t in rc.t_grid]
     blocks = [(i, j) for i in (0, 1) for j in (0, 1)]
     _emit(args, ("t", "block", "row", "col", "re", "im"),

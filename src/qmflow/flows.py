@@ -23,20 +23,21 @@ after its last use. A batch's maps are bit for bit the maps computed one
 window at a time.
 
 Generators, factors and products are computed in the model's block basis
-(``StructureMapSet.blocks``): the connected components of the union
-nonzero pattern of theta_0, theta_minus, theta_plus and the identity. Every
-K(f0, g0) is block diagonal in it, and so are its exponentials and their
-products. ``point_generator`` is the one place that assembles K: it builds
-each diagonal block from the maps' stacks and scatters the blocks once
-into a d**2 x d**2 matrix. The extended semigroup's four entries, the
-suite's norm bound and every factor of a window map take it from there.
-A factor hands that matrix to ``matrix_exponential`` and gathers the
-exponential straight back into stacks. A window's product starts from its first factor
-and multiplies stack by stack; it is scattered into a dense matrix once,
-at the end. At 4 open sites the 256 rows split into blocks of 1, 3 and 9
-rows, so a product is three batched products of small blocks instead of
-one 256 x 256 product. A model with one component (such as the qubit) has
-one block covering every index.
+(``StructureMapSet.blocks``, a ``structure._Sectors`` built from the CSR
+views): the connected components of the union nonzero pattern of theta_0,
+theta_minus, theta_plus and the identity. Every K(f0, g0) is block
+diagonal in it, and so are its exponentials and their products.
+``point_generator`` is the one place that assembles K: it builds each
+diagonal block from the maps' stacks and scatters the blocks once into a
+d**2 x d**2 matrix. The extended semigroup's four entries, the suite's
+norm bound and every factor of a window map take it from there. A factor
+hands that matrix to ``matrix_exponential`` and gathers the exponential
+straight back into stacks. A window's product starts from its first
+factor and multiplies stack by stack; it is scattered into a dense matrix
+once, at the end. At 4 open sites the 256 rows split into blocks of 1, 3
+and 9 rows, so a product is three batched products of small blocks
+instead of one 256 x 256 product. A model with one component (such as the
+qubit) has one block covering every index.
 
 A window's image of the identity needs no window map: the generators keep
 the sector blocks that vec(1) lies in (``_Sectors.unit_stacks``, the
@@ -196,8 +197,8 @@ def point_generator(sm, f0, g0, mode="physical"):
     map.
     """
     _check_mode(mode)
-    plan, stacks = sm.blocks
-    return _unblock(_generator_blocks(stacks, f0, g0, mode), plan, sm.theta_zero.shape[0])
+    basis = sm.blocks
+    return _unblock(_generator_blocks(basis.stacks, f0, g0, mode), basis.plan, sm.dim ** 2)
 
 
 def _check_mode(mode):
@@ -219,7 +220,7 @@ def _factor(sm, f0, g0, length, mode):
     """exp(length K(f0, g0)) as stacks in sm's block basis; the dense
     exponential is dropped as soon as it is gathered."""
     m = matrix_exponential(point_generator(sm, f0, g0, mode), length)
-    return tuple(_block(m, idx) for idx in sm.blocks[0])
+    return tuple(_block(m, idx) for idx in sm.blocks.plan)
 
 
 def evolution_map(sm, f, g, start, end, mode="physical"):
@@ -260,7 +261,7 @@ def _evolution_maps(sm, windows, mode="physical"):
     _check_mode(mode)
     plans = [_window_plan(*window) for window in windows]
     uses = Counter(key for plan in plans for key, *_ in plan)
-    d2 = sm.theta_zero.shape[0]
+    d2 = sm.dim ** 2
     factors, maps = {}, []
     for plan in plans:
         total = None
@@ -273,7 +274,7 @@ def _evolution_maps(sm, windows, mode="physical"):
             if not uses[key]:
                 del factors[key]
         maps.append(np.eye(d2, dtype=complex) if total is None
-                    else _unblock(total, sm.blocks[0], d2))
+                    else _unblock(total, sm.blocks.plan, d2))
     return maps
 
 

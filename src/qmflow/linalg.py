@@ -57,9 +57,10 @@ with no dense pass. Flows use the components of the structure maps' union
 pattern (``StructureMapSet.blocks``): every point generator is assembled in
 it and scattered once, and the flow layer's factors and window products
 stay stacks; only the generators and each finished window map are dense.
-The extended layer and a window's image of the identity use the model's
-sector basis (``structure._Sectors``): these components, unless the
-periodic chain's shift and flip split them.
+The extended layer and a window's image of the identity use the sector
+basis (``StructureMapSet._sectors``), ``blocks`` itself unless the periodic
+chain's shift and flip split them. ``structure._sector_basis`` builds both
+from the maps' CSR views.
 """
 
 import functools
@@ -226,15 +227,15 @@ def dissipator_map(l, w=1.0, mirrored=False):
     l : array, shape (d, d)
         Jump operator.
     w : float
-        Nonnegative weight. Negative weights are rejected: they flip the
-        sign of the dissipation and destroy positivity of the semigroup.
+        Finite, nonnegative weight. Negative weights are rejected: they
+        flip the sign of the dissipation and destroy positivity.
     mirrored : bool
         Exchange the roles of L and L*.
     """
     l = _as_square(l, "jump operator")
     w = float(w)
-    if w < 0:
-        raise ValueError(f"dissipator weight must be nonnegative, got {w}")
+    if not 0 <= w < np.inf:
+        raise ValueError(f"dissipator weight must be finite and nonnegative, got {w}")
     if mirrored:
         l = l.conj().T
     lsl = l.conj().T @ l
@@ -295,8 +296,8 @@ def _csr_dissipator(l, w=1.0, mirrored=False):
     stored entries computed as the dense builder computes them."""
     l = _as_square(l, "jump operator")
     w = float(w)
-    if w < 0:
-        raise ValueError(f"dissipator weight must be nonnegative, got {w}")
+    if not 0 <= w < np.inf:
+        raise ValueError(f"dissipator weight must be finite and nonnegative, got {w}")
     if mirrored:
         l = l.conj().T
     lsl = l.conj().T @ l

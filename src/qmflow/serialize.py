@@ -101,11 +101,9 @@ def operator_from_obj(obj):
 
 def superop_to_obj(m):
     m = np.asarray(m, dtype=complex)
-    d2 = m.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or d * d != d2:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or round(np.sqrt(m.shape[0])) ** 2 != m.shape[0]:
         raise ValueError(f"superoperator must be square with a square side, got {m.shape}")
-    return _matrix_to_obj(m, d2)
+    return _matrix_to_obj(m, m.shape[0])
 
 
 def superop_from_obj(obj):

@@ -23,35 +23,34 @@ pinned by the maps themselves, so :func:`build_evans_hudson` measures them
 (least squares over random operator pairs) and stores the calibrated
 values, warning when a supplied table disagrees.
 
-A :class:`StructureMapSet` keeps its maps as dense matrices (they feed the
-exponentials, the Choi matrices, file output and the model digest) and one
-``scipy.sparse`` CSR view of each. The checks in this module (unitality,
-conjugation, the product rule and the Ito calibration) apply the maps
-through those views, one product per map on all of its operands: the maps
-of chain models are a few percent nonzero or less (0.24-1.1% at 5 sites).
-:func:`build_evans_hudson` builds the maps CSR first, from the nonzero
-products of their Kronecker factors (``linalg._csr_commutator`` and
-``linalg._csr_dissipator``), calibrates on those views and then makes each
-dense map once from its view, with the bytes of the public dense builders.
-A set built from dense maps (a structure-map file) makes its views from
-them.
+A :class:`StructureMapSet` keeps its maps as dense matrices (file output
+and the report's model digest read them) and one ``scipy.sparse`` CSR view
+of each. The checks in this module (unitality, conjugation, the product
+rule and the Ito calibration) apply the maps through those views, one
+product per map on all of its operands: the maps of chain models are a few
+percent nonzero or less (0.24-1.1% at 5 sites). :func:`build_evans_hudson`
+builds the maps CSR first, from the nonzero products of their Kronecker
+factors (``linalg._csr_commutator`` and ``linalg._csr_dissipator``),
+calibrates on those views and then makes each dense map once from its
+view, with the bytes of the public dense builders. A set built from dense
+maps (a structure-map file) makes its views from them.
 
-Two bases, both built on first use from the views' stored positions,
-make the maps block diagonal. ``StructureMapSet.blocks`` holds the
-connected components of the maps' union pattern; the flow layer works in
-it. The sector basis (``_sector_basis``) is found from the maps alone:
-when d = 2**n, the cyclic shift of the n index bits and the flip of all
-bits are candidate symmetries, and each is accepted only if conjugation
-by it moves every map onto itself exactly, entry for entry. The
-character basis of the group they generate splits each orbit of vec
-indices into one column per character (Buca and Prosen, New J. Phys. 14,
-073007, 2012), and its blocks are the components of the orbit coupling
-within each character; it must split the largest component (at 4
-periodic sites 40 blocks of at most 22 rows against one of 144). Every
-other model gets the trivial group's basis from the same code, in which
-Q is the identity and the blocks are the components: the open chain (its
-flip leaves 9 rows, as many as its largest component), the qubit and file
-models without the symmetry. The extended layer works in this one basis.
+One constructor, ``_sector_basis``, builds on first use, from the views
+alone, the two bases in which the maps are block diagonal: each is the
+character basis Q of a symmetry group of the maps (a ``_Sectors``).
+``StructureMapSet.blocks`` is the trivial group's: Q is the identity and
+the blocks are the connected components of the maps' union pattern. The
+sector basis ``StructureMapSet._sectors`` is found from the maps: when
+d = 2**n, the cyclic shift of the n index bits and the flip of all bits
+are candidate symmetries, each accepted only if conjugation by it moves
+every map onto itself exactly, entry for entry. The character basis of
+the group they generate splits each orbit of vec indices into one column
+per character (Buca and Prosen, New J. Phys. 14, 073007, 2012), and its
+blocks are the components of the orbit coupling within each character.
+It must split the largest component (at 4 periodic sites 40 blocks of at
+most 22 rows against one of 144), or it is ``blocks`` itself: the open
+chain (its flip leaves 9 rows), the qubit, file models. The flow layer
+works in ``blocks``, the extended layer in the sector basis.
 """
 
 import warnings
@@ -163,38 +162,28 @@ class StructureMapSet:
 
     @cached_property
     def blocks(self):
-        """The block basis of every point generator, built on first use.
+        """The block basis of every point generator, built on first use:
+        the trivial group's ``_Sectors``, with Q the identity.
 
-        A pair (plan, stacks). The plan is a tuple of index arrays, one of
-        shape (k, s) per block size s, whose rows are the connected
-        components of the union nonzero pattern of the three maps and the
-        identity (which adds only diagonal entries); together they cover
-        every index, and a set with one component has the plan
-        (arange(dim**2)[None],). stacks[alpha] is the tuple of (k, s, s)
-        stacks of theta_alpha's diagonal blocks, one per plan entry. All
-        of these arrays are read-only. Every point generator, its
-        exponentials and their products are block diagonal in this basis;
-        ``flows.point_generator`` assembles each K(f0, g0) from these
-        stacks, for the flow factors and the extended entries alike.
+        Its plan's rows are the connected components of the union nonzero
+        pattern of the three maps and the identity (which adds only
+        diagonal entries); together they cover every index, and a set with
+        one component has the plan (arange(dim**2)[None],). Its stacks are
+        the maps' diagonal blocks, read from the CSR views. Every point
+        generator, its exponentials and their products are block diagonal
+        in this basis; ``flows.point_generator`` assembles each K(f0, g0)
+        from these stacks, for the flow factors and the extended entries
+        alike.
         """
-        return _block_basis(self)
+        return _sector_basis(self, [])
 
     @cached_property
     def _sectors(self):
         """The character basis of the maps' symmetries (``_Sectors``), built
-        on first use; the trivial group's when the set has none that splits
+        on first use; ``blocks`` itself when the set has none that splits
         its largest block. The extended layer works in it."""
-        return _sector_basis(self)
-
-
-def _block_basis(sm):
-    """``StructureMapSet.blocks`` of sm."""
-    plan = _pattern_plan(sm.dim ** 2, *_union_pattern(sm))
-    stacks = {alpha: tuple(_block(m, idx) for idx in plan)
-              for alpha, m in sm.maps().items()}
-    for array in (*plan, *(s for group in stacks.values() for s in group)):
-        array.flags.writeable = False
-    return plan, stacks
+        found = _symmetries(self)
+        return _sector_basis(self, found) if found else self.blocks
 
 
 def _cyclic_shift(n):
@@ -254,8 +243,9 @@ class _Sectors:
     ascending std order, and ``position`` the layout position of each std
     index's row.
 
-    ``plan`` and ``stacks`` are as in ``StructureMapSet.blocks``, in layout
-    positions: the sector blocks and the stacks Q_b* theta Q_b. The
+    ``plan`` holds the sector blocks in layout positions, one (k, s) index
+    array per block size s, and ``stacks[alpha]`` the (k, s, s) stacks
+    Q_b* theta_alpha Q_b, one per plan entry. The
     ``unit_*`` fields are the sector blocks that vec(1) lies in, all of
     trivial character: their plan and stacks in local positions, vec(1)
     in them, and for each std index its trivial column's local position
@@ -298,53 +288,52 @@ class _Sectors:
         return (vec * self.unit_scale).reshape((d, d), order="F")
 
 
-def _sector_basis(sm):
-    """The character basis of sm's symmetries (``_symmetries``) when its
-    largest block is smaller than the largest in ``sm.blocks``; otherwise
-    that of the trivial group, whose Q is the identity and whose plan is
-    ``sm.blocks[0]``."""
+def _sector_basis(sm, found):
+    """The character basis of the group generated by found, (order,
+    permutation) pairs from ``_symmetries``; for found = [] the trivial
+    group's. A found group whose plan does not split the largest block of
+    ``sm.blocks`` gives ``sm.blocks``, before Q or a stack is built."""
     d, n = sm.dim, sm.dim ** 2
     rows, cols = _union_pattern(sm)
-    for found in (_symmetries(sm), []):
-        # element a of G is prod_l g_l**a_l, kept as its vec permutation; the
-        # character a takes the value exp(2 pi i phase[a, b] / period) on b
-        orders = np.array([order for order, _ in found], dtype=int)
-        period = int(np.prod(orders))
-        coords = np.array(list(np.ndindex(*orders)), dtype=int)
-        steps = [_vec_permutation(perm) for _, perm in found]
-        images = []
-        for a in coords:
-            vec = np.arange(n)
-            for step, power in zip(steps, a):
-                for _ in range(power):
-                    vec = step[vec]
-            images.append(vec)
-        images = np.array(images)
-        phase = (coords * (period // orders)) @ coords.T % period
+    # element a of G is prod_l g_l**a_l, kept as its vec permutation; the
+    # character a takes the value exp(2 pi i phase[a, b] / period) on b
+    orders = np.array([order for order, _ in found], dtype=int)
+    period = int(np.prod(orders))
+    coords = np.array(list(np.ndindex(*orders)), dtype=int)
+    steps = [_vec_permutation(perm) for _, perm in found]
+    images = []
+    for a in coords:
+        vec = np.arange(n)
+        for step, power in zip(steps, a):
+            for _ in range(power):
+                vec = step[vec]
+        images.append(vec)
+    images = np.array(images)
+    phase = (coords * (period // orders)) @ coords.T % period
 
-        # orbits, the element taking each one's least index to each member,
-        # and the characters trivial on each one's stabilizer
-        least, orbit = np.unique(images.min(axis=0), return_inverse=True)
-        size = np.bincount(orbit)
-        element = np.argmax(images[:, least[orbit]] == np.arange(n), axis=0)
-        stabilizer = images[:, least] == least
-        allowed = ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
+    # orbits, the element taking each one's least index to each member,
+    # and the characters trivial on each one's stabilizer
+    least, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    size = np.bincount(orbit)
+    element = np.argmax(images[:, least[orbit]] == np.arange(n), axis=0)
+    stabilizer = images[:, least] == least
+    allowed = ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
 
-        # layout: orbits by size, then by least index; columns by character
-        order = np.argsort(size, kind="stable")
-        layout = np.lexsort((np.arange(n), np.argsort(order)[orbit]))
-        col_orbit, col_char = np.nonzero(allowed[order])
-        col_orbit = order[col_orbit]
-        column = np.full(allowed.shape, -1)
-        column[col_orbit, col_char] = np.arange(n)
+    # layout: orbits by size, then by least index; columns by character
+    order = np.argsort(size, kind="stable")
+    layout = np.lexsort((np.arange(n), np.argsort(order)[orbit]))
+    col_orbit, col_char = np.nonzero(allowed[order])
+    col_orbit = order[col_orbit]
+    column = np.full(allowed.shape, -1)
+    column[col_orbit, col_char] = np.arange(n)
 
-        # sector blocks: orbits coupled by a map, within each character
-        pairs = np.unique(orbit[rows] * size.size + orbit[cols])
-        o1, o2 = np.divmod(pairs, size.size)
-        pair, char = np.nonzero(allowed[o1] & allowed[o2])
-        plan = _pattern_plan(n, column[o1[pair], char], column[o2[pair], char])
-        if not found or plan[-1].shape[1] < sm.blocks[0][-1].shape[1]:
-            break
+    # sector blocks: orbits coupled by a map, within each character
+    pairs = np.unique(orbit[rows] * size.size + orbit[cols])
+    o1, o2 = np.divmod(pairs, size.size)
+    pair, char = np.nonzero(allowed[o1] & allowed[o2])
+    plan = _pattern_plan(n, column[o1[pair], char], column[o2[pair], char])
+    if found and plan[-1].shape[1] >= sm.blocks.plan[-1].shape[1]:
+        return sm.blocks
 
     roots = np.exp(-2j * np.pi * np.arange(period) / period)
     fourier, q_rows, q_cols = [], [], []
@@ -560,7 +549,7 @@ def build_evans_hudson(h, f, w_minus, w_plus, ito=None):
     f : array, shape (d, d)
         Coupling operator.
     w_minus, w_plus : float
-        Nonnegative dissipation weights.
+        Finite, nonnegative dissipation weights.
     ito : ItoTable, optional
         Declared Ito table. The constants actually stored are always the
         calibrated ones; a disagreeing declaration triggers a warning.

@@ -45,6 +45,7 @@ from .extended import (
 from .flows import (
     StepFunction,
     _evolution_maps,
+    _generator_blocks,
     _unit_window_image,
     kernel_cp_residual,
     point_generator,
@@ -448,11 +449,13 @@ _REGISTRY = (
 def _refuse_overflowing_times(rc, *gens):
     """Refuse the first grid time t at which t * L_ij has a non-finite entry
     for some entry of the generators: the time at which ``matrix_exponential``
-    would refuse it. Read from the entries' stored values, nothing is
-    exponentiated; t * z overflows for a complex z exactly when t times the
-    largest real or imaginary magnitude does."""
-    size = max(max(max_abs(m.real), max_abs(m.imag))
-               for gen in gens for row in gen.entries for m in row)
+    would refuse it. Read from the entries' diagonal blocks, which hold
+    every nonzero entry, nothing is exponentiated or made dense; t * z
+    overflows for a complex z exactly when t times the largest real or
+    imaginary magnitude does."""
+    size = max(max(max_abs(b.real), max_abs(b.imag)) for gen in gens
+               for i in (0, 1) for j in (0, 1)
+               for b in _generator_blocks(gen.source.blocks.stacks, i, j, gen.mode))
     for t in rc.t_grid:
         if not np.isfinite(t * size):
             raise ValueError(f"t * M overflows at t = {t!r}: the generator "
@@ -507,9 +510,11 @@ def check_cp_rows(rc):
 
     Returns (rows, passed): each row holds the Choi minimum eigenvalue,
     the conservative unit-block residual, and the physical unit-profile
-    residual at one grid time.
+    residual at one grid time. Overflowing grid times are refused first,
+    as ``run_suite`` refuses them.
     """
     ctx = _set_up({"rc": rc})
+    _refuse_overflowing_times(rc, ctx["gen_phys"], ctx["gen_cons"])
     rows = [{"t": cp.t, "choi_min_eig": cp.value,
              "conservativity_residual": consv.value,
              "normalization_residual": norm.value,

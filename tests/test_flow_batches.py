@@ -27,7 +27,7 @@ from qmflow import (
     schur_product_check,
     step_inner_product,
 )
-from qmflow import flows, structure
+from qmflow import extended, flows, structure
 from qmflow.flows import _as_step, _evolution_maps, _segments, _unit_window_image, _window_plan
 from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock, max_abs
 from qmflow.suite import _random_step, _split_pieces
@@ -262,7 +262,7 @@ class TestBlockBasis:
                                               ("open4_sm", [1, 3, 9])])
     def test_plan_covers_every_index_once(self, request, model, sizes):
         sm = request.getfixturevalue(model)
-        plan, stacks = sm.blocks
+        plan, stacks = sm.blocks.plan, sm.blocks.stacks
         n = sm.dim ** 2
         assert [idx.shape[1] for idx in plan] == sizes
         assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in plan])),
@@ -273,21 +273,24 @@ class TestBlockBasis:
 
     @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm", "periodic4_sm"])
     def test_basis_from_views_is_the_dense_union_basis(self, request, model):
-        # the plan from the views' stored positions and the stacks gathered
-        # by it have the bytes of the plan of the dense union pattern
+        # the plan from the views' stored positions has the bytes of the
+        # plan of the dense union pattern
         sm = request.getfixturevalue(model)
         union = (sm.theta_minus != 0) | (sm.theta_zero != 0) | (sm.theta_plus != 0)
         want = _diagonal_blocks(union)
-        plan, stacks = structure._block_basis(sm)
+        plan, stacks = sm.blocks.plan, sm.blocks.stacks
         assert len(plan) == len(want)
         for got, idx in zip(plan, want):
             assert got.dtype == idx.dtype and np.array_equal(got, idx)
+        # the stacks hold the dense blocks' values, not their bytes: they are
+        # read from the views, which store no zeros, so a commutator map's
+        # -0.0 (its -1j * 0j off the view) is +0.0 in its stack
         for alpha, m in sm.maps().items():
             for stack, idx in zip(stacks[alpha], want):
-                assert stack.tobytes() == _block(m, idx).tobytes()
+                assert np.array_equal(stack, _block(m, idx))
 
     def test_one_component_is_one_block(self, qubit_sm):
-        plan, stacks = qubit_sm.blocks
+        plan, stacks = qubit_sm.blocks.plan, qubit_sm.blocks.stacks
         assert len(plan) == 1
         assert np.array_equal(plan[0], np.arange(4)[None])
         assert np.array_equal(stacks[0][0][0], qubit_sm.theta_zero)
@@ -302,20 +305,26 @@ class TestBlockBasis:
             assert np.array_equal(evolution_map(open4_sm, f, g, s, t, mode), m), (s, t)
 
     def test_plan_built_once_per_model_never_for_structure(self, monkeypatch):
+        # every basis, the trivial group's included, is one _Sectors
         built = []
-        original = structure._block_basis
-        monkeypatch.setattr(structure, "_block_basis",
-                            lambda sm: built.append(sm) or original(sm))
+        original = structure._Sectors
+        monkeypatch.setattr(structure, "_Sectors",
+                            lambda **fields: built.append(fields) or original(**fields))
         run_suite(parse_config({}), groups=("structure",))
         assert built == []
+        # the periodic chain: its components and its sectors
         check_cp_rows(parse_config({"t_grid": [0.5, 1.0]}))
-        assert len(built) == 1
+        assert len(built) == 2
         sm = build_glauber_structure_maps(parse_config({}).glauber)
-        build_extended_generator(sm, "physical").entries
-        build_extended_generator(sm, "conservative").entries
+        for mode in ("physical", "conservative"):
+            extended._semigroup(build_extended_generator(sm, mode), 0.5)
         evolution_map(sm, F, G, 0.0, 1.0)
-        evolution_map(sm, G, F, 0.0, 1.0)
-        assert built[1:] == [sm]
+        _unit_window_image(sm, G, F, 0.0, 1.0)
+        assert len(built) == 4 and sm._sectors is not sm.blocks
+        # the open chain's flip does not split its components: one basis
+        rc = parse_config({"model": {"glauber": {"sites": 3, "boundary": "open"}}})
+        run_suite(rc, groups=("extended", "flow"))
+        assert len(built) == 5
 
 
 class TestMessages:

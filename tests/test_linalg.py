@@ -140,6 +140,15 @@ class TestDissipatorMap:
         with pytest.raises(ValueError, match="nonnegative"):
             dissipator_map(np.eye(2), -0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [dissipator_map, qmflow.linalg._csr_dissipator])
+    def test_non_finite_weight_rejected(self, build, w):
+        # refused by name before any product: no NaN map, no overflow warning
+        message = rf"^dissipator weight must be finite and nonnegative, got {w}$"
+        with pytest.raises(ValueError, match=message):
+            build(np.eye(2), w)
+
 
 class TestMatrixExponential:
     def test_nilpotent_exact(self):

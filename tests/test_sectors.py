@@ -71,11 +71,10 @@ def padded_choi_plan(table, d):
 
 
 def assert_trivial_basis(sm):
-    """sm's block basis is the trivial group's: Q is the identity, each
-    index its own orbit, and the plan is sm.blocks[0]."""
+    """sm's sector basis is the trivial group's, sm.blocks itself: Q is the
+    identity and each index its own orbit."""
     sectors, n = sm._sectors, sm.dim ** 2
-    assert len(sectors.plan) == len(sm.blocks[0])
-    assert all(np.array_equal(a, b) for a, b in zip(sectors.plan, sm.blocks[0]))
+    assert sectors is sm.blocks
     assert np.array_equal(sectors.position, np.arange(n))
     assert [f.shape for _, f in sectors.fourier] == [(n, 1, 1)]
     assert np.all(sectors.fourier[0][1] == 1)

@@ -73,6 +73,12 @@ class TestSuperopRoundtrip:
         s = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         assert np.array_equal(superop_from_obj(superop_to_obj(s)), s)
 
+    @pytest.mark.parametrize("to_obj, what", [(operator_to_obj, "operator"),
+                                              (superop_to_obj, "superoperator")])
+    def test_zero_dimensional_array_refused(self, to_obj, what):
+        with pytest.raises(ValueError, match=rf"^{what} must be square"):
+            to_obj(np.array(1.0))
+
     def test_side_must_be_perfect_square(self):
         with pytest.raises(ValueError, match="square side"):
             superop_to_obj(np.zeros((3, 3)))

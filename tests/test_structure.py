@@ -235,6 +235,15 @@ class TestBuildValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             build_evans_hudson(np.zeros((2, 2)), np.eye(2), -1.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, w):
+        # named as the weight, not as a map with non-finite entries
+        message = rf"^dissipator weight must be finite and nonnegative, got {w}$"
+        for weights in ((w, 0.0), (0.0, w)):
+            with pytest.raises(ValueError, match=message):
+                build_evans_hudson(np.zeros((2, 2)), np.eye(2), *weights)
+
 
 class TestConjugationDetector:
     def test_broken_pairing_detected(self):

@@ -609,6 +609,27 @@ class TestSuiteGridRefusal:
         report = run_suite(parse_config({"t_grid": [float(t)]}), groups=("extended",))
         assert [r.name for r in report.records] == ["extended-group"]
 
+    def test_check_cp_and_evolve_refuse_before_any_exponential(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # the first grid time fits, the second does not: no row of either
+        # command is computed, and each refuses with the suite's message
+        calls = []
+        monkeypatch.setattr(qmflow.extended, "_semigroup",
+                            lambda gen, t: calls.append(("semigroup", t)))
+        monkeypatch.setattr(qmflow.extended, "matrix_exponential",
+                            lambda m, t=1.0: calls.append(("expm", t)))
+        rc = parse_config({"t_grid": [0.5, 1e308]})
+        with pytest.raises(ValueError, match=r"^t \* M overflows at t = 1e\+308: ") as suite:
+            run_suite(rc)
+        with pytest.raises(ValueError) as cp:
+            check_cp_rows(rc)
+        assert str(cp.value) == str(suite.value)
+        save_json(operator_to_obj(np.eye(8)), tmp_path / "x.json")
+        code, out, err = _run(capsys, ["evolve", "--observable", str(tmp_path / "x.json"),
+                                       "--t", "0.5,1e308"])
+        assert (code, out, err) == (2, "", f"error: {suite.value}\n")
+        assert calls == []
+
     def test_structure_group_ignores_the_grid(self):
         report = run_suite(parse_config({"t_grid": [1e308]}), groups=("structure",))
         assert report.passed
