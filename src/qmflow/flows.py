@@ -22,22 +22,32 @@ Windows are evaluated in batches: a factor is keyed by the exact bits of
 after its last use. A batch's maps are bit for bit the maps computed one
 window at a time.
 
-Generators, factors and products are computed in the model's block basis
+Generators are assembled in the model's block basis
 (``StructureMapSet.blocks``, a ``structure._Sectors`` built from the CSR
 views): the connected components of the union nonzero pattern of theta_0,
 theta_minus, theta_plus and the identity. Every K(f0, g0) is block
 diagonal in it, and so are its exponentials and their products.
-``point_generator`` is the one place that assembles K: it builds each
-diagonal block from the maps' stacks and scatters the blocks once into a
-d**2 x d**2 matrix. The extended semigroup's four entries, the suite's
-norm bound and every factor of a window map take it from there. A factor
-hands that matrix to ``matrix_exponential`` and gathers the exponential
-straight back into stacks. A window's product starts from its first
-factor and multiplies stack by stack; it is scattered into a dense matrix
-once, at the end. At 4 open sites the 256 rows split into blocks of 1, 3
-and 9 rows, so a product is three batched products of small blocks
-instead of one 256 x 256 product. A model with one component (such as the
-qubit) has one block covering every index.
+``point_generator`` builds each diagonal block from the maps' stacks and
+scatters the blocks once into a d**2 x d**2 matrix; the extended
+semigroup's four entries and the suite's norm bound take K from there.
+
+The factors of a window map need less: the bit shift and bit flip that
+the maps are exactly invariant under (``structure._symmetries``) permute
+the components, and a component that one of them reaches from another
+has the same stacks once its indices are relabelled, so its K blocks and
+exponentials are copies. ``StructureMapSet._orbits`` keeps one
+representative per orbit; ``_factor`` assembles K on the representatives
+alone (``_generator_blocks``), scatters them into their compact matrix,
+hands that to ``matrix_exponential`` once and gathers the exponential
+back into stacks. A window's product starts from its first factor and
+multiplies stack by stack; it is scattered once, at the end, each
+component receiving its representative's block. At 4 open sites the 256
+rows split into 64 blocks of 1, 3 and 9 rows, 32 of them copies, so a
+factor is one exponential of side 128 and a product three batched
+products of small blocks. At 3 periodic sites the compact side is 32 of
+64 rows and at 5 periodic sites 512 of 1024. A model with no symmetry
+(such as the qubit, one block covering every index) has every component
+as its own representative and the compact matrix is K itself.
 
 A window's image of the identity needs no window map: the generators keep
 the sector blocks that vec(1) lies in (``_Sectors.unit_stacks``, the
@@ -55,6 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _apply,
     _apply_grid,
     _as_operator,
     _block,
@@ -217,10 +228,14 @@ def _generator_blocks(stacks, f0, g0, mode):
 
 
 def _factor(sm, f0, g0, length, mode):
-    """exp(length K(f0, g0)) as stacks in sm's block basis; the dense
-    exponential is dropped as soon as it is gathered."""
-    m = matrix_exponential(point_generator(sm, f0, g0, mode), length)
-    return tuple(_block(m, idx) for idx in sm.blocks.plan)
+    """exp(length K(f0, g0)) as stacks on the representatives of sm's
+    orbit layout (``sm._orbits``). K is assembled on them alone and
+    scattered into their compact matrix; its exponential is dropped as
+    soon as it is gathered."""
+    orbits = sm._orbits
+    k = _unblock(_generator_blocks(orbits.stacks, f0, g0, mode), orbits.plan, orbits.side)
+    m = matrix_exponential(k, length)
+    return tuple(_block(m, idx) for idx in orbits.plan)
 
 
 def evolution_map(sm, f, g, start, end, mode="physical"):
@@ -253,15 +268,17 @@ def _evolution_maps(sm, windows, mode="physical"):
 
     Every segment is planned first (``_window_plan``), so equal keys give
     bit-identical factors. Each distinct factor is then exponentiated
-    once, multiplied in each window's time order in the block basis and
-    dropped after its last use. A window's first factor is its running
-    product until the second is multiplied in; an empty window is the
-    identity.
+    once, multiplied in each window's time order on the orbit
+    representatives and dropped after its last use. A window's first
+    factor is its running product until the second is multiplied in; each
+    finished product is scattered to every component once, and an empty
+    window is the identity.
     """
     _check_mode(mode)
     plans = [_window_plan(*window) for window in windows]
     uses = Counter(key for plan in plans for key, *_ in plan)
     d2 = sm.dim ** 2
+    orbits = sm._orbits
     factors, maps = {}, []
     for plan in plans:
         total = None
@@ -274,7 +291,7 @@ def _evolution_maps(sm, windows, mode="physical"):
             if not uses[key]:
                 del factors[key]
         maps.append(np.eye(d2, dtype=complex) if total is None
-                    else _unblock(total, sm.blocks.plan, d2))
+                    else orbits.to_standard(total, d2))
     return maps
 
 
@@ -389,11 +406,10 @@ def kernel_cp_residual(sm, fs, xs, t):
 def schur_product_check(sm, fs, xs, t1, t2):
     """Smallest eigenvalue of the entrywise-composed kernel Gram matrix.
 
-    Composes the window [0, t1] and [0, t2] maps entry by entry before
-    evaluating on x_j* x_k; closure of the kernel family under this Schur
-    composition keeps the matrix PSD.
+    Composes the window [0, t1] and [0, t2] maps entry by entry on
+    x_j* x_k: the [0, t2] map acts first, then the [0, t1] map; closure of
+    the kernel family under this Schur composition keeps the matrix PSD.
     """
     operand = _pair_products(xs, len(fs), sm.dim)
     maps1, maps2 = _window_maps(sm, fs, t1, t2)
-    maps = [[m1 @ m2 for m1, m2 in zip(r1, r2)] for r1, r2 in zip(maps1, maps2)]
-    return min_eig(_apply_grid(maps, sm.dim, operand))
+    return min_eig(_apply_grid(maps1, sm.dim, lambda j, k: _apply(maps2[j][k], operand(j, k))))

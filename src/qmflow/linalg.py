@@ -55,8 +55,10 @@ identity, on the sector blocks that hold vec(1)).
 blocks; ``_pattern_plan`` finds the plan from a list of nonzero positions
 with no dense pass. Flows use the components of the structure maps' union
 pattern (``StructureMapSet.blocks``): every point generator is assembled in
-it and scattered once, and the flow layer's factors and window products
-stay stacks; only the generators and each finished window map are dense.
+it and scattered once. The flow layer's factors are exponentiated on one
+component per symmetry orbit (``StructureMapSet._orbits``) and its window
+products stay stacks; only the generators on those components and each
+finished window map are dense.
 The extended layer and a window's image of the identity use the sector
 basis (``StructureMapSet._sectors``), ``blocks`` itself unless the periodic
 chain's shift and flip split them. ``structure._sector_basis`` builds both

@@ -49,8 +49,16 @@ per character (Buca and Prosen, New J. Phys. 14, 073007, 2012), and its
 blocks are the components of the orbit coupling within each character.
 It must split the largest component (at 4 periodic sites 40 blocks of at
 most 22 rows against one of 144), or it is ``blocks`` itself: the open
-chain (its flip leaves 9 rows), the qubit, file models. The flow layer
-works in ``blocks``, the extended layer in the sector basis.
+chain (its flip leaves 9 rows), the qubit, file models. The extended
+layer works in the sector basis. The symmetry group is detected once per
+set (``StructureMapSet._group``) and also permutes the components of
+``blocks``: ``StructureMapSet._orbits`` (an ``_Orbits``) keeps one
+representative component per orbit and gives every other member the
+image of its representative's index array, so that its stacks equal the
+representative's entry for entry. The flow factors are exponentiated on
+the representatives alone (at 4 open sites 32 of 64 components, 128 of
+256 rows); a set without a symmetry has every component as its own
+representative.
 """
 
 import warnings
@@ -182,8 +190,28 @@ class StructureMapSet:
         """The character basis of the maps' symmetries (``_Sectors``), built
         on first use; ``blocks`` itself when the set has none that splits
         its largest block. The extended layer works in it."""
-        found = _symmetries(self)
-        return _sector_basis(self, found) if found else self.blocks
+        return _sector_basis(self, self._group) if self._group else self.blocks
+
+    @cached_property
+    def _orbits(self):
+        """The orbits of the components of ``blocks`` under the maps'
+        symmetries (``_Orbits``), built on first use. The flow factors are
+        exponentiated on its representatives."""
+        return _orbit_layout(self)
+
+    @cached_property
+    def _group(self):
+        """The symmetries ``_symmetries`` finds, detected once per set."""
+        return _symmetries(self)
+
+    @cached_property
+    def _pattern(self):
+        """(rows, cols) of every position at which some map is nonzero,
+        each once, read from the CSR views; found once per set."""
+        n = self.dim ** 2
+        keys = np.unique(np.concatenate([rows * n + cols
+                                         for rows, cols, _ in _stored_entries(self)]))
+        return keys // n, keys % n
 
 
 def _cyclic_shift(n):
@@ -226,6 +254,102 @@ def _vec_permutation(perm):
     U e_i = e_perm[i]: vec index j*d + i goes to perm[j]*d + perm[i]."""
     d = perm.size
     return (perm[:, None] * d + perm[None, :]).ravel()
+
+
+def _group_elements(found):
+    """The group generated by found, (order, permutation) pairs from
+    ``_symmetries``: the orders, the elements as the rows of coords (row a
+    is prod_l g_l**a_l) and ``act(a, x)``, the image of the vec indices x
+    under element a. The trivial group (found = []) has one element, the
+    identity."""
+    orders = np.array([order for order, _ in found], dtype=int)
+    coords = np.array(list(np.ndindex(*orders)), dtype=int)
+    steps = [_vec_permutation(perm) for _, perm in found]
+
+    def act(a, x):
+        for step, power in zip(steps, a):
+            for _ in range(power):
+                x = step[x]
+        return x
+
+    return orders, coords, act
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """The components of ``StructureMapSet.blocks`` grouped into orbits of
+    the maps' symmetry group G (``StructureMapSet._group``).
+
+    Each orbit keeps one representative, its least component in plan
+    order. A member that the element g of G reaches from its
+    representative gets the index array g(rep), the image of the
+    representative's array: the maps are invariant under g entry for
+    entry, so the member's stacks equal the representative's exactly, and
+    so do every point generator's blocks and their exponentials. Without
+    a symmetry every component is its own representative.
+
+    ``plan`` and ``stacks`` are the representatives' blocks in a compact
+    layout of side ``side``: the representatives' indices in ascending
+    std order, so a model without a symmetry has the plan and stacks of
+    ``blocks``. ``aligned`` holds every component's index array in std
+    indices, one (k, s) array per block size as in ``blocks.plan``, and
+    ``source`` the row of the representative stack that each copies.
+    """
+
+    plan: tuple
+    stacks: dict
+    side: int
+    aligned: tuple
+    source: tuple
+
+    def to_standard(self, stacks, n):
+        """The n x n matrix whose block at each component is its
+        representative's stack, 0 off the blocks."""
+        return _unblock([stack[src] for stack, src in zip(stacks, self.source)],
+                        self.aligned, n)
+
+
+def _orbit_layout(sm):
+    """The ``_Orbits`` of sm.blocks under sm._group."""
+    basis, n = sm.blocks, sm.dim ** 2
+    _, coords, act = _group_elements(sm._group)
+    # components numbered in plan order; each one's least index
+    start = np.cumsum([0] + [idx.shape[0] for idx in basis.plan])
+    comp = np.empty(n, int)
+    for idx, first in zip(basis.plan, start):
+        comp[idx] = first + np.arange(idx.shape[0])[:, None]
+    least = np.concatenate([idx[:, 0] for idx in basis.plan])
+    # the component each element moves each component to; a component's
+    # representative is the least of its orbit, and element[c] takes it to c
+    moved = comp[np.array([act(a, least) for a in coords])]
+    rep = moved.min(axis=0)
+    element = np.argmax(moved[:, rep] == np.arange(rep.size), axis=0)
+
+    plan, aligned, source, reps = [], [], [], []
+    held = np.zeros(n, bool)
+    for idx, first in zip(basis.plan, start):
+        k = idx.shape[0]
+        rows = rep[first:first + k] - first
+        mine = np.unique(rows)
+        reps.append(mine)
+        source.append(np.searchsorted(mine, rows))
+        held[idx[mine]] = True
+        out = np.empty_like(idx)
+        for g in np.unique(element[first:first + k]):
+            which = np.flatnonzero(element[first:first + k] == g)
+            out[which] = act(coords[g], idx[rows[which]])
+        aligned.append(out)
+    local = np.cumsum(held) - 1
+    for idx, mine in zip(basis.plan, reps):
+        plan.append(local[idx[mine]])
+    stacks = {alpha: tuple(stack[mine] for stack, mine in zip(group, reps))
+              for alpha, group in basis.stacks.items()}
+    orbits = _Orbits(plan=tuple(plan), stacks=stacks, side=int(np.count_nonzero(held)),
+                     aligned=tuple(aligned), source=tuple(source))
+    for array in (*orbits.plan, *orbits.aligned, *orbits.source,
+                  *(s for group in stacks.values() for s in group)):
+        array.flags.writeable = False
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -294,21 +418,12 @@ def _sector_basis(sm, found):
     group's. A found group whose plan does not split the largest block of
     ``sm.blocks`` gives ``sm.blocks``, before Q or a stack is built."""
     d, n = sm.dim, sm.dim ** 2
-    rows, cols = _union_pattern(sm)
-    # element a of G is prod_l g_l**a_l, kept as its vec permutation; the
-    # character a takes the value exp(2 pi i phase[a, b] / period) on b
-    orders = np.array([order for order, _ in found], dtype=int)
+    rows, cols = sm._pattern
+    # each element of G kept as its vec permutation; the character a takes
+    # the value exp(2 pi i phase[a, b] / period) on the element b
+    orders, coords, act = _group_elements(found)
     period = int(np.prod(orders))
-    coords = np.array(list(np.ndindex(*orders)), dtype=int)
-    steps = [_vec_permutation(perm) for _, perm in found]
-    images = []
-    for a in coords:
-        vec = np.arange(n)
-        for step, power in zip(steps, a):
-            for _ in range(power):
-                vec = step[vec]
-        images.append(vec)
-    images = np.array(images)
+    images = np.array([act(a, np.arange(n)) for a in coords])
     phase = (coords * (period // orders)) @ coords.T % period
 
     # orbits, the element taking each one's least index to each member,
@@ -345,10 +460,11 @@ def _sector_basis(sm, found):
         fourier.append((int(span[0]), f))
         q_rows.append(np.broadcast_to(layout[span].reshape(k, s, 1), f.shape).ravel())
         q_cols.append(np.broadcast_to(span.reshape(k, 1, s), f.shape).ravel())
-    q = scipy.sparse.csr_array(
-        (np.concatenate([f.ravel() for _, f in fourier]),
-         (np.concatenate(q_rows), np.concatenate(q_cols))), shape=(n, n))
-    qh = q.conj().T.tocsr()
+    if found:
+        q = scipy.sparse.csr_array(
+            (np.concatenate([f.ravel() for _, f in fourier]),
+             (np.concatenate(q_rows), np.concatenate(q_cols))), shape=(n, n))
+        qh = q.conj().T.tocsr()
 
     # each layout position's plan group, row in the group, slot in the row
     group, row, slot = (np.empty(n, int) for _ in range(3))
@@ -359,7 +475,8 @@ def _sector_basis(sm, found):
     block = np.cumsum([0] + [idx.shape[0] for idx in plan])[group] + row
     stacks = {}
     for alpha, view in sm.csr.items():
-        sec = (qh @ view @ q).tocoo()
+        # the trivial group's Q is the identity: the view's own entries
+        sec = (qh @ view @ q if found else view).tocoo()
         # entries between blocks are rounding on an exact 0: dropped
         inside = block[sec.row] == block[sec.col]
         r, c, v = sec.row[inside], sec.col[inside], sec.data[inside]
@@ -401,14 +518,6 @@ def _stored_entries(sm):
         nonzero = view.data != 0
         out.append((rows[nonzero], view.indices[nonzero], view.data[nonzero]))
     return out
-
-
-def _union_pattern(sm):
-    """(rows, cols) of every position at which some map of sm is nonzero,
-    each once, read from the CSR views."""
-    n = sm.dim ** 2
-    keys = np.unique(np.concatenate([rows * n + cols for rows, cols, _ in _stored_entries(sm)]))
-    return keys // n, keys % n
 
 
 def _csr_views(theta_minus, theta_zero, theta_plus):

@@ -4,6 +4,7 @@ all computed in the model's block basis."""
 
 import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qmflow import (
     build_extended_generator,
     build_glauber_structure_maps,
     check_cp_rows,
+    commutator_map,
     evolution_map,
     flow_matrix_element,
     kernel_cp_residual,
@@ -41,6 +43,20 @@ def reference_map(sm, f, g, start, end, mode):
         k = point_generator(sm, f.value_at(mid), g.value_at(mid), mode)
         total = total @ matrix_exponential(k, b - a)
     return total
+
+
+def component_map(sm, f, g, start, end, mode):
+    """The ordered product of factors on every component of sm.blocks:
+    each the dense exponential of point_generator gathered into stacks,
+    multiplied stack by stack and scattered once."""
+    plan, total = sm.blocks.plan, None
+    for a, b in _segments(f, g, start, end):
+        mid = 0.5 * (a + b)
+        m = matrix_exponential(point_generator(sm, f.value_at(mid), g.value_at(mid), mode), b - a)
+        factor = [_block(m, idx) for idx in plan]
+        total = factor if total is None else [x @ y for x, y in zip(total, factor)]
+    n = sm.dim ** 2
+    return np.eye(n, dtype=complex) if total is None else _unblock(total, plan, n)
 
 
 def segment_keys(f, g, start, end):
@@ -94,6 +110,28 @@ def batch_windows():
     ]
 
 
+def assert_orbit_copies(sm, m, want):
+    """m against the oracle want, block by block: bitwise on every orbit
+    representative. A copy is its representative's block relabelled,
+    exactly; the oracle exponentiates the copy's own block, whose rows
+    are in another order, so the two agree within rounding. Returns the
+    number of copies."""
+    orbits, n = sm._orbits, sm.dim ** 2
+    tol = 1e-14 * max(1.0, max_abs(want))
+    off = _unblock([np.ones((idx.shape[0], idx.shape[1], idx.shape[1])) for idx in sm.blocks.plan],
+                   sm.blocks.plan, n) == 0
+    assert not np.any(m[off]) and not np.any(want[off])
+    copied = 0
+    for idx, aligned, src in zip(sm.blocks.plan, orbits.aligned, orbits.source):
+        reps = np.unique(src, return_index=True)[1]
+        copies = np.setdiff1d(np.arange(src.size), reps)
+        assert np.array_equal(_block(m, idx[reps]), _block(want, idx[reps]))
+        assert np.array_equal(_block(m, aligned[copies]), _block(m, aligned[reps][src[copies]]))
+        assert max_abs(_block(m, idx[copies]) - _block(want, idx[copies])) <= tol
+        copied += copies.size
+    return copied
+
+
 class TestBitIdentical:
     @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
@@ -103,9 +141,26 @@ class TestBitIdentical:
         got = _evolution_maps(sm, windows, mode)
         assert len(got) == len(windows)
         for (f, g, s, t), m in zip(windows, got):
+            assert np.array_equal(evolution_map(sm, f, g, s, t, mode), m), (s, t)
             want = reference_map(sm, f, g, s, t, mode)
-            assert np.array_equal(m, want), (s, t)
-            assert np.array_equal(evolution_map(sm, f, g, s, t, mode), want), (s, t)
+            # the qubit has no symmetry; the 3-site periodic chain copies
+            # 2 of its 4 components
+            assert assert_orbit_copies(sm, m, want) == (0 if model == "qubit_sm" else 2)
+            if model == "qubit_sm":
+                assert np.array_equal(m, want), (s, t)
+
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_model_without_symmetry_keeps_its_bits(self, periodic4_sm, mode):
+        # a site-dependent sigma_z term breaks the shift and the flip: every
+        # component is its own representative, and the maps are those of
+        # factors on every component
+        n = periodic4_sm.dim.bit_length() - 1
+        z = np.kron(np.diag([1.0, -1.0]), np.eye(2 ** (n - 1)))
+        sm = replace(periodic4_sm, theta_zero=periodic4_sm.theta_zero + commutator_map(z))
+        assert sm._orbits.side == sm.dim ** 2
+        windows = batch_windows()[:3]
+        for (f, g, s, t), m in zip(windows, _evolution_maps(sm, windows, mode)):
+            assert np.array_equal(m, component_map(sm, f, g, s, t, mode)), (s, t)
 
     def test_signed_zero_is_a_distinct_key(self, qubit_sm, expm_calls):
         # -0.0 and 0.0 give the same generator but are kept apart on purpose
@@ -155,6 +210,15 @@ class TestCallCounts:
         x = np.eye(glauber_sm.dim)
         flow_matrix_element(glauber_sm, F, G, 0.1, 1.8, x)
         assert len(expm_calls) == len(_segments(F, G, 0.1, 1.8)) == 6
+
+    def test_factors_exponentiate_the_representatives_alone(self, open4_sm, monkeypatch):
+        # one matrix_exponential per segment, on the 128 of 256 rows that
+        # the 4-site open chain's orbit representatives hold
+        sides = []
+        monkeypatch.setattr(flows, "matrix_exponential",
+                            lambda m, t=1.0: sides.append(m.shape[0]) or matrix_exponential(m, t))
+        flow_matrix_element(open4_sm, F, G, 0.1, 1.8, np.eye(open4_sm.dim))
+        assert sides == [128] * len(_segments(F, G, 0.1, 1.8))
 
     def test_gram_tables_share_one_batch(self, glauber_sm, expm_calls):
         fs = [F, G, 1.0]

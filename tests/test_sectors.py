@@ -22,9 +22,9 @@ from qmflow import (
     save_json,
     structure_maps_to_obj,
 )
-from qmflow import extended
+from qmflow import extended, structure
 from qmflow.extended import _semigroup, _table_choi, _unit_images
-from qmflow.linalg import _apply, _diagonal_blocks, _unblock
+from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock
 from qmflow.structure import _cyclic_shift, _symmetries, _vec_permutation
 
 DEFAULT_GRID = parse_config({}).t_grid
@@ -126,10 +126,7 @@ class TestDetection:
 
     def test_one_ulp_off_defeats_both(self, periodic3):
         # one stored entry of theta_0 moved by one ulp: no longer exact
-        tz = periodic3.theta_zero.copy()
-        r, c = np.argwhere(tz != 0)[5]
-        tz[r, c] = np.nextafter(tz[r, c].real, np.inf) + 1j * tz[r, c].imag
-        broken = replace(periodic3, theta_zero=tz)
+        broken = one_ulp_off(periodic3)
         assert _symmetries(broken) == []
         assert_trivial_basis(broken)
 
@@ -146,6 +143,80 @@ class TestDetection:
                     want = matrix_exponential(gen.block(i, j), t)
                     assert np.array_equal(table[i][j], want)
                     assert np.max(np.abs(images[i][j] - _apply(want, eye))) <= 1e-14
+
+
+def one_ulp_off(sm):
+    """sm with one stored entry of theta_0 moved by one ulp: the pattern is
+    still invariant under the shift and the flip, the values are not."""
+    tz = sm.theta_zero.copy()
+    r, c = np.argwhere(tz != 0)[5]
+    tz[r, c] = np.nextafter(tz[r, c].real, np.inf) + 1j * tz[r, c].imag
+    return replace(sm, theta_zero=tz)
+
+
+def representatives(source):
+    """The rows of one plan group that are representatives: the first row
+    that copies each representative stack."""
+    return np.unique(source, return_index=True)[1]
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("sites, boundary, copies, side", [
+        (3, "periodic", (2, 4), (32, 64)), (4, "open", (32, 64), (128, 256)),
+        (5, "open", (50, 100), (512, 1024)), (5, "periodic", (2, 4), (512, 1024))])
+    def test_members_gather_their_representatives_stacks(self, sites, boundary, copies, side):
+        sm = chain(sites, boundary)
+        orbits, n = sm._orbits, sm.dim ** 2
+        assert (orbits.side, n) == side
+        count = sum(src.size for src in orbits.source)
+        assert (count - sum(p.shape[0] for p in orbits.plan), count) == copies
+        for i, (idx, aligned, src) in enumerate(zip(sm.blocks.plan, orbits.aligned,
+                                                    orbits.source)):
+            reps = representatives(src)
+            # a representative keeps its own index array
+            assert np.array_equal(aligned[reps], idx[reps])
+            for alpha, m in sm.maps().items():
+                # every member's dense blocks are its representative's, exactly
+                assert np.array_equal(_block(m, aligned), _block(m, aligned[reps][src]))
+                assert np.array_equal(orbits.stacks[alpha][i], sm.blocks.stacks[alpha][i][reps])
+        for alpha, m in sm.maps().items():
+            assert np.array_equal(orbits.to_standard(orbits.stacks[alpha], n), m)
+
+    @pytest.mark.parametrize("sites, boundary", [(3, "periodic"), (4, "open"), (4, "periodic")])
+    def test_aligned_plan_covers_every_index_once(self, sites, boundary):
+        sm = chain(sites, boundary)
+        orbits, n = sm._orbits, sm.dim ** 2
+        assert np.array_equal(np.sort(np.concatenate([a.ravel() for a in orbits.aligned])),
+                              np.arange(n))
+        # each component keeps its indices, in its representative's order
+        for idx, aligned in zip(sm.blocks.plan, orbits.aligned):
+            assert np.array_equal(np.sort(aligned, axis=1), idx)
+        # the compact plan covers the representatives' side once
+        assert np.array_equal(np.sort(np.concatenate([p.ravel() for p in orbits.plan])),
+                              np.arange(orbits.side))
+
+    @pytest.mark.parametrize("broken", [site_z_breaker, one_ulp_off], ids=["site-z", "one-ulp"])
+    def test_without_symmetry_every_component_is_its_own(self, periodic4, broken):
+        sm = broken(periodic4)
+        assert _symmetries(sm) == []
+        orbits, n = sm._orbits, sm.dim ** 2
+        assert orbits.side == n
+        for idx, plan, aligned, src in zip(sm.blocks.plan, orbits.plan, orbits.aligned,
+                                           orbits.source):
+            assert np.array_equal(plan, idx) and np.array_equal(aligned, idx)
+            assert np.array_equal(src, np.arange(idx.shape[0]))
+        for alpha, group in orbits.stacks.items():
+            for stack, want in zip(group, sm.blocks.stacks[alpha]):
+                assert np.array_equal(stack, want)
+
+    def test_group_detected_once(self, monkeypatch):
+        calls = []
+        original = structure._symmetries
+        monkeypatch.setattr(structure, "_symmetries",
+                            lambda sm: calls.append(sm) or original(sm))
+        sm = chain(3)
+        sm._orbits, sm._sectors
+        assert len(calls) == 1
 
 
 class TestSectorBasis:
