@@ -25,11 +25,14 @@ exp(t L_ij) (``_time`` is the one place a non-finite or negative time is
 refused), ``linalg._apply_grid`` applies a table to the blocks of an
 operator, ``_table_choi`` is a table's Choi matrix, and ``_unit_deviation``
 measures how far a table's images of the identity (``_unit_images``) are
-from fixed multiples of it. Exponentials and resolvents are computed in
-the model's one sector basis (``structure._Sectors``): ``_semigroup``
-exponentiates each entry there in one call and maps it back,
-``_unit_images`` only the blocks that hold vec(1), and
-``resolvent_generator`` solves each entry block by block.
+from fixed multiples of it. The entries L_ij = K(i, j) are the flow's
+point generators, so exponentials and resolvents are computed in the
+symmetry-reduced basis of the flow factors (``StructureMapSet._sectors``,
+the representatives' stabilizer-character blocks): ``_semigroup``
+exponentiates each entry there in one call and maps it back onto L_ij's
+own plan (``_entry_plan``, read from its stacks), ``_unit_images`` only
+the blocks that hold vec(1), and ``resolvent_generator`` solves each
+entry block by block.
 ``generator_cp_min_eig`` decides complete positivity for every t, and the
 dissipativity form at every ampliation, from one eigenvalue of the
 generator with no exponential.
@@ -40,14 +43,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import MODES, _generator_blocks, point_generator
+from .flows import MODES, _factor, _generator_blocks, point_generator
 from .linalg import (
     _apply,
     _apply_grid,
     _choi,
-    _diagonal_blocks,
     _draw_op,
     _hermitian_choi,
+    _pattern_plan,
     _unblock,
     matrix_exponential,
     max_abs,
@@ -136,7 +139,8 @@ class ExtendedGenerator:
     """The structure maps viewed as the 2x2 generator table of one mode.
 
     Entry (i, j) is ``point_generator(source, i, j, mode)``; the four
-    entries are built on first use and cached on the object.
+    entries and their block plans are built on first use and cached on
+    the object.
     """
 
     source: StructureMapSet
@@ -149,6 +153,11 @@ class ExtendedGenerator:
     @cached_property
     def entries(self):
         return _table(lambda i, j: point_generator(self.source, i, j, self.mode))
+
+    @cached_property
+    def _plans(self):
+        """The entries' plans (``_entry_plan``), found on first use."""
+        return _table(lambda i, j: _entry_plan(self, i, j))
 
     def block(self, i, j):
         return self.entries[i][j]
@@ -197,19 +206,29 @@ def _time(t):
     return t
 
 
+def _entry_plan(gen, i, j):
+    """The plan of L_ij (``_diagonal_blocks`` of the dense entry, bit for
+    bit), from the nonzero entries of its blocks in ``source.blocks``."""
+    basis = gen.source.blocks
+    rows, cols = [], []
+    for idx, block in zip(basis.plan, _generator_blocks(basis.stacks, i, j, gen.mode)):
+        k, r, c = np.nonzero(block)
+        rows.append(idx[k, r])
+        cols.append(idx[k, c])
+    return _pattern_plan(gen.dim ** 2, np.concatenate(rows), np.concatenate(cols))
+
+
 def _semigroup(gen, t):
     """The table of time-t maps exp(t L_ij).
 
-    Each entry is assembled in the source's ``_Sectors``, exponentiated there in one call and turned back into the std basis,
-    0 off L_ij's diagonal blocks as the exact map is.
+    Each entry is the flow factor exp(t K(i, j)) (``flows._factor``, one
+    exponential on the compact matrix of the source's ``_Sectors``),
+    mapped back to the std basis, 0 off L_ij's diagonal blocks as the
+    exact map is.
     """
-    sectors, t, n = gen.source._sectors, _time(t), gen.dim ** 2
-
-    def entry(i, j):
-        m = _unblock(_generator_blocks(sectors.stacks, i, j, gen.mode), sectors.plan, n)
-        return sectors.to_standard(matrix_exponential(m, t), _diagonal_blocks(gen.block(i, j)))
-
-    return _table(entry)
+    sm, t = gen.source, _time(t)
+    return _table(lambda i, j: sm._sectors.to_standard(_factor(sm, i, j, t, gen.mode),
+                                                       gen._plans[i][j]))
 
 
 def _unit_images(gen, t):
@@ -435,7 +454,7 @@ def resolvent_generator(gen, eps):
         raise ValueError(f"resolvent parameter must be finite, got {eps}")
     if eps <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
-    sectors, n = gen.source._sectors, gen.dim ** 2
+    sectors = gen.source._sectors
 
     def regularize(i, j):
         blocks = _generator_blocks(sectors.stacks, i, j, gen.mode)
@@ -443,7 +462,7 @@ def resolvent_generator(gen, eps):
         sv = np.concatenate([np.linalg.svd(x, compute_uv=False).ravel() for x in a])
         if sv.max() > 1e12 * sv.min():
             raise ValueError(f"resolvent parameter too large for entry ({i}, {j})")
-        r = _unblock([np.linalg.solve(x, b) for x, b in zip(a, blocks)], sectors.plan, n)
-        return sectors.to_standard(r, _diagonal_blocks(gen.block(i, j)))
+        return sectors.to_standard([np.linalg.solve(x, b) for x, b in zip(a, blocks)],
+                                   gen._plans[i][j])
 
     return _table(regularize)

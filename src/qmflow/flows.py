@@ -22,41 +22,31 @@ Windows are evaluated in batches: a factor is keyed by the exact bits of
 after its last use. A batch's maps are bit for bit the maps computed one
 window at a time.
 
-Generators are assembled in the model's block basis
-(``StructureMapSet.blocks``, a ``structure._Sectors`` built from the CSR
-views): the connected components of the union nonzero pattern of theta_0,
-theta_minus, theta_plus and the identity. Every K(f0, g0) is block
-diagonal in it, and so are its exponentials and their products.
-``point_generator`` builds each diagonal block from the maps' stacks and
-scatters the blocks once into a d**2 x d**2 matrix; the extended
-semigroup's four entries and the suite's norm bound take K from there.
+``point_generator`` assembles the dense d**2 x d**2 K(f0, g0) block by
+block in the model's block basis (``StructureMapSet.blocks``, the
+components of the maps' union pattern); the extended semigroup's four
+entries and the suite's norm bound take K from there.
 
-The factors of a window map need less: the bit shift and bit flip that
-the maps are exactly invariant under (``structure._symmetries``) permute
-the components, and a component that one of them reaches from another
-has the same stacks once its indices are relabelled, so its K blocks and
-exponentials are copies. ``StructureMapSet._orbits`` keeps one
-representative per orbit; ``_factor`` assembles K on the representatives
-alone (``_generator_blocks``), scatters them into their compact matrix,
-hands that to ``matrix_exponential`` once and gathers the exponential
-back into stacks. A window's product starts from its first factor and
-multiplies stack by stack; it is scattered once, at the end, each
-component receiving its representative's block. At 4 open sites the 256
-rows split into 64 blocks of 1, 3 and 9 rows, 32 of them copies, so a
-factor is one exponential of side 128 and a product three batched
-products of small blocks. At 3 periodic sites the compact side is 32 of
-64 rows and at 5 periodic sites 512 of 1024. A model with no symmetry
-(such as the qubit, one block covering every index) has every component
-as its own representative and the compact matrix is K itself.
+A window's factors need less. They are assembled and exponentiated in the
+model's one symmetry-reduced basis (``StructureMapSet._sectors``): one
+representative component per orbit of the maps' shift and flip, split by
+the characters of its stabilizer. ``_factor`` assembles K on its blocks
+alone (``_generator_blocks``), makes one ``matrix_exponential`` call on
+their compact matrix and gathers the result into stacks. A window's
+product multiplies stack by stack and is mapped back once, at the end
+(``_Sectors.to_standard``), each component receiving its
+representative's block. The compact side is 128 of 256 rows at 4 open
+sites, 172 of 256 at 4 periodic (blocks of at most 22 rows) and 512 of
+1024 at 5 periodic (at most 52). A model with no symmetry (such as the
+qubit) has the block basis itself, and the compact matrix is K.
 
-A window's image of the identity needs no window map: the generators keep
-the sector blocks that vec(1) lies in (``_Sectors.unit_stacks``, the
-blocks the extended layer's unit images use), so ``_unit_window_image``
-assembles each factor's generator on those blocks alone, exponentiates
-them with ``linalg._expm_stacks`` and multiplies the factors there. At 3
-periodic sites that is one block of 6 rows, at 4 periodic sites 23 of
-256 rows and at 5 periodic sites 52 of 1024. Both routines plan a
-window's segments with ``_window_plan``.
+A window's image of the identity needs no window map: ``_unit_window_image``
+assembles each factor on the blocks of that basis that hold vec(1)
+(``_Sectors.unit_stacks``, which the extended layer's unit images use),
+exponentiates them with ``linalg._expm_stacks`` and multiplies the
+factors there: one block of 6 rows at 3 periodic sites, 23 of 256 rows
+at 4 periodic sites. Both routines plan a window's segments with
+``_window_plan``.
 """
 
 from collections import Counter
@@ -205,9 +195,12 @@ def point_generator(sm, f0, g0, mode="physical"):
     Each diagonal block is assembled from the maps' stacks in sm's block
     basis (the identity is each block's identity) and the blocks are
     scattered once; the entries off the blocks are 0, as they are in every
-    map.
+    map. A non-finite f0 or g0 is refused before any assembly.
     """
     _check_mode(mode)
+    for name, value in (("f0", f0), ("g0", g0)):
+        if not np.isfinite(complex(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     basis = sm.blocks
     return _unblock(_generator_blocks(basis.stacks, f0, g0, mode), basis.plan, sm.dim ** 2)
 
@@ -228,14 +221,14 @@ def _generator_blocks(stacks, f0, g0, mode):
 
 
 def _factor(sm, f0, g0, length, mode):
-    """exp(length K(f0, g0)) as stacks on the representatives of sm's
-    orbit layout (``sm._orbits``). K is assembled on them alone and
+    """exp(length K(f0, g0)) as stacks on the plan of sm's symmetry-reduced
+    basis (``sm._sectors``). K is assembled on its blocks alone and
     scattered into their compact matrix; its exponential is dropped as
     soon as it is gathered."""
-    orbits = sm._orbits
-    k = _unblock(_generator_blocks(orbits.stacks, f0, g0, mode), orbits.plan, orbits.side)
+    sectors = sm._sectors
+    k = _unblock(_generator_blocks(sectors.stacks, f0, g0, mode), sectors.plan, sectors.side)
     m = matrix_exponential(k, length)
-    return tuple(_block(m, idx) for idx in orbits.plan)
+    return tuple(_block(m, idx) for idx in sectors.plan)
 
 
 def evolution_map(sm, f, g, start, end, mode="physical"):
@@ -268,17 +261,18 @@ def _evolution_maps(sm, windows, mode="physical"):
 
     Every segment is planned first (``_window_plan``), so equal keys give
     bit-identical factors. Each distinct factor is then exponentiated
-    once, multiplied in each window's time order on the orbit
-    representatives and dropped after its last use. A window's first
+    once, multiplied in each window's time order on the blocks of
+    ``sm._sectors`` and dropped after its last use. A window's first
     factor is its running product until the second is multiplied in; each
-    finished product is scattered to every component once, and an empty
-    window is the identity.
+    finished product is mapped back once (``_Sectors.to_standard``), every
+    component receiving its representative's block, and an empty window is
+    the identity.
     """
     _check_mode(mode)
     plans = [_window_plan(*window) for window in windows]
     uses = Counter(key for plan in plans for key, *_ in plan)
     d2 = sm.dim ** 2
-    orbits = sm._orbits
+    sectors = sm._sectors
     factors, maps = {}, []
     for plan in plans:
         total = None
@@ -291,7 +285,7 @@ def _evolution_maps(sm, windows, mode="physical"):
             if not uses[key]:
                 del factors[key]
         maps.append(np.eye(d2, dtype=complex) if total is None
-                    else orbits.to_standard(total, d2))
+                    else sectors.to_standard(total, sm.blocks.plan))
     return maps
 
 
@@ -384,11 +378,17 @@ def q_bound_check(sm, fs, t, x):
     """
     t = float(t)
     x = _as_operator(x, sm.dim)
-    eye = np.eye(sm.dim)
-    bound = float(np.linalg.norm(x, 2))
     maps, = _window_maps(sm, fs, t)
-    big = (bound * _apply_grid(maps, sm.dim, lambda j, k: eye)
-           - _apply_grid(maps, sm.dim, lambda j, k: x))
+    return _q_bound_min_eig(maps, x)
+
+
+def _q_bound_min_eig(maps, x):
+    """``q_bound_check`` on its table of window maps, for a checked x."""
+    d = x.shape[0]
+    eye = np.eye(d)
+    bound = float(np.linalg.norm(x, 2))
+    big = (bound * _apply_grid(maps, d, lambda j, k: eye)
+           - _apply_grid(maps, d, lambda j, k: x))
     return min_eig(big)
 
 

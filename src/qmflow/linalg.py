@@ -53,16 +53,13 @@ identity, on the sector blocks that hold vec(1)).
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
 blocks; ``_pattern_plan`` finds the plan from a list of nonzero positions
-with no dense pass. Flows use the components of the structure maps' union
-pattern (``StructureMapSet.blocks``): every point generator is assembled in
-it and scattered once. The flow layer's factors are exponentiated on one
-component per symmetry orbit (``StructureMapSet._orbits``) and its window
-products stay stacks; only the generators on those components and each
-finished window map are dense.
-The extended layer and a window's image of the identity use the sector
-basis (``StructureMapSet._sectors``), ``blocks`` itself unless the periodic
-chain's shift and flip split them. ``structure._sector_basis`` builds both
-from the maps' CSR views.
+with no dense pass (the extended layer reads each entry's plan this way).
+Every point generator is assembled in the components of the structure
+maps' union pattern (``StructureMapSet.blocks``) and scattered once. The
+flow factors, the window products and the extended exponentials work in
+one symmetry-reduced basis (``StructureMapSet._sectors``): only its
+compact matrices and each map mapped back to the std basis are dense.
+``structure._sector_basis`` builds both from the maps' CSR views.
 """
 
 import functools

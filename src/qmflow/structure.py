@@ -36,29 +36,27 @@ view, with the bytes of the public dense builders. A set built from dense
 maps (a structure-map file) makes its views from them.
 
 One constructor, ``_sector_basis``, builds on first use, from the views
-alone, the two bases in which the maps are block diagonal: each is the
-character basis Q of a symmetry group of the maps (a ``_Sectors``).
-``StructureMapSet.blocks`` is the trivial group's: Q is the identity and
-the blocks are the connected components of the maps' union pattern. The
-sector basis ``StructureMapSet._sectors`` is found from the maps: when
-d = 2**n, the cyclic shift of the n index bits and the flip of all bits
-are candidate symmetries, each accepted only if conjugation by it moves
-every map onto itself exactly, entry for entry. The character basis of
-the group they generate splits each orbit of vec indices into one column
-per character (Buca and Prosen, New J. Phys. 14, 073007, 2012), and its
-blocks are the components of the orbit coupling within each character.
-It must split the largest component (at 4 periodic sites 40 blocks of at
-most 22 rows against one of 144), or it is ``blocks`` itself: the open
-chain (its flip leaves 9 rows), the qubit, file models. The extended
-layer works in the sector basis. The symmetry group is detected once per
-set (``StructureMapSet._group``) and also permutes the components of
-``blocks``: ``StructureMapSet._orbits`` (an ``_Orbits``) keeps one
-representative component per orbit and gives every other member the
-image of its representative's index array, so that its stacks equal the
-representative's entry for entry. The flow factors are exponentiated on
-the representatives alone (at 4 open sites 32 of 64 components, 128 of
-256 rows); a set without a symmetry has every component as its own
-representative.
+alone, the two bases in which the maps are block diagonal (each a
+``_Sectors``). ``StructureMapSet.blocks`` is the trivial group's: its
+blocks are the connected components of the maps' union pattern, and
+``flows.point_generator`` assembles every K(f0, g0) in it. The
+symmetry-reduced basis ``StructureMapSet._sectors`` is found from the
+maps: when d = 2**n, the cyclic shift of the n index bits and the flip of
+all bits are candidate symmetries, each accepted only if conjugation by it
+moves every map onto itself exactly, entry for entry
+(``StructureMapSet._group``, detected once per set). The group G they
+generate permutes the components. Outside, each orbit of components keeps
+one representative, and every other member is indexed by the image of
+its representative's indices, so that its blocks are exact copies.
+Inside, each representative is split by the characters of its stabilizer
+in G (Buca and Prosen, New J. Phys. 14, 073007, 2012); a trivial
+stabilizer leaves it whole. Only the representatives' sector blocks are
+held, in a compact layout: at 4 periodic sites 7 of 25 components, 172 of
+256 rows in blocks of at most 22 (the 144-row component, fixed by all 8
+elements, split by their characters); at 5 periodic sites 512 of 1024
+rows in blocks of at most 52; on the open chain (the flip fixes no
+component) half the rows, unsplit. The flow factors and the extended
+layer work in it; a set without a symmetry has ``blocks`` itself.
 """
 
 import warnings
@@ -179,25 +177,18 @@ class StructureMapSet:
         one component has the plan (arange(dim**2)[None],). Its stacks are
         the maps' diagonal blocks, read from the CSR views. Every point
         generator, its exponentials and their products are block diagonal
-        in this basis; ``flows.point_generator`` assembles each K(f0, g0)
-        from these stacks, for the flow factors and the extended entries
-        alike.
+        in this basis; ``flows.point_generator`` assembles each dense
+        K(f0, g0) from these stacks, and the extended layer reads each
+        entry's plan from them.
         """
         return _sector_basis(self, [])
 
     @cached_property
     def _sectors(self):
-        """The character basis of the maps' symmetries (``_Sectors``), built
-        on first use; ``blocks`` itself when the set has none that splits
-        its largest block. The extended layer works in it."""
+        """The symmetry-reduced basis of the maps' symmetries (``_Sectors``),
+        built on first use; ``blocks`` itself when the set has none. The
+        flow factors and the extended layer work in it."""
         return _sector_basis(self, self._group) if self._group else self.blocks
-
-    @cached_property
-    def _orbits(self):
-        """The orbits of the components of ``blocks`` under the maps'
-        symmetries (``_Orbits``), built on first use. The flow factors are
-        exponentiated on its representatives."""
-        return _orbit_layout(self)
 
     @cached_property
     def _group(self):
@@ -276,108 +267,45 @@ def _group_elements(found):
 
 
 @dataclass(frozen=True)
-class _Orbits:
-    """The components of ``StructureMapSet.blocks`` grouped into orbits of
-    the maps' symmetry group G (``StructureMapSet._group``).
+class _Sectors:
+    """A block basis of the point generators, reduced by a symmetry group G
+    of a structure-map set (``StructureMapSet._group``); for the trivial
+    group it is the components of the maps' union pattern themselves.
 
-    Each orbit keeps one representative, its least component in plan
-    order. A member that the element g of G reaches from its
-    representative gets the index array g(rep), the image of the
-    representative's array: the maps are invariant under g entry for
-    entry, so the member's stacks equal the representative's exactly, and
-    so do every point generator's blocks and their exponentials. Without
-    a symmetry every component is its own representative.
+    Orbit copies outside: G permutes the components, and each orbit keeps
+    one representative, its least component in plan order. A member that
+    an element g of G reaches from it has the index array g(rep), so the
+    maps, every point generator and its exponentials hold exact copies of
+    the representative's blocks there; ``source`` holds, for each std
+    index, the representative index it copies (itself on a
+    representative).
 
-    ``plan`` and ``stacks`` are the representatives' blocks in a compact
-    layout of side ``side``: the representatives' indices in ascending
-    std order, so a model without a symmetry has the plan and stacks of
-    ``blocks``. ``aligned`` holds every component's index array in std
-    indices, one (k, s) array per block size as in ``blocks.plan``, and
-    ``source`` the row of the representative stack that each copies.
+    Stabilizer characters inside: a representative C is split by the
+    characters of its stabilizer H = {g : g(C) = C} (Buca and Prosen, New
+    J. Phys. 14, 073007, 2012). Column (O, chi), for an H-orbit O of size s
+    of vec indices in C and a character chi of H trivial on O's
+    stabilizer, is the sum over w in O of conj(chi(h_w)) e_w / sqrt(s),
+    h_w in H taking O's least index to w. A trivial H leaves C whole.
+
+    Only the representatives are held, in a compact layout of ``side``
+    positions: their H-orbits one after another, smaller orbits first,
+    each followed by its characters. ``fourier`` holds the unitary s x s
+    blocks of Q as (first position, (k, s, s) stack) per orbit size, rows
+    in ascending std order, and ``position`` the layout position of each
+    std index's source. ``plan`` holds the sector blocks in layout positions,
+    one (k, s) index array per block size s, and ``stacks[alpha]`` the
+    (k, s, s) stacks Q_b* theta_alpha Q_b, one per plan entry. The
+    ``unit_*`` fields are the representatives' sector blocks that hold
+    vec(1), all of trivial character: their plan and stacks in local
+    positions, vec(1) in them, and for each std index the local position
+    of its source's trivial column (-1 outside them) and 1 / sqrt of that
+    column's orbit size.
     """
 
     plan: tuple
     stacks: dict
     side: int
-    aligned: tuple
-    source: tuple
-
-    def to_standard(self, stacks, n):
-        """The n x n matrix whose block at each component is its
-        representative's stack, 0 off the blocks."""
-        return _unblock([stack[src] for stack, src in zip(stacks, self.source)],
-                        self.aligned, n)
-
-
-def _orbit_layout(sm):
-    """The ``_Orbits`` of sm.blocks under sm._group."""
-    basis, n = sm.blocks, sm.dim ** 2
-    _, coords, act = _group_elements(sm._group)
-    # components numbered in plan order; each one's least index
-    start = np.cumsum([0] + [idx.shape[0] for idx in basis.plan])
-    comp = np.empty(n, int)
-    for idx, first in zip(basis.plan, start):
-        comp[idx] = first + np.arange(idx.shape[0])[:, None]
-    least = np.concatenate([idx[:, 0] for idx in basis.plan])
-    # the component each element moves each component to; a component's
-    # representative is the least of its orbit, and element[c] takes it to c
-    moved = comp[np.array([act(a, least) for a in coords])]
-    rep = moved.min(axis=0)
-    element = np.argmax(moved[:, rep] == np.arange(rep.size), axis=0)
-
-    plan, aligned, source, reps = [], [], [], []
-    held = np.zeros(n, bool)
-    for idx, first in zip(basis.plan, start):
-        k = idx.shape[0]
-        rows = rep[first:first + k] - first
-        mine = np.unique(rows)
-        reps.append(mine)
-        source.append(np.searchsorted(mine, rows))
-        held[idx[mine]] = True
-        out = np.empty_like(idx)
-        for g in np.unique(element[first:first + k]):
-            which = np.flatnonzero(element[first:first + k] == g)
-            out[which] = act(coords[g], idx[rows[which]])
-        aligned.append(out)
-    local = np.cumsum(held) - 1
-    for idx, mine in zip(basis.plan, reps):
-        plan.append(local[idx[mine]])
-    stacks = {alpha: tuple(stack[mine] for stack, mine in zip(group, reps))
-              for alpha, group in basis.stacks.items()}
-    orbits = _Orbits(plan=tuple(plan), stacks=stacks, side=int(np.count_nonzero(held)),
-                     aligned=tuple(aligned), source=tuple(source))
-    for array in (*orbits.plan, *orbits.aligned, *orbits.source,
-                  *(s for group in stacks.values() for s in group)):
-        array.flags.writeable = False
-    return orbits
-
-
-@dataclass(frozen=True)
-class _Sectors:
-    """The character basis Q of a symmetry group G of a structure-map set;
-    for the trivial group Q is the identity.
-
-    Its columns are indexed by layout positions: the orbits of the vec
-    indices under G one after another, smaller orbits first, and within
-    an orbit O of size s its s characters chi that are trivial on O's
-    stabilizer. Column (O, chi) is the sum over w in O of
-    conj(chi(g_w)) e_w / sqrt(s), with g_w taking O's least index to w, so
-    Q is block diagonal in orbits; ``fourier`` holds its unitary s x s
-    blocks as (first position, (k, s, s) stack) per orbit size, rows in
-    ascending std order, and ``position`` the layout position of each std
-    index's row.
-
-    ``plan`` holds the sector blocks in layout positions, one (k, s) index
-    array per block size s, and ``stacks[alpha]`` the (k, s, s) stacks
-    Q_b* theta_alpha Q_b, one per plan entry. The
-    ``unit_*`` fields are the sector blocks that vec(1) lies in, all of
-    trivial character: their plan and stacks in local positions, vec(1)
-    in them, and for each std index its trivial column's local position
-    (-1 outside them) and 1 / sqrt of its orbit size.
-    """
-
-    plan: tuple
-    stacks: dict
+    source: np.ndarray
     position: np.ndarray
     fourier: tuple
     unit_plan: tuple
@@ -386,24 +314,26 @@ class _Sectors:
     unit_local: np.ndarray
     unit_scale: np.ndarray
 
-    def to_standard(self, m, plan):
-        """Q m Q* for an n x n array m in layout positions, 0 off the
-        diagonal blocks of the std plan. Each product with Q is one
-        batched product per orbit size, on a copy of m; an orbit of size 1
-        has the Fourier block 1, so its rows and columns are kept."""
-        n, out = m.shape[0], m.copy()
+    def to_standard(self, stacks, plan):
+        """The n x n matrix Q m Q* of the stacks m on this basis's plan,
+        each component holding its representative's block, 0 off the
+        diagonal blocks of the std plan (whose blocks lie within
+        components). Each product with Q is one batched product per orbit
+        size on the compact side; an orbit of size 1 has the Fourier block
+        1, so its rows and columns are kept."""
+        m, side = _unblock(stacks, self.plan, self.side), self.side
         for start, f in self.fourier:
             k, s, _ = f.shape
             if s > 1:
                 rows = slice(start, start + k * s)
-                out[rows] = (f @ out[rows].reshape(k, s, n)).reshape(k * s, n)
+                m[rows] = (f @ m[rows].reshape(k, s, side)).reshape(k * s, side)
         for start, f in self.fourier:
             k, s, _ = f.shape
             if s > 1:
                 cols = slice(start, start + k * s)
-                part = out[:, cols].reshape(n, k, s).transpose(1, 0, 2) @ f.conj().transpose(0, 2, 1)
-                out[:, cols] = part.transpose(1, 0, 2).reshape(n, k * s)
-        return _unblock([_block(out, self.position[idx]) for idx in plan], plan, n)
+                part = m[:, cols].reshape(side, k, s).transpose(1, 0, 2) @ f.conj().transpose(0, 2, 1)
+                m[:, cols] = part.transpose(1, 0, 2).reshape(side, k * s)
+        return _unblock([_block(m, self.position[idx]) for idx in plan], plan, self.position.size)
 
     def unit_image(self, e):
         """The operator exp(t L)(1), for e = exp(t L) on the unit blocks."""
@@ -413,10 +343,9 @@ class _Sectors:
 
 
 def _sector_basis(sm, found):
-    """The character basis of the group generated by found, (order,
+    """The ``_Sectors`` of the group generated by found, (order,
     permutation) pairs from ``_symmetries``; for found = [] the trivial
-    group's. A found group whose plan does not split the largest block of
-    ``sm.blocks`` gives ``sm.blocks``, before Q or a stack is built."""
+    group's, whose plan is the components of the union pattern."""
     d, n = sm.dim, sm.dim ** 2
     rows, cols = sm._pattern
     # each element of G kept as its vec permutation; the character a takes
@@ -426,48 +355,80 @@ def _sector_basis(sm, found):
     images = np.array([act(a, np.arange(n)) for a in coords])
     phase = (coords * (period // orders)) @ coords.T % period
 
-    # orbits, the element taking each one's least index to each member,
-    # and the characters trivial on each one's stabilizer
-    least, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    # components numbered in plan order; the component each element moves
+    # each one to, the representative of its orbit (the least) and the
+    # element taking that to it
+    components = sm.blocks.plan if found else _pattern_plan(n, rows, cols)
+    start = np.cumsum([0] + [idx.shape[0] for idx in components])
+    comp = np.empty(n, int)
+    for idx, first in zip(components, start):
+        comp[idx] = first + np.arange(idx.shape[0])[:, None]
+    moved = comp[images[:, np.concatenate([idx[:, 0] for idx in components])]]
+    rep = moved.min(axis=0)
+    element = np.argmax(moved[:, rep] == np.arange(rep.size), axis=0)
+    source = np.empty(n, int)
+    for idx, first in zip(components, start):
+        mine = slice(first, first + idx.shape[0])
+        src = idx[rep[mine] - first]
+        source[images[element[mine, None], src]] = src
+
+    # the representatives' indices in ascending std order (the compact
+    # side), each one's stabilizer H (a row of fixes per index), and its
+    # H-orbits: the element of H taking each one's least index to each
+    # member, and the characters of H trivial on the least index's own
+    # stabilizer. H's characters are the distinct restrictions of G's,
+    # each kept as the least character a that restricts to it.
+    held = np.flatnonzero(source == np.arange(n))
+    side = held.size
+    local = np.full(n, -1)
+    local[held] = np.arange(side)
+    fixes = (moved == np.arange(rep.size))[:, comp[held]]
+    reach = np.where(fixes, images[:, held], n)
+    least, orbit = np.unique(reach.min(axis=0), return_inverse=True)
     size = np.bincount(orbit)
-    element = np.argmax(images[:, least[orbit]] == np.arange(n), axis=0)
-    stabilizer = images[:, least] == least
-    allowed = ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
+    step = np.argmax(reach[:, local[least[orbit]]] == held, axis=0)
+    fixes = fixes[:, local[least]]
+    kinds, kind = np.unique(fixes.T, axis=0, return_inverse=True)
+    canonical = np.zeros((kinds.shape[0], coords.shape[0]), bool)
+    for i, h in enumerate(kinds):
+        canonical[i, np.unique(phase[:, h], axis=0, return_index=True)[1]] = True
+    stabilizer = fixes & (images[:, least] == least)
+    allowed = canonical[kind] & ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
 
     # layout: orbits by size, then by least index; columns by character
     order = np.argsort(size, kind="stable")
-    layout = np.lexsort((np.arange(n), np.argsort(order)[orbit]))
+    layout = np.lexsort((np.arange(side), np.argsort(order)[orbit]))
     col_orbit, col_char = np.nonzero(allowed[order])
     col_orbit = order[col_orbit]
     column = np.full(allowed.shape, -1)
-    column[col_orbit, col_char] = np.arange(n)
+    column[col_orbit, col_char] = np.arange(side)
 
     # sector blocks: orbits coupled by a map, within each character
-    pairs = np.unique(orbit[rows] * size.size + orbit[cols])
+    inside = local[rows] >= 0
+    pairs = np.unique(orbit[local[rows[inside]]] * size.size + orbit[local[cols[inside]]])
     o1, o2 = np.divmod(pairs, size.size)
     pair, char = np.nonzero(allowed[o1] & allowed[o2])
-    plan = _pattern_plan(n, column[o1[pair], char], column[o2[pair], char])
-    if found and plan[-1].shape[1] >= sm.blocks.plan[-1].shape[1]:
-        return sm.blocks
+    plan = _pattern_plan(side, column[o1[pair], char], column[o2[pair], char])
 
     roots = np.exp(-2j * np.pi * np.arange(period) / period)
     fourier, q_rows, q_cols = [], [], []
     for s in np.unique(size):
         span = np.flatnonzero(size[col_orbit] == s)
         k = span.size // s
-        g = element[layout[span]].reshape(k, s, 1)
+        g = step[layout[span]].reshape(k, s, 1)
         f = roots[phase[col_char[span].reshape(k, 1, s), g]] / np.sqrt(s)
         fourier.append((int(span[0]), f))
         q_rows.append(np.broadcast_to(layout[span].reshape(k, s, 1), f.shape).ravel())
         q_cols.append(np.broadcast_to(span.reshape(k, 1, s), f.shape).ravel())
-    if found:
+    split = size.max() > 1
+    if split:
         q = scipy.sparse.csr_array(
             (np.concatenate([f.ravel() for _, f in fourier]),
-             (np.concatenate(q_rows), np.concatenate(q_cols))), shape=(n, n))
+             (np.concatenate(q_rows), np.concatenate(q_cols))), shape=(side, side))
         qh = q.conj().T.tocsr()
 
     # each layout position's plan group, row in the group, slot in the row
-    group, row, slot = (np.empty(n, int) for _ in range(3))
+    group, row, slot = (np.empty(side, int) for _ in range(3))
     for i, idx in enumerate(plan):
         group[idx] = i
         row[idx] = np.arange(idx.shape[0])[:, None]
@@ -475,11 +436,12 @@ def _sector_basis(sm, found):
     block = np.cumsum([0] + [idx.shape[0] for idx in plan])[group] + row
     stacks = {}
     for alpha, view in sm.csr.items():
-        # the trivial group's Q is the identity: the view's own entries
-        sec = (qh @ view @ q if found else view).tocoo()
+        view = view[held][:, held] if side < n else view
+        # without a split Q is the identity: the view's own entries
+        sec = (qh @ view @ q if split else view).tocoo()
         # entries between blocks are rounding on an exact 0: dropped
-        inside = block[sec.row] == block[sec.col]
-        r, c, v = sec.row[inside], sec.col[inside], sec.data[inside]
+        keep = block[sec.row] == block[sec.col]
+        r, c, v = sec.row[keep], sec.col[keep], sec.data[keep]
         stacks[alpha] = tuple(np.zeros((idx.shape[0], idx.shape[1], idx.shape[1]), complex)
                               for idx in plan)
         for i, stack in enumerate(stacks[alpha]):
@@ -487,23 +449,26 @@ def _sector_basis(sm, found):
             stack[row[r[mine]], slot[r[mine]], slot[c[mine]]] = v[mine]
 
     # the unit blocks: those holding the trivial columns of diagonal orbits
-    diagonal = np.unique(orbit[np.arange(d) * (d + 1)])
+    diagonal = np.unique(orbit[local[np.intersect1d(np.arange(d) * (d + 1), held)]])
     trivial = column[diagonal, 0]
-    held = np.isin(block, block[trivial])
-    local = np.full(n, -1)
-    local[held] = np.arange(np.count_nonzero(held))
-    keep = [held[idx[:, 0]] for idx in plan]
-    unit_plan = tuple(local[idx[k]] for idx, k in zip(plan, keep) if k.any())
+    unit = np.isin(block, block[trivial])
+    unit_pos = np.full(side, -1)
+    unit_pos[unit] = np.arange(np.count_nonzero(unit))
+    keep = [unit[idx[:, 0]] for idx in plan]
+    unit_plan = tuple(unit_pos[idx[k]] for idx, k in zip(plan, keep) if k.any())
     unit_stacks = {alpha: tuple(stack[k] for stack, k in zip(group_, keep) if k.any())
                    for alpha, group_ in stacks.items()}
-    unit_one = np.zeros(np.count_nonzero(held))
-    unit_one[local[trivial]] = np.sqrt(size[diagonal])
+    unit_one = np.zeros(np.count_nonzero(unit))
+    unit_one[unit_pos[trivial]] = np.sqrt(size[diagonal])
+    source_orbit = orbit[local[source]]
 
-    sectors = _Sectors(plan=plan, stacks=stacks, position=np.argsort(layout),
+    sectors = _Sectors(plan=plan, stacks=stacks, side=side, source=source,
+                       position=np.argsort(layout)[local[source]],
                        fourier=tuple(fourier), unit_plan=unit_plan, unit_stacks=unit_stacks,
-                       unit_one=unit_one, unit_local=local[column[orbit, 0]],
-                       unit_scale=1.0 / np.sqrt(size[orbit]))
-    for array in (sectors.position, *plan, *unit_plan, *(f for _, f in fourier),
+                       unit_one=unit_one, unit_local=unit_pos[column[source_orbit, 0]],
+                       unit_scale=1.0 / np.sqrt(size[source_orbit]))
+    for array in (sectors.source, sectors.position, *plan, *unit_plan,
+                  *(f for _, f in fourier),
                   *(s for group_ in (*stacks.values(), *unit_stacks.values()) for s in group_),
                   sectors.unit_one, sectors.unit_local, sectors.unit_scale):
         array.flags.writeable = False

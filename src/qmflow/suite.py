@@ -46,15 +46,16 @@ from .flows import (
     StepFunction,
     _evolution_maps,
     _generator_blocks,
+    _pair_products,
+    _q_bound_min_eig,
     _unit_window_image,
-    kernel_cp_residual,
+    _window_maps,
     point_generator,
-    q_bound_check,
     schur_product_check,
     step_inner_product,
 )
 from .glauber import build_glauber_structure_maps
-from .linalg import _apply, _draw_op, matrix_exponential, max_abs
+from .linalg import _apply, _apply_grid, _draw_op, matrix_exponential, max_abs, min_eig
 from .serialize import (
     _finite_float,
     glauber_config_from_obj,
@@ -416,13 +417,18 @@ def _check_flow(ctx):
     fs = [_random_step(rng) for _ in range(3)] + [1.0]
     xs = [_draw_op(rng, sm.dim) for _ in range(4)]
     dig = _digest(base, *xs)
+    x = _draw_op(rng, sm.dim)
+    # one t = 0.7 table serves the kernel and the q-bound records; it is
+    # freed before the Schur check builds its two
+    maps, = _window_maps(sm, fs, 0.7)
     yield _record("flow-kernel-cp", "min_eig",
-                  kernel_cp_residual(sm, fs, xs, 0.7), tol["kernel_cp"], dig)
+                  min_eig(_apply_grid(maps, sm.dim, _pair_products(xs, len(fs), sm.dim))),
+                  tol["kernel_cp"], dig)
+    q_bound = _q_bound_min_eig(maps, x)
+    del maps
     yield _record("flow-schur-closure", "min_eig",
                   schur_product_check(sm, fs, xs, 0.4, 0.3), tol["schur"], dig)
-    x = _draw_op(rng, sm.dim)
-    yield _record("flow-q-bound", "min_eig",
-                  q_bound_check(sm, fs, 0.7, x), tol["q_bound"], _digest(dig, x))
+    yield _record("flow-q-bound", "min_eig", q_bound, tol["q_bound"], _digest(dig, x))
 
 
 def _set_up(ctx, generators=True):

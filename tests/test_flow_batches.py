@@ -3,6 +3,7 @@ exponential per distinct factor, each factor freed after its last use,
 all computed in the model's block basis."""
 
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -29,9 +30,9 @@ from qmflow import (
     schur_product_check,
     step_inner_product,
 )
-from qmflow import extended, flows, structure
+from qmflow import extended, flows, structure, suite
 from qmflow.flows import _as_step, _evolution_maps, _segments, _unit_window_image, _window_plan
-from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock, max_abs
+from qmflow.linalg import _apply, _block, _diagonal_blocks, _draw_op, _unblock, max_abs
 from qmflow.suite import _random_step, _split_pieces
 
 
@@ -111,29 +112,32 @@ def batch_windows():
 
 
 def assert_orbit_copies(sm, m, want):
-    """m against the oracle want, block by block: bitwise on every orbit
-    representative. A copy is its representative's block relabelled,
-    exactly; the oracle exponentiates the copy's own block, whose rows
-    are in another order, so the two agree within rounding. Returns the
-    number of copies."""
-    orbits, n = sm._orbits, sm.dim ** 2
+    """m against the oracle want, block by block. A copy is its
+    representative's block relabelled, exactly. A representative is
+    bitwise the oracle's block when its stabilizer is trivial, as on the
+    open chains; otherwise it is computed in its stabilizer's character
+    basis and agrees within rounding, as a copy does (the oracle
+    exponentiates the copy's own block, whose rows are in another order).
+    Returns the number of copies."""
+    sectors, n = sm._sectors, sm.dim ** 2
+    split = any(f.shape[1] > 1 for _, f in sectors.fourier)
     tol = 1e-14 * max(1.0, max_abs(want))
     off = _unblock([np.ones((idx.shape[0], idx.shape[1], idx.shape[1])) for idx in sm.blocks.plan],
                    sm.blocks.plan, n) == 0
     assert not np.any(m[off]) and not np.any(want[off])
     copied = 0
-    for idx, aligned, src in zip(sm.blocks.plan, orbits.aligned, orbits.source):
-        reps = np.unique(src, return_index=True)[1]
-        copies = np.setdiff1d(np.arange(src.size), reps)
-        assert np.array_equal(_block(m, idx[reps]), _block(want, idx[reps]))
-        assert np.array_equal(_block(m, aligned[copies]), _block(m, aligned[reps][src[copies]]))
-        assert max_abs(_block(m, idx[copies]) - _block(want, idx[copies])) <= tol
-        copied += copies.size
+    for idx in sm.blocks.plan:
+        reps = np.all(sectors.source[idx] == idx, axis=1)
+        if not split:
+            assert np.array_equal(_block(m, idx[reps]), _block(want, idx[reps]))
+        assert np.array_equal(_block(m, idx), _block(m, sectors.source[idx]))
+        assert max_abs(_block(m, idx) - _block(want, idx)) <= tol
+        copied += np.count_nonzero(~reps)
     return copied
 
 
 class TestBitIdentical:
-    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "periodic4_sm"])
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
     def test_batch_equals_reference(self, request, model, mode):
         sm = request.getfixturevalue(model)
@@ -144,8 +148,9 @@ class TestBitIdentical:
             assert np.array_equal(evolution_map(sm, f, g, s, t, mode), m), (s, t)
             want = reference_map(sm, f, g, s, t, mode)
             # the qubit has no symmetry; the 3-site periodic chain copies
-            # 2 of its 4 components
-            assert assert_orbit_copies(sm, m, want) == (0 if model == "qubit_sm" else 2)
+            # 2 of its 4 components, the 4-site one 18 of 25
+            copies = {"qubit_sm": 0, "glauber_sm": 2, "periodic4_sm": 18}[model]
+            assert assert_orbit_copies(sm, m, want) == copies
             if model == "qubit_sm":
                 assert np.array_equal(m, want), (s, t)
 
@@ -157,7 +162,7 @@ class TestBitIdentical:
         n = periodic4_sm.dim.bit_length() - 1
         z = np.kron(np.diag([1.0, -1.0]), np.eye(2 ** (n - 1)))
         sm = replace(periodic4_sm, theta_zero=periodic4_sm.theta_zero + commutator_map(z))
-        assert sm._orbits.side == sm.dim ** 2
+        assert sm._sectors is sm.blocks and sm._sectors.side == sm.dim ** 2
         windows = batch_windows()[:3]
         for (f, g, s, t), m in zip(windows, _evolution_maps(sm, windows, mode)):
             assert np.array_equal(m, component_map(sm, f, g, s, t, mode)), (s, t)
@@ -173,9 +178,10 @@ class TestBitIdentical:
 class TestCallCounts:
     def test_flow_group(self, expm_calls):
         # the 924 factors of flow-unitality's 100 windows go through
-        # linalg._expm_stacks on the unit blocks, not matrix_exponential
+        # linalg._expm_stacks on the unit blocks, not matrix_exponential;
+        # the kernel and q-bound records share one t = 0.7 table of 50
         run_suite(parse_config({}), groups=("flow",))
-        assert len(expm_calls) == 1120
+        assert len(expm_calls) == 1070
 
     def test_unitality_loop_makes_no_matrix_exponential_call(self, expm_calls, monkeypatch):
         stacked = []
@@ -219,6 +225,45 @@ class TestCallCounts:
                             lambda m, t=1.0: sides.append(m.shape[0]) or matrix_exponential(m, t))
         flow_matrix_element(open4_sm, F, G, 0.1, 1.8, np.eye(open4_sm.dim))
         assert sides == [128] * len(_segments(F, G, 0.1, 1.8))
+
+    def test_periodic_factors_exponentiate_the_compact_sectors(self, periodic4_sm, monkeypatch):
+        # at 4 periodic sites the compact side is the 7 representatives'
+        # 172 of 256 rows, and the stabilizers' characters split its
+        # 144-row component: the largest block has 22 rows
+        largest = []
+
+        def exponential(m, t=1.0):
+            largest.append((m.shape[0], max(idx.shape[1] for idx in _diagonal_blocks(m))))
+            return matrix_exponential(m, t)
+
+        monkeypatch.setattr(flows, "matrix_exponential", exponential)
+        flow_matrix_element(periodic4_sm, F, G, 0.1, 1.8, np.eye(periodic4_sm.dim))
+        assert largest == [(172, 22)] * len(_segments(F, G, 0.1, 1.8))
+
+    @pytest.mark.parametrize("model", ["glauber_sm", "qubit_sm"])
+    def test_kernel_and_q_bound_share_one_table(self, request, model, monkeypatch):
+        # the flow group builds the t = 0.7 table once for both records,
+        # whose values are those of the public kernels on the same draws
+        sm = request.getfixturevalue(model)
+        tables = []
+        original = flows._window_maps
+
+        def window_maps(sm_, fs, *ts):
+            tables.append(ts)
+            return original(sm_, fs, *ts)
+
+        monkeypatch.setattr(flows, "_window_maps", window_maps)
+        monkeypatch.setattr(suite, "_window_maps", window_maps)
+        records = {r.name: r for r in suite._check_flow(
+            {"rc": parse_config({}), "sm": sm, "base": "b"})}
+        assert tables == [(0.7,), (0.4, 0.3)]
+        rng = rng_for(0, "flow-kernel")
+        fs = [_random_step(rng) for _ in range(3)] + [1.0]
+        xs = [_draw_op(rng, sm.dim) for _ in range(4)]
+        x = _draw_op(rng, sm.dim)
+        monkeypatch.setattr(flows, "_window_maps", original)
+        assert records["flow-kernel-cp"].value == kernel_cp_residual(sm, fs, xs, 0.7)
+        assert records["flow-q-bound"].value == q_bound_check(sm, fs, 0.7, x)
 
     def test_gram_tables_share_one_batch(self, glauber_sm, expm_calls):
         fs = [F, G, 1.0]
@@ -385,10 +430,11 @@ class TestBlockBasis:
         evolution_map(sm, F, G, 0.0, 1.0)
         _unit_window_image(sm, G, F, 0.0, 1.0)
         assert len(built) == 4 and sm._sectors is not sm.blocks
-        # the open chain's flip does not split its components: one basis
+        # the open chain's flip pairs its components: its components and
+        # one of each pair
         rc = parse_config({"model": {"glauber": {"sites": 3, "boundary": "open"}}})
         run_suite(rc, groups=("extended", "flow"))
-        assert len(built) == 5
+        assert len(built) == 6
 
 
 class TestMessages:
@@ -437,6 +483,17 @@ class TestMessages:
             q_bound_check(qubit_sm, [], 0.5, np.eye(2))
         with pytest.raises(ValueError, match=msg):
             schur_product_check(qubit_sm, [], [], 0.4, 0.3)
+
+    @pytest.mark.parametrize("f0, g0, name, shown", [
+        (np.inf, 0.0, "f0", "inf"), (0.3, complex(0.0, np.nan), "g0", r"nanj"),
+        (complex(-np.inf, 1.0), 0.5, "f0", r"\(-inf\+1j\)")])
+    def test_non_finite_point_values_refused(self, qubit_sm, monkeypatch, f0, g0, name, shown):
+        # refused before any assembly, with no warning
+        monkeypatch.setattr(flows, "_generator_blocks", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got {shown}$"):
+                point_generator(qubit_sm, f0, g0)
 
     def test_batch_routine_stays_private(self):
         for name in ("_evolution_maps", "_unit_window_image"):

@@ -22,7 +22,7 @@ from qmflow import (
     save_json,
     structure_maps_to_obj,
 )
-from qmflow import extended, structure
+from qmflow import extended, flows, structure
 from qmflow.extended import _semigroup, _table_choi, _unit_images
 from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock
 from qmflow.structure import _cyclic_shift, _symmetries, _vec_permutation
@@ -98,9 +98,12 @@ class TestDetection:
 
     def test_open_chain_has_the_flip_alone_and_no_sectors(self, open4):
         assert [order for order, _ in _symmetries(open4)] == [2]
-        # the flip leaves a 9-row block, as large as the largest component,
-        # so the basis falls back to the trivial group
-        assert_trivial_basis(open4)
+        # the flip pairs the components and fixes none, so the basis holds
+        # one of each pair and no character splits it: Q is the identity
+        sectors = open4._sectors
+        assert sectors is not open4.blocks and sectors.side == 128
+        assert [f.shape for _, f in sectors.fourier] == [(128, 1, 1)]
+        assert np.all(sectors.fourier[0][1] == 1)
 
     def test_qubit_has_none(self, qubit_sm):
         assert _symmetries(qubit_sm) == []
@@ -154,60 +157,87 @@ def one_ulp_off(sm):
     return replace(sm, theta_zero=tz)
 
 
-def representatives(source):
-    """The rows of one plan group that are representatives: the first row
-    that copies each representative stack."""
-    return np.unique(source, return_index=True)[1]
+def representatives(sm):
+    """The rows of sm.blocks.plan that are representatives, one boolean
+    array per plan group: the components whose indices copy themselves."""
+    source = sm._sectors.source
+    return [np.all(source[idx] == idx, axis=1) for idx in sm.blocks.plan]
+
+
+def stabilizers(sm):
+    """The stabilizer of each representative component, computed from the
+    group alone: the coords of the elements g with g(C) = C."""
+    _, coords, act = structure._group_elements(sm._group)
+    out = []
+    for idx, reps in zip(sm.blocks.plan, representatives(sm)):
+        for comp in idx[reps]:
+            out.append({tuple(a) for a in coords
+                        if np.array_equal(np.sort(act(a, comp)), comp)})
+    return out
 
 
 class TestOrbits:
+    """Orbit copies outside: one representative component per orbit of the
+    maps' symmetry group, every other member an exact copy of it."""
+
     @pytest.mark.parametrize("sites, boundary, copies, side", [
         (3, "periodic", (2, 4), (32, 64)), (4, "open", (32, 64), (128, 256)),
         (5, "open", (50, 100), (512, 1024)), (5, "periodic", (2, 4), (512, 1024))])
     def test_members_gather_their_representatives_stacks(self, sites, boundary, copies, side):
         sm = chain(sites, boundary)
-        orbits, n = sm._orbits, sm.dim ** 2
-        assert (orbits.side, n) == side
-        count = sum(src.size for src in orbits.source)
-        assert (count - sum(p.shape[0] for p in orbits.plan), count) == copies
-        for i, (idx, aligned, src) in enumerate(zip(sm.blocks.plan, orbits.aligned,
-                                                    orbits.source)):
-            reps = representatives(src)
-            # a representative keeps its own index array
-            assert np.array_equal(aligned[reps], idx[reps])
-            for alpha, m in sm.maps().items():
+        sectors, n = sm._sectors, sm.dim ** 2
+        assert (sectors.side, n) == side
+        count = sum(idx.shape[0] for idx in sm.blocks.plan)
+        assert (count - sum(r.sum() for r in representatives(sm)), count) == copies
+        for idx in sm.blocks.plan:
+            for m in sm.maps().values():
                 # every member's dense blocks are its representative's, exactly
-                assert np.array_equal(_block(m, aligned), _block(m, aligned[reps][src]))
-                assert np.array_equal(orbits.stacks[alpha][i], sm.blocks.stacks[alpha][i][reps])
+                assert np.array_equal(_block(m, idx), _block(m, sectors.source[idx]))
+        # the basis's own stacks map back to each map, 0 off its blocks
+        off = off_blocks(sum(np.abs(m) for m in sm.maps().values()) + np.eye(n))
         for alpha, m in sm.maps().items():
-            assert np.array_equal(orbits.to_standard(orbits.stacks[alpha], n), m)
+            back = sectors.to_standard(sectors.stacks[alpha], sm.blocks.plan)
+            assert np.max(np.abs(back - m)) <= 1e-14 * max(1.0, np.max(np.abs(m)))
+            assert not np.any(back[off])
 
     @pytest.mark.parametrize("sites, boundary", [(3, "periodic"), (4, "open"), (4, "periodic")])
     def test_aligned_plan_covers_every_index_once(self, sites, boundary):
         sm = chain(sites, boundary)
-        orbits, n = sm._orbits, sm.dim ** 2
-        assert np.array_equal(np.sort(np.concatenate([a.ravel() for a in orbits.aligned])),
-                              np.arange(n))
-        # each component keeps its indices, in its representative's order
-        for idx, aligned in zip(sm.blocks.plan, orbits.aligned):
-            assert np.array_equal(np.sort(aligned, axis=1), idx)
-        # the compact plan covers the representatives' side once
-        assert np.array_equal(np.sort(np.concatenate([p.ravel() for p in orbits.plan])),
-                              np.arange(orbits.side))
+        sectors = sm._sectors
+        held = [idx[reps] for idx, reps in zip(sm.blocks.plan, representatives(sm))]
+        # each component copies one representative, each of its indices once
+        for idx, rep in zip(sm.blocks.plan, held):
+            copied = np.sort(sectors.source[idx], axis=1)
+            assert np.all((copied[:, None, :] == rep[None]).all(axis=2).sum(axis=1) == 1)
+        # the compact side is the representatives' indices, and its plan
+        # covers it once
+        assert sectors.side == sum(rep.size for rep in held)
+        assert np.array_equal(np.sort(np.concatenate([p.ravel() for p in sectors.plan])),
+                              np.arange(sectors.side))
+
+    @pytest.mark.parametrize("sites, boundary, orders", [
+        (3, "periodic", {3}), (4, "periodic", {8, 2}), (5, "periodic", {5}),
+        (3, "open", {1}), (4, "open", {1}), (5, "open", {1})])
+    def test_stabilizer_orders(self, sites, boundary, orders):
+        sm = chain(sites, boundary)
+        found = stabilizers(sm)
+        assert {len(h) for h in found} == orders
+        if boundary == "periodic" and sites != 4:
+            # the shift alone: every power of it, and no flip
+            assert all(h == {(a, 0) for a in range(sites)} for h in found)
+        # each stabilizer orbit has as many columns as rows, and a trivial
+        # stabilizer leaves Q the identity
+        sizes = {f.shape[1] for _, f in sm._sectors.fourier}
+        assert all(any(order % s == 0 for order in orders) for s in sizes)
+        assert (sizes == {1}) == (orders == {1})
 
     @pytest.mark.parametrize("broken", [site_z_breaker, one_ulp_off], ids=["site-z", "one-ulp"])
     def test_without_symmetry_every_component_is_its_own(self, periodic4, broken):
         sm = broken(periodic4)
         assert _symmetries(sm) == []
-        orbits, n = sm._orbits, sm.dim ** 2
-        assert orbits.side == n
-        for idx, plan, aligned, src in zip(sm.blocks.plan, orbits.plan, orbits.aligned,
-                                           orbits.source):
-            assert np.array_equal(plan, idx) and np.array_equal(aligned, idx)
-            assert np.array_equal(src, np.arange(idx.shape[0]))
-        for alpha, group in orbits.stacks.items():
-            for stack, want in zip(group, sm.blocks.stacks[alpha]):
-                assert np.array_equal(stack, want)
+        sectors = sm._sectors
+        assert sectors is sm.blocks and sectors.side == sm.dim ** 2
+        assert np.array_equal(sectors.source, np.arange(sm.dim ** 2))
 
     def test_group_detected_once(self, monkeypatch):
         calls = []
@@ -215,26 +245,42 @@ class TestOrbits:
         monkeypatch.setattr(structure, "_symmetries",
                             lambda sm: calls.append(sm) or original(sm))
         sm = chain(3)
-        sm._orbits, sm._sectors
+        gen = build_extended_generator(sm, "physical")
+        _semigroup(gen, 0.5)
+        _unit_images(gen, 0.5)
+        sm._sectors, sm.blocks
         assert len(calls) == 1
 
 
 class TestSectorBasis:
     def test_four_site_blocks(self, periodic4):
         sectors = periodic4._sectors
-        assert [idx.shape for idx in sectors.plan] == [(16, 1), (16, 6), (4, 16), (1, 18),
+        assert [idx.shape for idx in sectors.plan] == [(4, 1), (4, 6), (4, 16), (1, 18),
                                                        (2, 20), (1, 22)]
+        assert sectors.side == 172
         assert sum(idx.size for idx in sectors.unit_plan) == sectors.unit_one.size == 23
 
     @pytest.mark.parametrize("model", ["periodic3", "periodic4"])
     def test_maps_are_block_diagonal_in_it(self, request, model):
         sm = request.getfixturevalue(model)
-        sectors, n = sm._sectors, sm.dim ** 2
-        everything = (np.arange(n)[None],)
+        sectors = sm._sectors
         for alpha, m in sm.maps().items():
-            back = sectors.to_standard(_unblock(sectors.stacks[alpha], sectors.plan, n),
-                                       everything)
+            back = sectors.to_standard(sectors.stacks[alpha], sm.blocks.plan)
             assert np.max(np.abs(back - m)) <= 1e-14 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("model", ["periodic3", "periodic4", "open4", "qubit_sm"])
+    def test_entry_plans_from_the_stacks(self, request, model):
+        # L_ij's plan read from its blocks in sm.blocks has the bytes of the
+        # dense pass over the entry
+        sm = request.getfixturevalue(model)
+        for mode in ("physical", "conservative"):
+            gen = build_extended_generator(sm, mode)
+            for i in (0, 1):
+                for j in (0, 1):
+                    got, want = extended._entry_plan(gen, i, j), _diagonal_blocks(gen.block(i, j))
+                    assert len(got) == len(want)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestSectorSemigroup:
@@ -280,12 +326,14 @@ class TestSectorSemigroup:
     def test_one_exponential_per_entry(self, periodic4, monkeypatch):
         sides = []
         original = extended.matrix_exponential
-        monkeypatch.setattr(extended, "matrix_exponential",
-                            lambda m, t=1.0: sides.append(m.shape[0]) or original(m, t))
+        for module in (extended, flows):
+            monkeypatch.setattr(module, "matrix_exponential",
+                                lambda m, t=1.0: sides.append(m.shape[0]) or original(m, t))
         gen = build_extended_generator(periodic4, "physical")
         _semigroup(gen, 0.5)
         _unit_images(gen, 0.5)
-        assert sides == [256] * 4 + [23] * 4
+        # the compact side: 7 representatives of the 25 components
+        assert sides == [172] * 4 + [23] * 4
 
     def test_negative_time_refused(self, periodic3):
         gen = build_extended_generator(periodic3, "physical")
@@ -302,11 +350,13 @@ class TestSectorSemigroup:
 
 
 class TestEntryPathUnchanged:
-    """Models without a splitting symmetry are exponentiated in the trivial
-    group's basis, which keeps the per-entry exponentials bit for bit; the
-    images of 1 come from the blocks that hold vec(1) alone."""
+    """A model without a symmetry is exponentiated in the trivial group's
+    basis, which keeps the per-entry exponentials bit for bit; the images
+    of 1 come from the blocks that hold vec(1) alone. A model whose
+    stabilizers are all trivial (the open chain) keeps them bit for bit on
+    its representatives, and the other components copy those exactly."""
 
-    @pytest.mark.parametrize("model", ["open4", "qubit_sm"])
+    @pytest.mark.parametrize("model", ["qubit_sm"])
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
     def test_bitwise(self, request, model, mode):
         sm = request.getfixturevalue(model)
@@ -318,6 +368,23 @@ class TestEntryPathUnchanged:
                 for j in (0, 1):
                     want = matrix_exponential(gen.block(i, j), t)
                     assert np.array_equal(table[i][j], want)
+                    assert np.max(np.abs(images[i][j] - _apply(want, eye))) <= 1e-14
+
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_representatives_bitwise(self, open4, mode):
+        gen = build_extended_generator(open4, mode)
+        sectors, eye = open4._sectors, np.eye(open4.dim)
+        for t in (0.1, 0.5):
+            table, images = _semigroup(gen, t), _unit_images(gen, t)
+            for i in (0, 1):
+                for j in (0, 1):
+                    want, got = matrix_exponential(gen.block(i, j), t), table[i][j]
+                    tol = 1e-14 * max(1.0, np.max(np.abs(want)))
+                    assert not np.any(got[off_blocks(gen.block(i, j))])
+                    for idx, reps in zip(open4.blocks.plan, representatives(open4)):
+                        assert np.array_equal(_block(got, idx[reps]), _block(want, idx[reps]))
+                        assert np.array_equal(_block(got, idx), _block(got, sectors.source[idx]))
+                        assert np.max(np.abs(_block(got, idx) - _block(want, idx))) <= tol
                     assert np.max(np.abs(images[i][j] - _apply(want, eye))) <= 1e-14
 
 
