@@ -23,17 +23,18 @@ pinned by the maps themselves, so :func:`build_evans_hudson` measures them
 (least squares over random operator pairs) and stores the calibrated
 values, warning when a supplied table disagrees.
 
-A :class:`StructureMapSet` keeps its maps as dense matrices (file output
-and the report's model digest read them) and one ``scipy.sparse`` CSR view
-of each. The checks in this module (unitality, conjugation, the product
-rule and the Ito calibration) apply the maps through those views, one
-product per map on all of its operands: the maps of chain models are a few
-percent nonzero or less (0.24-1.1% at 5 sites). :func:`build_evans_hudson`
-builds the maps CSR first, from the nonzero products of their Kronecker
-factors (``linalg._csr_commutator`` and ``linalg._csr_dissipator``),
-calibrates on those views and then makes each dense map once from its
-view, with the bytes of the public dense builders. A set built from dense
-maps (a structure-map file) makes its views from them.
+A :class:`StructureMapSet` holds one ``scipy.sparse`` CSR view of each
+map. The checks in this module (unitality, conjugation, the product rule
+and the Ito calibration) apply the maps through those views, one product
+per map on all of its operands: the maps of chain models are a few percent
+nonzero or less (0.24-1.1% at 5 sites). The report's model digest reads
+the views too. :func:`build_evans_hudson` builds the maps CSR first, from
+the nonzero products of their Kronecker factors
+(``linalg._csr_commutator`` and ``linalg._csr_dissipator``), calibrates on
+those views and makes a set of the views alone: its dense maps are built
+on first read (file output, ``maps()``), all three in one allocation, with
+the bytes of the public dense builders. A set built from dense maps (a
+structure-map file) keeps them and makes its views from them.
 
 One constructor, ``_sector_basis``, builds on first use, from the views
 alone, the two bases in which the maps are block diagonal (each a
@@ -60,7 +61,7 @@ layer work in it; a set without a symmetry has ``blocks`` itself.
 """
 
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -118,49 +119,79 @@ class ItoTable:
                     f"Ito constant {name} has negative real part {v.real:.3e}")
 
 
+_DENSE = ("theta_minus", "theta_zero", "theta_plus")
+
+
 @dataclass(frozen=True)
 class StructureMapSet:
     """The three maps of a flow plus the Ito table they were built for.
 
-    Fields hold dense superoperator matrices of shape (dim**2, dim**2).
-    Construction checks shapes, finiteness and unitality (each map must
-    kill the identity to within ``UNITAL_TOL``) and builds ``csr``, one
-    CSR view of each map keyed like :meth:`maps`; products of a map with
-    operators go through its view, unchecked. The deeper product-rule and
-    positivity properties are checked by the verification suite.
+    The maps are superoperator matrices of shape (dim**2, dim**2), held as
+    ``csr``, one CSR view of each keyed like :meth:`maps`: products of a
+    map with operators go through its view, unchecked, and the report's
+    model digest reads the views. The dense fields hold the maps the
+    constructor was given. A set that :func:`build_evans_hudson` makes
+    from its views builds all three dense maps, in one allocation, on the
+    first read of any of them (``maps()``, file output) and keeps them;
+    the suite never reads them. Construction checks shapes, finiteness and
+    unitality (each map must kill the identity to within ``UNITAL_TOL``).
+    The deeper product-rule and positivity properties are checked by the
+    verification suite.
     """
 
     dim: int
-    theta_minus: np.ndarray
-    theta_zero: np.ndarray
-    theta_plus: np.ndarray
+    # not in the repr, which would build them
+    theta_minus: np.ndarray = field(repr=False)
+    theta_zero: np.ndarray = field(repr=False)
+    theta_plus: np.ndarray = field(repr=False)
     ito: ItoTable = field(default_factory=ItoTable)
     csr: dict = field(init=False, repr=False, compare=False)
-    # views already built from these very maps (build_evans_hudson's)
-    _views: InitVar[dict] = None
 
-    def __post_init__(self, _views):
+    def __post_init__(self):
         d = int(self.dim)
         if d < 1:
             raise ValueError(f"dimension must be positive, got {d}")
         object.__setattr__(self, "dim", d)
-        for name in ("theta_minus", "theta_zero", "theta_plus"):
+        for name in _DENSE:
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape != (d * d, d * d):
                 raise ValueError(
                     f"{name} must have shape {(d * d, d * d)}, got {m.shape}")
             object.__setattr__(self, name, m)
-        if _views is None:
-            _views = _csr_views(self.theta_minus, self.theta_zero, self.theta_plus)
+        object.__setattr__(self, "csr", _csr_views(self.theta_minus, self.theta_zero,
+                                                   self.theta_plus))
+        self._check()
+
+    @classmethod
+    def _from_views(cls, dim, views, ito, fills):
+        """The set of the canonical CSR views keyed -1, 0, +1 of maps on
+        dim x dim operators, with no dense map: ``fills[i]`` (None for 0)
+        is the entry of dense map i off its view's stored entries."""
+        sm = object.__new__(cls)
+        for name, value in (("dim", dim), ("ito", ito), ("csr", views), ("_fills", fills)):
+            object.__setattr__(sm, name, value)
+        sm._check()
+        return sm
+
+    def _check(self):
         # a view stores every entry of its map that is not 0, NaN included
-        for alpha, name in ((-1, "theta_minus"), (0, "theta_zero"), (1, "theta_plus")):
-            if not np.all(np.isfinite(_views[alpha].data)):
+        for alpha, name in zip((-1, 0, 1), _DENSE):
+            if not np.all(np.isfinite(self.csr[alpha].data)):
                 raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "csr", _views)
         resid = check_unital(self)
         if resid > UNITAL_TOL:
             raise ValueError(
                 f"structure maps must kill the identity; residual {resid:.3e}")
+
+    def __getattr__(self, name):
+        # called only for an attribute not found: here, a dense map of a
+        # ``_from_views`` set that was not read yet
+        if name not in _DENSE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dense = _todense([self.csr[-1], self.csr[0], self.csr[1]], self._fills)
+        for key, m in zip(_DENSE, dense):
+            object.__setattr__(self, key, m)
+        return self.__dict__[name]
 
     def maps(self):
         """The three maps keyed by their noise index -1, 0, +1."""
@@ -656,13 +687,11 @@ def build_evans_hudson(h, f, w_minus, w_plus, ito=None):
                 f"declared Ito constants ({ito.c_mp:.6g}, {ito.c_pm:.6g}) disagree "
                 f"with calibrated ({calibrated.c_mp:.6g}, {calibrated.c_pm:.6g}); "
                 "storing the calibrated values")
-    # Each dense map once, from its view; the set validates them. One
-    # allocation holds all three: a process that frees a model then frees
-    # one block of 3 d**4 entries, and glibc raises its heap trim threshold
-    # to twice that, so the d**2-row temporaries of later flow factors are
-    # reused from the heap instead of page-faulted in afresh.
+    # No dense map is made here, so freeing a model frees no 3 d**4 block
+    # that would raise glibc's trim threshold. The flow factors' temporaries
+    # do not need it: flow-4o's op_p50_s read 7.61 ms with the dense maps
+    # built and 7.15 ms without (medians of 10 alternating pairs of 30 s
+    # runs; per-pair ratio 1.002 in the median of 34 pairs; 2-vCPU VM, one
+    # BLAS thread), with the same minor page faults per op.
     zero = -1j * 0j   # a commutator map's entries off its view
-    theta_minus, theta_zero, theta_plus = _todense(
-        [views[-1], views[0], views[1]], [zero, None, zero])
-    return StructureMapSet(dim=d, theta_minus=theta_minus, theta_zero=theta_zero,
-                           theta_plus=theta_plus, ito=calibrated, _views=views)
+    return StructureMapSet._from_views(d, views, calibrated, [zero, None, zero])

@@ -63,7 +63,7 @@ from .serialize import (
     load_json,
     structure_maps_from_obj,
 )
-from .structure import check_conjugation, check_unital, leibnitz_residual
+from .structure import _stored_entries, check_conjugation, check_unital, leibnitz_residual
 
 __all__ = [
     "DEFAULT_TOLERANCES", "RunConfig", "CheckRecord", "Report",
@@ -436,9 +436,19 @@ def _set_up(ctx, generators=True):
     ("base") and, with ``generators``, one physical generator and its
     conservative view ("gen_phys", "gen_cons"). Each entry is stored as
     soon as it is built, so after a failure ctx holds what came before it.
+
+    The digest reads the maps' CSR views, never the dense maps: it hashes
+    ``dim`` and then, for each map -1, 0, +1, the int64 flat positions
+    (row * dim**2 + col, row-major) and the complex128 values of its
+    nonzero entries. So it depends on neither the index dtype nor stored
+    zeros, and a map and its file round trip (which may drop the sign of
+    a zero) get one digest.
     """
     sm = ctx["sm"] = build_model(ctx["rc"])
-    ctx["base"] = _digest(sm.theta_minus, sm.theta_zero, sm.theta_plus)
+    n, parts = sm.dim ** 2, [sm.dim]
+    for rows, cols, values in _stored_entries(sm):
+        parts += [rows.astype(np.int64) * n + cols, values.astype(np.complex128)]
+    ctx["base"] = _digest(*parts)
     if generators:
         ctx["gen_phys"] = build_extended_generator(sm, "physical")
         ctx["gen_cons"] = replace(ctx["gen_phys"], mode="conservative")

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import qmflow.glauber
 import qmflow.linalg
 import qmflow.structure
+import qmflow.suite
 from qmflow import (
     GlauberConfig,
     ItoTable,
@@ -35,7 +36,7 @@ from qmflow import (
 )
 from qmflow.linalg import _apply, _draw_op
 from qmflow.serialize import save_json, structure_maps_to_obj
-from qmflow.structure import _CALIBRATION_PAIRS, _CALIBRATION_SEED, calibrate_ito
+from qmflow.structure import _CALIBRATION_PAIRS, _CALIBRATION_SEED, _DENSE, calibrate_ito
 from qmflow.suite import _digest, build_model, report_to_json_bytes
 from conftest import random_op
 
@@ -636,7 +637,10 @@ class TestCsrBuild:
 # -resolvent-order and flow-composition, -refinement, -unitality,
 # -kernel-cp, -schur-closure and -q-bound moved by at most 2.4e-15; no
 # verdict or digest moved.
-_DEFAULT_EXTENDED_FLOW_SHA = "9e2e27e5179c5bb0b397fa7354c5ab264754630b3a89f75b7fbacf9a17ae0a13"
+# It was re-pinned when the model digest moved from the dense maps' bytes
+# to the CSR views' nonzero entries: every record's digest changed, and
+# every other field of every record is byte-identical.
+_DEFAULT_EXTENDED_FLOW_SHA = "27228e3439a65144586407a7f9d6ba7ca79e5914da1638d84c6b589b51aee64c"
 
 
 def _derivation_breaker(sm, eps):
@@ -715,3 +719,124 @@ class TestReportsAndAdversaries:
             h.update(np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray)
                      else repr(p).encode())
         assert _digest(*parts) == h.hexdigest()[:12]
+
+
+# --- the model digest and the dense maps on first read -----------------------
+
+# sha256 of the default chain's three dense maps (their bytes in order -1,
+# 0, +1) and of its structure_maps_to_obj file, both measured when every
+# dense map was built at construction
+_DEFAULT_DENSE_SHA = "d4784d20013981eb4efd047d1fa94919a5f8b1b258a8d2d5927388b3f4b65ba6"
+_DEFAULT_MAPS_FILE_SHA = "0423d64ba44d238234e32369ae04ab2f4c600298f10f2eed375ce22a353156ef"
+
+
+def _structure_digests(monkeypatch, sm):
+    """The record digests of run_suite's structure group on the model sm."""
+    monkeypatch.setattr(qmflow.suite, "build_model", lambda rc: sm)
+    return [r.digest for r in run_suite(parse_config({}), groups=("structure",)).records]
+
+
+def _one_ulp_off(sm):
+    """sm with one nonzero entry of theta_0 moved by one ulp."""
+    tz = sm.theta_zero.copy()
+    r, c = np.argwhere(tz != 0)[5]
+    tz[r, c] = np.nextafter(tz[r, c].real, np.inf) + 1j * tz[r, c].imag
+    return replace(sm, theta_zero=tz)
+
+
+class TestModelDigest:
+    def test_copies_of_one_chain_share_the_digests(self, monkeypatch, tmp_path):
+        want = [r.digest for r in run_suite(parse_config({}), groups=("structure",)).records]
+        built = build_glauber_structure_maps(parse_config({}).glauber)
+        # the file round trip: build_model reads it with structure_maps_from_obj
+        rc = parse_config({"model": {"structure_maps": _file_model(tmp_path, built)}})
+        assert [r.digest for r in run_suite(rc, groups=("structure",)).records] == want
+        # the file's reader drops the sign of the commutator maps' zero entries
+        loaded = build_model(rc)
+        assert np.signbit(built.theta_plus.imag[built.theta_plus == 0]).all()
+        assert not np.signbit(loaded.theta_plus.imag[loaded.theta_plus == 0]).any()
+        dense = StructureMapSet(built.dim, built.theta_minus, built.theta_zero,
+                                built.theta_plus, built.ito)
+        assert _structure_digests(monkeypatch, dense) == want
+        assert _structure_digests(monkeypatch, _one_ulp_off(built))[0] != want[0]
+
+    def test_digest_ignores_stored_zeros_and_index_dtype(self, monkeypatch, glauber_sm):
+        want = _structure_digests(monkeypatch, glauber_sm)
+        views = {}
+        for alpha, v in glauber_sm.csr.items():
+            # a stored zero at every antidiagonal position it does not hold
+            n, coo = v.shape[0], v.tocoo()
+            stored = scipy.sparse.csr_array(
+                (np.concatenate([coo.data, np.zeros(n, complex)]),
+                 (np.concatenate([coo.row, np.arange(n)]),
+                  np.concatenate([coo.col, np.arange(n)[::-1]]))),
+                shape=(n, n))
+            stored.indices, stored.indptr = stored.indices.astype(np.int64), stored.indptr.astype(np.int64)
+            assert stored.has_canonical_format and np.any(stored.data == 0)
+            assert np.array_equal(stored.toarray(), v.toarray())
+            views[alpha] = stored
+        padded = StructureMapSet._from_views(glauber_sm.dim, views, glauber_sm.ito,
+                                             [None, None, None])
+        assert _structure_digests(monkeypatch, padded) == want
+
+
+class TestDenseMapsOnFirstRead:
+    def test_suite_and_flow_element_build_no_dense_map(self, monkeypatch):
+        built = []
+        inner = qmflow.suite.build_model
+
+        def recording(rc):
+            built.append(inner(rc))
+            return built[-1]
+
+        monkeypatch.setattr(qmflow.suite, "build_model", recording)
+        report = run_suite(parse_config({}), groups=("structure",))
+        assert report.passed
+        (sm,) = built
+        flow_matrix_element(sm, StepFunction([(0.0, 1.0, 0.3 - 0.2j)]),
+                            StepFunction([(0.2, 1.5, 0.6 + 0.1j)]), 0.0, 2.0, np.eye(sm.dim))
+        assert repr(sm).startswith("StructureMapSet(dim=8, ito=ItoTable(")
+        assert not set(_DENSE) & set(vars(sm))
+
+    def test_first_read_keeps_the_bits(self):
+        sm = build_glauber_structure_maps(parse_config({}).glauber)
+        assert not set(_DENSE) & set(vars(sm))
+        maps = [getattr(sm, name) for name in _DENSE]
+        assert hashlib.sha256(b"".join(m.tobytes() for m in maps)).hexdigest() == _DEFAULT_DENSE_SHA
+        # the commutator maps hold (0, -0) off their views, the drift 0
+        for alpha, m in zip((-1, 0, 1), maps):
+            assert np.array_equal(m, sm.csr[alpha].toarray())
+            zero = m == 0
+            assert not np.signbit(m.real[zero]).any()
+            assert np.array_equal(np.signbit(m.imag[zero]), np.full(zero.sum(), alpha != 0))
+        # one allocation, built once: a second read is the same object
+        assert all(m.base is maps[0].base for m in maps)
+        assert all(getattr(sm, name) is m for name, m in zip(_DENSE, maps))
+        assert all(sm.maps()[alpha] is m for alpha, m in zip((-1, 0, 1), maps))
+
+    def test_maps_file_keeps_its_bytes(self, tmp_path):
+        sm = build_glauber_structure_maps(parse_config({}).glauber)
+        path = tmp_path / "maps.json"
+        save_json(structure_maps_to_obj(sm), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _DEFAULT_MAPS_FILE_SHA
+
+    def test_given_dense_maps_are_kept(self, glauber_sm):
+        maps = [getattr(glauber_sm, name) for name in _DENSE]
+        sm = StructureMapSet(glauber_sm.dim, *maps, glauber_sm.ito)
+        assert all(getattr(sm, name) is m for name, m in zip(_DENSE, maps))
+
+    def test_unknown_attribute_still_raises(self, glauber_sm):
+        with pytest.raises(AttributeError, match="theta_one"):
+            glauber_sm.theta_one
+
+    @pytest.mark.parametrize("alpha, name", [(-1, "theta_minus"), (0, "theta_zero"),
+                                             (1, "theta_plus")])
+    def test_views_are_checked(self, qubit_sm, alpha, name):
+        views = {a: v.copy() for a, v in qubit_sm.csr.items()}
+        views[alpha].data[0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            StructureMapSet._from_views(2, views, qubit_sm.ito, [None, None, None])
+        views = {a: v.copy() for a, v in qubit_sm.csr.items()}
+        views[alpha] = views[alpha] + 1e-9 * scipy.sparse.eye_array(4, format="csr")
+        with pytest.raises(ValueError, match="kill the identity"):
+            StructureMapSet._from_views(2, views, qubit_sm.ito, [None, None, None])
