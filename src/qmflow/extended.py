@@ -30,7 +30,7 @@ point generators, so exponentials and resolvents are computed in the
 symmetry-reduced basis of the flow factors (``StructureMapSet._sectors``,
 the representatives' stabilizer-character blocks): ``_semigroup``
 exponentiates each entry there in one call and maps it back onto L_ij's
-own plan (``_entry_plan``, read from its stacks), ``_unit_images`` only
+own plan (``_entry_plan``, read from its CSR sum), ``_unit_images`` only
 the blocks that hold vec(1), and ``resolvent_generator`` solves each
 entry block by block.
 ``generator_cp_min_eig`` decides complete positivity for every t, and the
@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import MODES, _factor, _generator_blocks, point_generator
+from .flows import MODES, _factor, _generator_blocks, _generator_csr
 from .linalg import (
     _apply,
     _apply_grid,
@@ -139,8 +139,8 @@ class ExtendedGenerator:
     """The structure maps viewed as the 2x2 generator table of one mode.
 
     Entry (i, j) is ``point_generator(source, i, j, mode)``; the four
-    entries and their block plans are built on first use and cached on
-    the object.
+    entries, their CSR sums (``_sums``) and their block plans are built
+    on first use and cached on the object.
     """
 
     source: StructureMapSet
@@ -151,8 +151,13 @@ class ExtendedGenerator:
         return self.source.dim
 
     @cached_property
+    def _sums(self):
+        """The entries as CSR matrices (``flows._generator_csr``)."""
+        return _table(lambda i, j: _generator_csr(self.source, i, j, self.mode))
+
+    @cached_property
     def entries(self):
-        return _table(lambda i, j: point_generator(self.source, i, j, self.mode))
+        return _table(lambda i, j: self._sums[i][j].toarray())
 
     @cached_property
     def _plans(self):
@@ -208,14 +213,8 @@ def _time(t):
 
 def _entry_plan(gen, i, j):
     """The plan of L_ij (``_diagonal_blocks`` of the dense entry, bit for
-    bit), from the nonzero entries of its blocks in ``source.blocks``."""
-    basis = gen.source.blocks
-    rows, cols = [], []
-    for idx, block in zip(basis.plan, _generator_blocks(basis.stacks, i, j, gen.mode)):
-        k, r, c = np.nonzero(block)
-        rows.append(idx[k, r])
-        cols.append(idx[k, c])
-    return _pattern_plan(gen.dim ** 2, np.concatenate(rows), np.concatenate(cols))
+    bit), from the positions of its nonzero entries in ``gen._sums``."""
+    return _pattern_plan(gen.dim ** 2, *gen._sums[i][j].nonzero())
 
 
 def _semigroup(gen, t):

@@ -22,15 +22,14 @@ Windows are evaluated in batches: a factor is keyed by the exact bits of
 after its last use. A batch's maps are bit for bit the maps computed one
 window at a time.
 
-``point_generator`` assembles the dense d**2 x d**2 K(f0, g0) block by
-block in the model's block basis (``StructureMapSet.blocks``, the
-components of the maps' union pattern); the extended semigroup's four
-entries and the suite's norm bound take K from there.
+``point_generator`` is the dense d**2 x d**2 K(f0, g0), the sum of the
+maps' CSR views (``_generator_csr``); the extended generator keeps the
+sums of its four entries.
 
-A window's factors need less. They are assembled and exponentiated in the
-model's one symmetry-reduced basis (``StructureMapSet._sectors``): one
-representative component per orbit of the maps' shift and flip, split by
-the characters of its stabilizer. ``_factor`` assembles K on its blocks
+A window's factors do not use the sum. They are assembled and exponentiated
+in the model's one symmetry-reduced basis (``StructureMapSet._sectors``):
+one representative component per orbit of the maps' shift and flip, split
+by the characters of its stabilizer. ``_factor`` assembles K on its blocks
 alone (``_generator_blocks``), makes one ``matrix_exponential`` call on
 their compact matrix and gathers the result into stacks. A window's
 product multiplies stack by stack and is mapped back once, at the end
@@ -38,7 +37,8 @@ product multiplies stack by stack and is mapped back once, at the end
 representative's block. The compact side is 128 of 256 rows at 4 open
 sites, 172 of 256 at 4 periodic (blocks of at most 22 rows) and 512 of
 1024 at 5 periodic (at most 52). A model with no symmetry (such as the
-qubit) has the block basis itself, and the compact matrix is K.
+qubit) has the trivial group's basis, the components of the maps' union
+pattern, and the compact matrix is K.
 
 A window's image of the identity needs no window map: ``_unit_window_image``
 assembles each factor on the blocks of that basis that hold vec(1)
@@ -53,6 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import (
     _apply,
@@ -190,19 +191,25 @@ def _window_ends(start, end):
 
 
 def point_generator(sm, f0, g0, mode="physical"):
-    """K(f0, g0) for constant test-function values, as a d**2 x d**2 matrix.
-
-    Each diagonal block is assembled from the maps' stacks in sm's block
-    basis (the identity is each block's identity) and the blocks are
-    scattered once; the entries off the blocks are 0, as they are in every
-    map. A non-finite f0 or g0 is refused before any assembly.
-    """
+    """K(f0, g0) for constant test-function values, as a d**2 x d**2 matrix:
+    the dense form of ``_generator_csr``. A non-finite f0 or g0 is refused
+    before any assembly."""
     _check_mode(mode)
     for name, value in (("f0", f0), ("g0", g0)):
         if not np.isfinite(complex(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    basis = sm.blocks
-    return _unblock(_generator_blocks(basis.stacks, f0, g0, mode), basis.plan, sm.dim ** 2)
+    return _generator_csr(sm, f0, g0, mode).toarray()
+
+
+def _generator_csr(sm, f0, g0, mode):
+    """K(f0, g0) as the CSR sum of sm's views, each entry computed as the
+    stacks' formula (``_generator_blocks``) computes it; no entry off the
+    maps' union pattern and the diagonal is stored."""
+    f0, g0 = complex(f0), complex(g0)
+    k = sm.csr[0] + g0 * sm.csr[-1] + np.conj(f0) * sm.csr[1]
+    if mode == "physical":
+        k = k + (np.conj(f0) * g0) * scipy.sparse.eye_array(sm.dim ** 2)
+    return k
 
 
 def _check_mode(mode):
@@ -285,7 +292,7 @@ def _evolution_maps(sm, windows, mode="physical"):
             if not uses[key]:
                 del factors[key]
         maps.append(np.eye(d2, dtype=complex) if total is None
-                    else sectors.to_standard(total, sm.blocks.plan))
+                    else sectors.to_standard(total, sm._plan))
     return maps
 
 
@@ -317,6 +324,8 @@ def flow_matrix_element(sm, f, g, start, end, x, mode="physical"):
     exp(<f, g>) * identity in physical normalization. Plain scalars are
     accepted for f and g and mean constant values on the window.
     """
+    # the window first: a scalar f would be made a step function on it
+    start, end = _window_ends(start, end)
     f, g = _as_step(f, (start, end)), _as_step(g, (start, end))
     weight = np.exp(step_inner_product(f, g, window=(start, end), complement=True))
     return weight * apply_superop(evolution_map(sm, f, g, start, end, mode), x)

@@ -53,13 +53,12 @@ identity, on the sector blocks that hold vec(1)).
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
 blocks; ``_pattern_plan`` finds the plan from a list of nonzero positions
-with no dense pass (the extended layer reads each entry's plan this way).
-Every point generator is assembled in the components of the structure
-maps' union pattern (``StructureMapSet.blocks``) and scattered once. The
-flow factors, the window products and the extended exponentials work in
-one symmetry-reduced basis (``StructureMapSet._sectors``): only its
-compact matrices and each map mapped back to the std basis are dense.
-``structure._sector_basis`` builds both from the maps' CSR views.
+with no dense pass (the extended layer reads each entry's plan from the
+positions of its CSR sum this way). The flow factors, the window products
+and the extended exponentials work in one symmetry-reduced basis
+(``StructureMapSet._sectors``, which ``structure._sector_basis`` builds
+from the maps' CSR views): only its compact matrices and each map mapped
+back to the std basis are dense.
 """
 
 import functools

@@ -36,15 +36,15 @@ on first read (file output, ``maps()``), all three in one allocation, with
 the bytes of the public dense builders. A set built from dense maps (a
 structure-map file) keeps them and makes its views from them.
 
-One constructor, ``_sector_basis``, builds on first use, from the views
-alone, the two bases in which the maps are block diagonal (each a
-``_Sectors``). ``StructureMapSet.blocks`` is the trivial group's: its
-blocks are the connected components of the maps' union pattern, and
-``flows.point_generator`` assembles every K(f0, g0) in it. The
-symmetry-reduced basis ``StructureMapSet._sectors`` is found from the
-maps: when d = 2**n, the cyclic shift of the n index bits and the flip of
-all bits are candidate symmetries, each accepted only if conjugation by it
-moves every map onto itself exactly, entry for entry
+Every map, every point generator K(f0, g0) and its exponentials are block
+diagonal in the connected components of the maps' union pattern
+(``StructureMapSet._plan``, read from the views). One constructor,
+``_sector_basis``, builds on first use, from the views alone, the one
+basis in which the flow factors and the extended layer work
+(``StructureMapSet._sectors``, a ``_Sectors``). It is reduced by the
+maps' symmetries: when d = 2**n, the cyclic shift of the n index bits and
+the flip of all bits are candidate symmetries, each accepted only if
+conjugation by it moves every map onto itself exactly, entry for entry
 (``StructureMapSet._group``, detected once per set). The group G they
 generate permutes the components. Outside, each orbit of components keeps
 one representative, and every other member is indexed by the image of
@@ -56,8 +56,8 @@ held, in a compact layout: at 4 periodic sites 7 of 25 components, 172 of
 256 rows in blocks of at most 22 (the 144-row component, fixed by all 8
 elements, split by their characters); at 5 periodic sites 512 of 1024
 rows in blocks of at most 52; on the open chain (the flip fixes no
-component) half the rows, unsplit. The flow factors and the extended
-layer work in it; a set without a symmetry has ``blocks`` itself.
+component) half the rows, unsplit. A set without a symmetry has the
+trivial group's basis: the components themselves, with Q the identity.
 """
 
 import warnings
@@ -133,8 +133,9 @@ class StructureMapSet:
     constructor was given. A set that :func:`build_evans_hudson` makes
     from its views builds all three dense maps, in one allocation, on the
     first read of any of them (``maps()``, file output) and keeps them;
-    the suite never reads them. Construction checks shapes, finiteness and
-    unitality (each map must kill the identity to within ``UNITAL_TOL``).
+    the suite never reads them. Construction checks that ``dim`` is a
+    positive integer, shapes, finiteness and unitality (each map must kill
+    the identity to within ``UNITAL_TOL``).
     The deeper product-rule and positivity properties are checked by the
     verification suite.
     """
@@ -148,9 +149,10 @@ class StructureMapSet:
     csr: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = int(self.dim)
-        if d < 1:
-            raise ValueError(f"dimension must be positive, got {d}")
+        d = self.dim
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        d = int(d)   # a numpy integer too
         object.__setattr__(self, "dim", d)
         for name in _DENSE:
             m = np.asarray(getattr(self, name), dtype=complex)
@@ -198,28 +200,11 @@ class StructureMapSet:
         return {-1: self.theta_minus, 0: self.theta_zero, 1: self.theta_plus}
 
     @cached_property
-    def blocks(self):
-        """The block basis of every point generator, built on first use:
-        the trivial group's ``_Sectors``, with Q the identity.
-
-        Its plan's rows are the connected components of the union nonzero
-        pattern of the three maps and the identity (which adds only
-        diagonal entries); together they cover every index, and a set with
-        one component has the plan (arange(dim**2)[None],). Its stacks are
-        the maps' diagonal blocks, read from the CSR views. Every point
-        generator, its exponentials and their products are block diagonal
-        in this basis; ``flows.point_generator`` assembles each dense
-        K(f0, g0) from these stacks, and the extended layer reads each
-        entry's plan from them.
-        """
-        return _sector_basis(self, [])
-
-    @cached_property
     def _sectors(self):
-        """The symmetry-reduced basis of the maps' symmetries (``_Sectors``),
-        built on first use; ``blocks`` itself when the set has none. The
+        """The symmetry-reduced basis of the maps' symmetries (``_Sectors``,
+        the trivial group's when there are none), built on first use. The
         flow factors and the extended layer work in it."""
-        return _sector_basis(self, self._group) if self._group else self.blocks
+        return _sector_basis(self, self._group)
 
     @cached_property
     def _group(self):
@@ -234,6 +219,13 @@ class StructureMapSet:
         keys = np.unique(np.concatenate([rows * n + cols
                                          for rows, cols, _ in _stored_entries(self)]))
         return keys // n, keys % n
+
+    @cached_property
+    def _plan(self):
+        """The plan of the connected components of ``_pattern``, bit for bit
+        ``_diagonal_blocks`` of the maps' union pattern; found once per set.
+        Every point generator is block diagonal in it."""
+        return _pattern_plan(self.dim ** 2, *self._pattern)
 
 
 def _cyclic_shift(n):
@@ -389,7 +381,7 @@ def _sector_basis(sm, found):
     # components numbered in plan order; the component each element moves
     # each one to, the representative of its orbit (the least) and the
     # element taking that to it
-    components = sm.blocks.plan if found else _pattern_plan(n, rows, cols)
+    components = sm._plan
     start = np.cumsum([0] + [idx.shape[0] for idx in components])
     comp = np.empty(n, int)
     for idx, first in zip(components, start):

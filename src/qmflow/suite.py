@@ -45,12 +45,10 @@ from .extended import (
 from .flows import (
     StepFunction,
     _evolution_maps,
-    _generator_blocks,
     _pair_products,
     _q_bound_min_eig,
     _unit_window_image,
     _window_maps,
-    point_generator,
     schur_product_check,
     step_inner_product,
 )
@@ -406,7 +404,9 @@ def _check_flow(ctx):
         f0, g0 = r1 * np.exp(1j * a1), r2 * np.exp(1j * a2)
         x = _draw_op(rng, sm.dim)
         t = float(rng.uniform(0.1, 1.5))
-        p = matrix_exponential(point_generator(sm, f0, g0, "physical"), t)
+        # exp(t K(f0, g0)): the window [0, t] map of the constants f0 and g0
+        p, = _evolution_maps(sm, [(StepFunction.indicator(0.0, t, f0),
+                                   StepFunction.indicator(0.0, t, g0), 0.0, t)])
         lhs = float(np.linalg.norm(_apply(p, x), 2))
         rhs = float(np.exp(t * (abs(f0) ** 2 + abs(g0) ** 2) / 2) * np.linalg.norm(x, 2))
         worst = max(worst, (lhs - rhs) / max(rhs, 1e-300))
@@ -465,13 +465,12 @@ _REGISTRY = (
 def _refuse_overflowing_times(rc, *gens):
     """Refuse the first grid time t at which t * L_ij has a non-finite entry
     for some entry of the generators: the time at which ``matrix_exponential``
-    would refuse it. Read from the entries' diagonal blocks, which hold
-    every nonzero entry, nothing is exponentiated or made dense; t * z
-    overflows for a complex z exactly when t times the largest real or
-    imaginary magnitude does."""
-    size = max(max(max_abs(b.real), max_abs(b.imag)) for gen in gens
-               for i in (0, 1) for j in (0, 1)
-               for b in _generator_blocks(gen.source.blocks.stacks, i, j, gen.mode))
+    would refuse it. Read from the stored entries of the entries' CSR sums
+    (``ExtendedGenerator._sums``), nothing is exponentiated or made dense;
+    t * z overflows for a complex z exactly when t times the largest real
+    or imaginary magnitude does."""
+    size = max(max(max_abs(k.data.real), max_abs(k.data.imag)) for gen in gens
+               for row in gen._sums for k in row)
     for t in rc.t_grid:
         if not np.isfinite(t * size):
             raise ValueError(f"t * M overflows at t = {t!r}: the generator "

@@ -21,18 +21,23 @@ from qmflow import (
     evolution_map,
     flow_matrix_element,
     kernel_cp_residual,
+    load_json,
     matrix_exponential,
     parse_config,
     point_generator,
     q_bound_check,
     rng_for,
     run_suite,
+    save_json,
     schur_product_check,
     step_inner_product,
+    structure_maps_from_obj,
+    structure_maps_to_obj,
 )
 from qmflow import extended, flows, structure, suite
 from qmflow.flows import _as_step, _evolution_maps, _segments, _unit_window_image, _window_plan
 from qmflow.linalg import _apply, _block, _diagonal_blocks, _draw_op, _unblock, max_abs
+from qmflow.structure import _sector_basis
 from qmflow.suite import _random_step, _split_pieces
 
 
@@ -47,10 +52,11 @@ def reference_map(sm, f, g, start, end, mode):
 
 
 def component_map(sm, f, g, start, end, mode):
-    """The ordered product of factors on every component of sm.blocks:
-    each the dense exponential of point_generator gathered into stacks,
-    multiplied stack by stack and scattered once."""
-    plan, total = sm.blocks.plan, None
+    """The ordered product of factors on every component of the maps'
+    union pattern (sm._plan): each the dense exponential of
+    point_generator gathered into stacks, multiplied stack by stack and
+    scattered once."""
+    plan, total = sm._plan, None
     for a, b in _segments(f, g, start, end):
         mid = 0.5 * (a + b)
         m = matrix_exponential(point_generator(sm, f.value_at(mid), g.value_at(mid), mode), b - a)
@@ -122,11 +128,11 @@ def assert_orbit_copies(sm, m, want):
     sectors, n = sm._sectors, sm.dim ** 2
     split = any(f.shape[1] > 1 for _, f in sectors.fourier)
     tol = 1e-14 * max(1.0, max_abs(want))
-    off = _unblock([np.ones((idx.shape[0], idx.shape[1], idx.shape[1])) for idx in sm.blocks.plan],
-                   sm.blocks.plan, n) == 0
+    off = _unblock([np.ones((idx.shape[0], idx.shape[1], idx.shape[1])) for idx in sm._plan],
+                   sm._plan, n) == 0
     assert not np.any(m[off]) and not np.any(want[off])
     copied = 0
-    for idx in sm.blocks.plan:
+    for idx in sm._plan:
         reps = np.all(sectors.source[idx] == idx, axis=1)
         if not split:
             assert np.array_equal(_block(m, idx[reps]), _block(want, idx[reps]))
@@ -162,7 +168,7 @@ class TestBitIdentical:
         n = periodic4_sm.dim.bit_length() - 1
         z = np.kron(np.diag([1.0, -1.0]), np.eye(2 ** (n - 1)))
         sm = replace(periodic4_sm, theta_zero=periodic4_sm.theta_zero + commutator_map(z))
-        assert sm._sectors is sm.blocks and sm._sectors.side == sm.dim ** 2
+        assert sm._group == [] and sm._sectors.side == sm.dim ** 2
         windows = batch_windows()[:3]
         for (f, g, s, t), m in zip(windows, _evolution_maps(sm, windows, mode)):
             assert np.array_equal(m, component_map(sm, f, g, s, t, mode)), (s, t)
@@ -354,11 +360,21 @@ def periodic4_sm():
         parse_config({"model": {"glauber": {"sites": 4, "boundary": "periodic"}}}).glauber)
 
 
+@pytest.fixture(scope="module")
+def open4_file_sm(open4_sm, tmp_path_factory):
+    """The 4-site open chain read back from its structure-map file: a set
+    built from dense maps, which makes its views from them."""
+    path = tmp_path_factory.mktemp("maps") / "open4.json"
+    save_json(structure_maps_to_obj(open4_sm), path)
+    return structure_maps_from_obj(load_json(path))
+
+
 class TestBlockBasis:
     VALUES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
               (0.3 - 0.2j, 0.6 + 0.1j), (complex(-0.0, 0.0), -0.5 + 0.4j)]
 
-    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm", "periodic4_sm"])
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm", "periodic4_sm",
+                                       "open4_file_sm"])
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
     def test_generator_is_point_generator_bitwise(self, request, model, mode):
         # the block-assembled generator against the dense formula
@@ -371,7 +387,7 @@ class TestBlockBasis:
                                               ("open4_sm", [1, 3, 9])])
     def test_plan_covers_every_index_once(self, request, model, sizes):
         sm = request.getfixturevalue(model)
-        plan, stacks = sm.blocks.plan, sm.blocks.stacks
+        plan, stacks = sm._plan, _sector_basis(sm, []).stacks
         n = sm.dim ** 2
         assert [idx.shape[1] for idx in plan] == sizes
         assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in plan])),
@@ -387,10 +403,12 @@ class TestBlockBasis:
         sm = request.getfixturevalue(model)
         union = (sm.theta_minus != 0) | (sm.theta_zero != 0) | (sm.theta_plus != 0)
         want = _diagonal_blocks(union)
-        plan, stacks = sm.blocks.plan, sm.blocks.stacks
-        assert len(plan) == len(want)
-        for got, idx in zip(plan, want):
-            assert got.dtype == idx.dtype and np.array_equal(got, idx)
+        basis = _sector_basis(sm, [])
+        for plan in (sm._plan, basis.plan):
+            assert len(plan) == len(want)
+            for got, idx in zip(plan, want):
+                assert got.dtype == idx.dtype and np.array_equal(got, idx)
+        stacks = basis.stacks
         # the stacks hold the dense blocks' values, not their bytes: they are
         # read from the views, which store no zeros, so a commutator map's
         # -0.0 (its -1j * 0j off the view) is +0.0 in its stack
@@ -399,7 +417,7 @@ class TestBlockBasis:
                 assert np.array_equal(stack, _block(m, idx))
 
     def test_one_component_is_one_block(self, qubit_sm):
-        plan, stacks = qubit_sm.blocks.plan, qubit_sm.blocks.stacks
+        plan, stacks = qubit_sm._plan, _sector_basis(qubit_sm, []).stacks
         assert len(plan) == 1
         assert np.array_equal(plan[0], np.arange(4)[None])
         assert np.array_equal(stacks[0][0][0], qubit_sm.theta_zero)
@@ -413,28 +431,44 @@ class TestBlockBasis:
             assert max_abs(m - want) <= 1e-13 * max_abs(want), (s, t)
             assert np.array_equal(evolution_map(open4_sm, f, g, s, t, mode), m), (s, t)
 
-    def test_plan_built_once_per_model_never_for_structure(self, monkeypatch):
-        # every basis, the trivial group's included, is one _Sectors
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The fields of every _Sectors made while the test runs."""
         built = []
         original = structure._Sectors
         monkeypatch.setattr(structure, "_Sectors",
                             lambda **fields: built.append(fields) or original(**fields))
+        return built
+
+    def test_plan_built_once_per_model_never_for_structure(self, built):
+        # one basis per model, and none for the structure group
         run_suite(parse_config({}), groups=("structure",))
         assert built == []
-        # the periodic chain: its components and its sectors
         check_cp_rows(parse_config({"t_grid": [0.5, 1.0]}))
-        assert len(built) == 2
+        assert len(built) == 1
         sm = build_glauber_structure_maps(parse_config({}).glauber)
         for mode in ("physical", "conservative"):
             extended._semigroup(build_extended_generator(sm, mode), 0.5)
         evolution_map(sm, F, G, 0.0, 1.0)
         _unit_window_image(sm, G, F, 0.0, 1.0)
-        assert len(built) == 4 and sm._sectors is not sm.blocks
-        # the open chain's flip pairs its components: its components and
-        # one of each pair
+        assert len(built) == 2
+        # the open chain's flip pairs its components: one of each pair
         rc = parse_config({"model": {"glauber": {"sites": 3, "boundary": "open"}}})
         run_suite(rc, groups=("extended", "flow"))
-        assert len(built) == 6
+        assert len(built) == 3
+
+    def test_generators_need_no_basis(self, built):
+        # the dense K, the entries' plans and the overflow guard read the
+        # sums of the CSR views
+        sm = build_glauber_structure_maps(parse_config({}).glauber)
+        point_generator(sm, 0.3 - 0.2j, 0.6 + 0.1j)
+        gens = [build_extended_generator(sm, mode) for mode in ("physical", "conservative")]
+        for gen in gens:
+            for i in (0, 1):
+                for j in (0, 1):
+                    extended._entry_plan(gen, i, j)
+        suite._refuse_overflowing_times(parse_config({}), *gens)
+        assert built == [] and "_sectors" not in vars(sm)
 
 
 class TestMessages:
@@ -460,6 +494,18 @@ class TestMessages:
             step_inner_product(F, G, window=window)
         with pytest.raises(ValueError, match=msg):
             flow_matrix_element(qubit_sm, F, G, *window, np.eye(2))
+
+    @pytest.mark.parametrize("window, msg", [
+        ((0.0, np.inf), r"window ends must be finite, got \[0\.0, inf\]"),
+        ((np.nan, 1.0), r"window ends must be finite, got \[nan, 1\.0\]"),
+        ((1.0, 0.5), r"window is reversed: \[1\.0, 0\.5\]")])
+    def test_window_checked_before_scalar_functions(self, qubit_sm, window, msg):
+        # a scalar f or g is made a step function on the window only after
+        # the window is checked, so the message names the window
+        with pytest.raises(ValueError, match=rf"^{msg}$"):
+            flow_matrix_element(qubit_sm, 0.5, 0.0, *window, np.eye(2))
+        with pytest.raises(ValueError, match=rf"^{msg}$"):
+            flow_matrix_element(qubit_sm, F, 1.0 - 0.5j, *window, np.eye(2))
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_kernel_time(self, qubit_sm, t):
@@ -489,7 +535,7 @@ class TestMessages:
         (complex(-np.inf, 1.0), 0.5, "f0", r"\(-inf\+1j\)")])
     def test_non_finite_point_values_refused(self, qubit_sm, monkeypatch, f0, g0, name, shown):
         # refused before any assembly, with no warning
-        monkeypatch.setattr(flows, "_generator_blocks", None)
+        monkeypatch.setattr(flows, "_generator_csr", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^{name} must be finite, got {shown}$"):

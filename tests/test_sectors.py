@@ -71,10 +71,11 @@ def padded_choi_plan(table, d):
 
 
 def assert_trivial_basis(sm):
-    """sm's sector basis is the trivial group's, sm.blocks itself: Q is the
-    identity and each index its own orbit."""
+    """sm's sector basis is the trivial group's, on the components of the
+    maps' union pattern: Q is the identity and each index its own orbit."""
     sectors, n = sm._sectors, sm.dim ** 2
-    assert sectors is sm.blocks
+    assert sm._group == [] and sectors.side == n
+    assert all(np.array_equal(a, b) for a, b in zip(sectors.plan, sm._plan, strict=True))
     assert np.array_equal(sectors.position, np.arange(n))
     assert [f.shape for _, f in sectors.fourier] == [(n, 1, 1)]
     assert np.all(sectors.fourier[0][1] == 1)
@@ -101,7 +102,7 @@ class TestDetection:
         # the flip pairs the components and fixes none, so the basis holds
         # one of each pair and no character splits it: Q is the identity
         sectors = open4._sectors
-        assert sectors is not open4.blocks and sectors.side == 128
+        assert sectors.side == 128
         assert [f.shape for _, f in sectors.fourier] == [(128, 1, 1)]
         assert np.all(sectors.fourier[0][1] == 1)
 
@@ -158,10 +159,10 @@ def one_ulp_off(sm):
 
 
 def representatives(sm):
-    """The rows of sm.blocks.plan that are representatives, one boolean
+    """The rows of sm._plan that are representatives, one boolean
     array per plan group: the components whose indices copy themselves."""
     source = sm._sectors.source
-    return [np.all(source[idx] == idx, axis=1) for idx in sm.blocks.plan]
+    return [np.all(source[idx] == idx, axis=1) for idx in sm._plan]
 
 
 def stabilizers(sm):
@@ -169,7 +170,7 @@ def stabilizers(sm):
     group alone: the coords of the elements g with g(C) = C."""
     _, coords, act = structure._group_elements(sm._group)
     out = []
-    for idx, reps in zip(sm.blocks.plan, representatives(sm)):
+    for idx, reps in zip(sm._plan, representatives(sm)):
         for comp in idx[reps]:
             out.append({tuple(a) for a in coords
                         if np.array_equal(np.sort(act(a, comp)), comp)})
@@ -187,16 +188,16 @@ class TestOrbits:
         sm = chain(sites, boundary)
         sectors, n = sm._sectors, sm.dim ** 2
         assert (sectors.side, n) == side
-        count = sum(idx.shape[0] for idx in sm.blocks.plan)
+        count = sum(idx.shape[0] for idx in sm._plan)
         assert (count - sum(r.sum() for r in representatives(sm)), count) == copies
-        for idx in sm.blocks.plan:
+        for idx in sm._plan:
             for m in sm.maps().values():
                 # every member's dense blocks are its representative's, exactly
                 assert np.array_equal(_block(m, idx), _block(m, sectors.source[idx]))
         # the basis's own stacks map back to each map, 0 off its blocks
         off = off_blocks(sum(np.abs(m) for m in sm.maps().values()) + np.eye(n))
         for alpha, m in sm.maps().items():
-            back = sectors.to_standard(sectors.stacks[alpha], sm.blocks.plan)
+            back = sectors.to_standard(sectors.stacks[alpha], sm._plan)
             assert np.max(np.abs(back - m)) <= 1e-14 * max(1.0, np.max(np.abs(m)))
             assert not np.any(back[off])
 
@@ -204,9 +205,9 @@ class TestOrbits:
     def test_aligned_plan_covers_every_index_once(self, sites, boundary):
         sm = chain(sites, boundary)
         sectors = sm._sectors
-        held = [idx[reps] for idx, reps in zip(sm.blocks.plan, representatives(sm))]
+        held = [idx[reps] for idx, reps in zip(sm._plan, representatives(sm))]
         # each component copies one representative, each of its indices once
-        for idx, rep in zip(sm.blocks.plan, held):
+        for idx, rep in zip(sm._plan, held):
             copied = np.sort(sectors.source[idx], axis=1)
             assert np.all((copied[:, None, :] == rep[None]).all(axis=2).sum(axis=1) == 1)
         # the compact side is the representatives' indices, and its plan
@@ -236,7 +237,7 @@ class TestOrbits:
         sm = broken(periodic4)
         assert _symmetries(sm) == []
         sectors = sm._sectors
-        assert sectors is sm.blocks and sectors.side == sm.dim ** 2
+        assert sm._group == [] and sectors.side == sm.dim ** 2
         assert np.array_equal(sectors.source, np.arange(sm.dim ** 2))
 
     def test_group_detected_once(self, monkeypatch):
@@ -248,7 +249,7 @@ class TestOrbits:
         gen = build_extended_generator(sm, "physical")
         _semigroup(gen, 0.5)
         _unit_images(gen, 0.5)
-        sm._sectors, sm.blocks
+        sm._sectors, sm._plan
         assert len(calls) == 1
 
 
@@ -265,13 +266,13 @@ class TestSectorBasis:
         sm = request.getfixturevalue(model)
         sectors = sm._sectors
         for alpha, m in sm.maps().items():
-            back = sectors.to_standard(sectors.stacks[alpha], sm.blocks.plan)
+            back = sectors.to_standard(sectors.stacks[alpha], sm._plan)
             assert np.max(np.abs(back - m)) <= 1e-14 * np.max(np.abs(m))
 
     @pytest.mark.parametrize("model", ["periodic3", "periodic4", "open4", "qubit_sm"])
     def test_entry_plans_from_the_stacks(self, request, model):
-        # L_ij's plan read from its blocks in sm.blocks has the bytes of the
-        # dense pass over the entry
+        # L_ij's plan read from its CSR sum has the bytes of the dense pass
+        # over the entry
         sm = request.getfixturevalue(model)
         for mode in ("physical", "conservative"):
             gen = build_extended_generator(sm, mode)
@@ -381,7 +382,7 @@ class TestEntryPathUnchanged:
                     want, got = matrix_exponential(gen.block(i, j), t), table[i][j]
                     tol = 1e-14 * max(1.0, np.max(np.abs(want)))
                     assert not np.any(got[off_blocks(gen.block(i, j))])
-                    for idx, reps in zip(open4.blocks.plan, representatives(open4)):
+                    for idx, reps in zip(open4._plan, representatives(open4)):
                         assert np.array_equal(_block(got, idx[reps]), _block(want, idx[reps]))
                         assert np.array_equal(_block(got, idx), _block(got, sectors.source[idx]))
                         assert np.max(np.abs(_block(got, idx) - _block(want, idx))) <= tol

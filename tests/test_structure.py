@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -79,6 +80,19 @@ class TestStructureMapSetValidation:
         m[1, 2] = bad
         with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
             replace(qubit_sm, **{name: m})
+
+    @pytest.mark.parametrize("dim, shown", [(2.7, "2.7"), (2.0, "2.0"), ("2", "'2'"),
+                                            (True, "True"), (0, "0"), (-2, "-2")])
+    def test_dimension_must_be_a_positive_integer(self, qubit_sm, dim, shown):
+        # int() would make 2.7 a 2 and accept the string "2"
+        msg = rf"^dimension must be a positive integer, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=msg):
+            StructureMapSet(dim, *qubit_sm.maps().values(), qubit_sm.ito)
+
+    @pytest.mark.parametrize("dim", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_dimension_accepted(self, qubit_sm, dim):
+        sm = StructureMapSet(dim, *qubit_sm.maps().values(), qubit_sm.ito)
+        assert type(sm.dim) is int and sm.dim == 2
 
     def test_bad_dimension_rejected(self, qubit_sm):
         with pytest.raises(ValueError, match="positive"):
@@ -640,7 +654,10 @@ class TestCsrBuild:
 # It was re-pinned when the model digest moved from the dense maps' bytes
 # to the CSR views' nonzero entries: every record's digest changed, and
 # every other field of every record is byte-identical.
-_DEFAULT_EXTENDED_FLOW_SHA = "27228e3439a65144586407a7f9d6ba7ca79e5914da1638d84c6b589b51aee64c"
+# It was re-pinned when flow-norm-bound took exp(t K) as the window [0, t]
+# map of the constants, in the symmetry-reduced basis:
+# -0.24369549190467454 to -0.24369549190467438; no other record moved.
+_DEFAULT_EXTENDED_FLOW_SHA = "764811efe84698a4450ef1e239e1ac50d91038df98ad66cdd988cc5b9119c723"
 
 
 def _derivation_breaker(sm, eps):
