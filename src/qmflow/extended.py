@@ -32,7 +32,8 @@ the representatives' stabilizer-character blocks): ``_semigroup``
 exponentiates each entry there in one call and maps it back onto L_ij's
 own plan (``_entry_plan``, read from its CSR sum), ``_unit_images`` only
 the blocks that hold vec(1), and ``resolvent_generator`` solves each
-entry block by block.
+entry block by block. The entries are stored once, as CSR sums (``_sums``);
+a check that needs them dense converts them per call and keeps no copy.
 ``generator_cp_min_eig`` decides complete positivity for every t, and the
 dissipativity form at every ampliation, from one eigenvalue of the
 generator with no exponential.
@@ -138,9 +139,9 @@ class BlockOp2:
 class ExtendedGenerator:
     """The structure maps viewed as the 2x2 generator table of one mode.
 
-    Entry (i, j) is ``point_generator(source, i, j, mode)``; the four
-    entries, their CSR sums (``_sums``) and their block plans are built
-    on first use and cached on the object.
+    Entry (i, j) is ``point_generator(source, i, j, mode)``, stored once as
+    a CSR sum of the source's views (``_sums``, cached with the block plans
+    on first use); ``block`` and ``entries`` convert to dense on each read.
     """
 
     source: StructureMapSet
@@ -156,16 +157,16 @@ class ExtendedGenerator:
         return _table(lambda i, j: _generator_csr(self.source, i, j, self.mode))
 
     @cached_property
-    def entries(self):
-        return _table(lambda i, j: self._sums[i][j].toarray())
-
-    @cached_property
     def _plans(self):
         """The entries' plans (``_entry_plan``), found on first use."""
         return _table(lambda i, j: _entry_plan(self, i, j))
 
     def block(self, i, j):
-        return self.entries[i][j]
+        return self._sums[i][j].toarray()
+
+    @property
+    def entries(self):
+        return _table(self.block)
 
 
 def _in_mode(gen, mode):
@@ -322,8 +323,8 @@ def kappa_residual(gen):
     Returns the max-abs deviation of the physical generator applied to the
     all-identity block operator from [[0, 0], [0, identity]].
     """
-    entries, eye = _in_mode(gen, "physical").entries, np.eye(gen.dim)
-    return _unit_deviation(_table(lambda i, j: _apply(entries[i][j], eye)),
+    sums, eye = _in_mode(gen, "physical")._sums, np.eye(gen.dim)
+    return _unit_deviation(_table(lambda i, j: _apply(sums[i][j], eye)),
                            ((0.0, 0.0), (0.0, 1.0)), gen.dim)
 
 
@@ -405,7 +406,7 @@ def commutation_residual(gen):
     for x in (_draw_op(rng, 2 * d) for _ in range(4)):
         lx = generator(x)
         gap = max(max_abs(generator(delta_sq(x)) - delta_sq(lx)),
-                  max_abs(_apply_grid(gen.entries, d, BlockOp2.from_full(x).block) - lx))
+                  max_abs(_apply_grid(gen._sums, d, BlockOp2.from_full(x).block) - lx))
         worst = max(worst, gap / max(1.0, max_abs(lx)))
     return worst
 
@@ -428,8 +429,10 @@ def dissipativity_residual_min_eig(gen, x):
     if xs.shape != (2 * d, 2 * d):
         raise ValueError(f"element must have shape {(2 * d, 2 * d)}, got {xs.shape}")
 
+    entries = gen.entries
+
     def lift(m):
-        return _apply_grid(gen.entries, d, BlockOp2.from_full(m).block)
+        return _apply_grid(entries, d, BlockOp2.from_full(m).block)
 
     e = np.kron(np.diag([0.0, 1.0]), np.eye(d))
     xstar = xs.conj().T

@@ -382,8 +382,8 @@ def q_bound_check(sm, fs, t, x):
     """Smallest eigenvalue of ||x|| [P(1)] - [P(x)].
 
     Nonnegative when the kernel respects the operator bound of x; the
-    norm is the spectral norm. One table of window maps serves both
-    block forms.
+    norm is the spectral norm. The window maps are linear, so this is
+    the one block form [P(||x|| 1 - x)].
     """
     t = float(t)
     x = _as_operator(x, sm.dim)
@@ -393,12 +393,8 @@ def q_bound_check(sm, fs, t, x):
 
 def _q_bound_min_eig(maps, x):
     """``q_bound_check`` on its table of window maps, for a checked x."""
-    d = x.shape[0]
-    eye = np.eye(d)
-    bound = float(np.linalg.norm(x, 2))
-    big = (bound * _apply_grid(maps, d, lambda j, k: eye)
-           - _apply_grid(maps, d, lambda j, k: x))
-    return min_eig(big)
+    gap = float(np.linalg.norm(x, 2)) * np.eye(len(x)) - x
+    return min_eig(_apply_grid(maps, len(x), lambda j, k: gap))
 
 
 def kernel_cp_residual(sm, fs, xs, t):

@@ -38,8 +38,10 @@ from qmflow import (
     run_suite,
     vectorize,
 )
+import qmflow.suite as suite
 from qmflow.extended import _semigroup
 from qmflow.flows import _generator_blocks
+from qmflow.linalg import _apply
 from qmflow.suite import _RESOLVENT_EPS
 from conftest import random_op
 
@@ -97,6 +99,39 @@ class TestGeneratorTable:
     def test_bad_mode_rejected(self, qubit_sm):
         with pytest.raises(ValueError, match="mode"):
             build_extended_generator(qubit_sm, "rescaled")
+
+    @pytest.mark.parametrize("name", ["good qubit", "3-site periodic chain", "3-site open chain",
+                                      "4-site open chain"])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_sums_act_as_the_dense_entries(self, name, mode):
+        gen = build_extended_generator(_CP_MODELS[name](), mode)
+        rng = np.random.default_rng(49)
+        for i in (0, 1):
+            for j in (0, 1):
+                dense = gen.block(i, j)
+                for _ in range(2):
+                    x = random_op(rng, gen.dim, unit=False)
+                    got, want = _apply(gen._sums[i][j], x), apply_superop(dense, x)
+                    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("config", [{}, {"model": {"glauber": {"sites": 4, "boundary": "open"}}}])
+    def test_extended_group_keeps_no_dense_entry(self, config):
+        ctx = suite._set_up({"rc": parse_config(config)})
+        records = list(suite._check_extended(ctx))
+        assert {"extended-kappa", "extended-generator-cp", "extended-commutation",
+                "extended-resolvent-order"} <= {r.name for r in records}
+        assert all(r.passed for r in records)
+        n = ctx["sm"].dim ** 2
+
+        def dense_maps(value):
+            if isinstance(value, (tuple, list)):
+                return [m for v in value for m in dense_maps(v)]
+            return [value] if isinstance(value, np.ndarray) and value.shape == (n, n) else []
+
+        for gen in (ctx["gen_phys"], ctx["gen_cons"]):
+            assert dense_maps(list(vars(gen).values())) == []
+            # each read converts afresh
+            assert gen.block(1, 1) is not gen.block(1, 1)
 
     def test_axiom_failures_rejected(self):
         rng = np.random.default_rng(43)
@@ -217,10 +252,9 @@ class TestPositivity:
         gen = build_extended_generator(_weak_qubit(), "physical")
         assert extended_choi_min_eig(gen, 0.5) < -1e-2
 
-    def test_dimension_guard(self, glauber_sm):
-        big = StructureMapSet(dim=64, theta_minus=np.zeros((4096, 4096)),
-                              theta_zero=np.zeros((4096, 4096)),
-                              theta_plus=np.zeros((4096, 4096)))
+    def test_dimension_guard(self):
+        # the set holds CSR views only: no 4096-row dense map is built
+        big = build_evans_hudson(np.zeros((64, 64)), np.zeros((64, 64)), 0.0, 0.0)
         gen = build_extended_generator(big, "physical")
         with pytest.raises(ValueError, match="guard"):
             extended_choi_min_eig(gen, 0.1)
@@ -458,8 +492,6 @@ class TestDelta:
     def test_delta_formula_record_flags_a_wrong_rate(self, monkeypatch):
         # the record compares delta_sq_semigroup with expm of delta^2's 4 x 4
         # matrix on M_2; a semigroup damping at rate t instead of t / 2 fails
-        import qmflow.suite as suite
-
         def record():
             report = run_suite(parse_config({"t_grid": [0.5]}), groups=("extended",))
             return next(r for r in report.records if r.name == "extended-delta-formula")
@@ -475,14 +507,14 @@ class TestDelta:
 
 def _swapped_corners(gen):
     """gen with the table entries L01 and L10 exchanged."""
-    (l00, l01), (l10, l11) = gen.entries
-    gen.__dict__["entries"] = ((l00, l10), (l01, l11))
+    (l00, l01), (l10, l11) = gen._sums
+    gen.__dict__["_sums"] = ((l00, l10), (l01, l11))
     return gen
 
 
 def _physical_table(gen):
     """A conservative-mode gen carrying the physical table."""
-    gen.__dict__["entries"] = replace(gen, mode="physical").entries
+    gen.__dict__["_sums"] = replace(gen, mode="physical")._sums
     return gen
 
 

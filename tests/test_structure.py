@@ -657,7 +657,12 @@ class TestCsrBuild:
 # It was re-pinned when flow-norm-bound took exp(t K) as the window [0, t]
 # map of the constants, in the symmetry-reduced basis:
 # -0.24369549190467454 to -0.24369549190467438; no other record moved.
-_DEFAULT_EXTENDED_FLOW_SHA = "764811efe84698a4450ef1e239e1ac50d91038df98ad66cdd988cc5b9119c723"
+# It was re-pinned when the commutation check applied the generator's CSR
+# sums instead of dense entries, and the q-bound record took one grid of
+# ||x|| 1 - x instead of two: extended-commutation moved from
+# 2.314416527914201e-16 to 3.2028260439959493e-16 and flow-q-bound from
+# 0.09410435422401942 to 0.09410435422401937; no other record moved.
+_DEFAULT_EXTENDED_FLOW_SHA = "39874d1cd572c644153a051e0bc514297c58f35700f6fa8858470e805b38d11a"
 
 
 def _derivation_breaker(sm, eps):
