@@ -20,7 +20,13 @@ matrix(r, t) = matrix(r, s) @ matrix(s, t).
 Windows are evaluated in batches: a factor is keyed by the exact bits of
 (f0, g0, length), is exponentiated once for the whole batch and is freed
 after its last use. A batch's maps are bit for bit the maps computed one
-window at a time.
+window at a time, and are made one at a time as they are taken.
+
+The Gram kernels (``block_form``, ``q_bound_check``, ``kernel_cp_residual``,
+``schur_product_check``) are one routine, ``_gram``: every window [0, t]
+between two test functions is one batch, taken pair by pair, and each map
+is applied to the pair's operands and dropped before the next is made, so
+no table of window maps is held.
 
 ``point_generator`` is the dense d**2 x d**2 K(f0, g0), the sum of the
 maps' CSR views (``_generator_csr``); the extended generator keeps the
@@ -57,7 +63,6 @@ import scipy.sparse
 
 from .linalg import (
     _apply,
-    _apply_grid,
     _as_operator,
     _block,
     _expm_stacks,
@@ -248,7 +253,7 @@ def evolution_map(sm, f, g, start, end, mode="physical"):
     matrix of the product. A factor that recurs in the window is computed
     once and freed after its last use.
     """
-    return _evolution_maps(sm, [(f, g, start, end)], mode)[0]
+    return next(_evolution_maps(sm, [(f, g, start, end)], mode))
 
 
 def _window_plan(f, g, start, end):
@@ -264,36 +269,37 @@ def _window_plan(f, g, start, end):
 
 
 def _evolution_maps(sm, windows, mode="physical"):
-    """evolution_map of each (f, g, start, end) window, as one batch.
+    """evolution_map of each (f, g, start, end) window, as one batch: an
+    iterator that makes each map as it is taken and holds none it gave out.
 
-    Every segment is planned first (``_window_plan``), so equal keys give
-    bit-identical factors. Each distinct factor is then exponentiated
-    once, multiplied in each window's time order on the blocks of
-    ``sm._sectors`` and dropped after its last use. A window's first
-    factor is its running product until the second is multiplied in; each
-    finished product is mapped back once (``_Sectors.to_standard``), every
-    component receiving its representative's block, and an empty window is
-    the identity.
+    The mode and every segment are checked and planned at the call
+    (``_window_plan``), so equal keys give bit-identical factors. Each distinct
+    factor is exponentiated once, multiplied in each window's time order on
+    the blocks of ``sm._sectors`` and dropped after its last use. A window's
+    first factor is its running product until the second is multiplied in;
+    each finished product is mapped back once (``_Sectors.to_standard``), and
+    an empty window is the identity.
     """
     _check_mode(mode)
     plans = [_window_plan(*window) for window in windows]
     uses = Counter(key for plan in plans for key, *_ in plan)
-    d2 = sm.dim ** 2
-    sectors = sm._sectors
-    factors, maps = {}, []
-    for plan in plans:
-        total = None
-        for key, f0, g0, length in plan:
-            if key not in factors:
-                factors[key] = _factor(sm, f0, g0, length, mode)
-            total = factors[key] if total is None else tuple(
-                a @ b for a, b in zip(total, factors[key]))
-            uses[key] -= 1
-            if not uses[key]:
-                del factors[key]
-        maps.append(np.eye(d2, dtype=complex) if total is None
-                    else sectors.to_standard(total, sm._plan))
-    return maps
+
+    def maps():
+        factors = {}
+        for plan in plans:
+            total = None
+            for key, f0, g0, length in plan:
+                if key not in factors:
+                    factors[key] = _factor(sm, f0, g0, length, mode)
+                total = factors[key] if total is None else tuple(
+                    a @ b for a, b in zip(total, factors[key]))
+                uses[key] -= 1
+                if not uses[key]:
+                    del factors[key]
+            yield (np.eye(sm.dim ** 2, dtype=complex) if total is None
+                   else sm._sectors.to_standard(total, sm._plan))
+
+    return maps()
 
 
 def _unit_window_image(sm, f, g, start, end, mode="physical"):
@@ -322,12 +328,20 @@ def flow_matrix_element(sm, f, g, start, end, x, mode="physical"):
     Equals exp(<f, g> outside the window) times the ordered-product map
     applied to x. With x the identity this collapses to
     exp(<f, g>) * identity in physical normalization. Plain scalars are
-    accepted for f and g and mean constant values on the window.
+    accepted for f and g and mean constant values on the window. The
+    operator x and a non-finite weight are refused before any exponential.
     """
-    # the window first: a scalar f would be made a step function on it
+    x = _as_operator(x, sm.dim)
+    # the window before the functions: a scalar f would be made a step
+    # function on it
     start, end = _window_ends(start, end)
     f, g = _as_step(f, (start, end)), _as_step(g, (start, end))
-    weight = np.exp(step_inner_product(f, g, window=(start, end), complement=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outside = step_inner_product(f, g, window=(start, end), complement=True)
+        weight = np.exp(outside)
+    if not np.isfinite(weight):
+        raise ValueError(f"the weight exp(<f, g> outside the window) is not finite: "
+                         f"<f, g> there is {outside}")
     return weight * apply_superop(evolution_map(sm, f, g, start, end, mode), x)
 
 
@@ -340,10 +354,12 @@ def _as_step(f, window):
     return StepFunction.indicator(start, end, f) if f != 0 and end > start else StepFunction.zero()
 
 
-def _window_maps(sm, fs, *ts):
-    """For each t, the table [j][k] of the physical window [0, t] maps
-    between the test functions fs[j] and fs[k], taken as step functions on
-    [0, max(ts)]; all tables come from one batch."""
+def _gram(sm, fs, ts, *operands):
+    """For each operand, the (n d)-side matrix whose d x d block (j, k) is
+    operand(j, k) sent through the physical [0, t] map between fs[j] and
+    fs[k] (step functions on [0, max(ts)]) for each t in ts, last t first:
+    one batch, each map dropped once its blocks are written."""
+    ts = [float(t) for t in ts]
     for t in ts:
         if not np.isfinite(t):
             raise ValueError(f"window length must be finite, got {t}")
@@ -352,9 +368,18 @@ def _window_maps(sm, fs, *ts):
     steps = [_as_step(f, (0.0, max(ts))) for f in fs]
     if not steps:
         raise ValueError("fs is empty: a Gram kernel needs at least one test function")
-    maps = iter(_evolution_maps(sm, [(fj, fk, 0.0, t)
-                                     for t in ts for fj in steps for fk in steps]))
-    return [[[next(maps) for _ in steps] for _ in steps] for _ in ts]
+    n, d = len(steps), sm.dim
+    maps = _evolution_maps(sm, [(fj, fk, 0.0, t) for fj in steps for fk in steps
+                                for t in reversed(ts)])
+    grams = [np.zeros((n * d, n * d), dtype=complex) for _ in operands]
+    for j in range(n):
+        for k in range(n):
+            blocks = [operand(j, k) for operand in operands]
+            for _ in ts:  # the map lives only in the comprehension
+                blocks = [_apply(window, x) for window in [next(maps)] for x in blocks]
+            for gram, x in zip(grams, blocks):
+                gram[j * d:(j + 1) * d, k * d:(k + 1) * d] = x
+    return grams
 
 
 def _pair_products(xs, n, d):
@@ -366,16 +391,20 @@ def _pair_products(xs, n, d):
     return lambda j, k: xs[j].conj().T @ xs[k]
 
 
+def _norm_gap(x):
+    """operand(j, k) = ||x|| 1 - x for ``q_bound_check``, for a checked x."""
+    gap = float(np.linalg.norm(x, 2)) * np.eye(len(x)) - x
+    return lambda j, k: gap
+
+
 def block_form(sm, fs, t, x):
     """Gram-type block matrix [P_{f_j, f_k}(x)] over the window [0, t].
 
     fs may contain step functions or plain scalars (treated as constant
     values on [0, t]). Returns an (n d) x (n d) matrix of d x d blocks.
     """
-    t = float(t)
     x = _as_operator(x, sm.dim)
-    maps, = _window_maps(sm, fs, t)
-    return _apply_grid(maps, sm.dim, lambda j, k: x)
+    return _gram(sm, fs, (t,), lambda j, k: x)[0]
 
 
 def q_bound_check(sm, fs, t, x):
@@ -385,16 +414,7 @@ def q_bound_check(sm, fs, t, x):
     norm is the spectral norm. The window maps are linear, so this is
     the one block form [P(||x|| 1 - x)].
     """
-    t = float(t)
-    x = _as_operator(x, sm.dim)
-    maps, = _window_maps(sm, fs, t)
-    return _q_bound_min_eig(maps, x)
-
-
-def _q_bound_min_eig(maps, x):
-    """``q_bound_check`` on its table of window maps, for a checked x."""
-    gap = float(np.linalg.norm(x, 2)) * np.eye(len(x)) - x
-    return min_eig(_apply_grid(maps, len(x), lambda j, k: gap))
+    return min_eig(_gram(sm, fs, (t,), _norm_gap(_as_operator(x, sm.dim)))[0])
 
 
 def kernel_cp_residual(sm, fs, xs, t):
@@ -403,9 +423,7 @@ def kernel_cp_residual(sm, fs, xs, t):
     Complete positivity of the kernel makes this matrix PSD for every
     choice of test functions and operators.
     """
-    operand = _pair_products(xs, len(fs), sm.dim)
-    maps, = _window_maps(sm, fs, float(t))
-    return min_eig(_apply_grid(maps, sm.dim, operand))
+    return min_eig(_gram(sm, fs, (t,), _pair_products(xs, len(fs), sm.dim))[0])
 
 
 def schur_product_check(sm, fs, xs, t1, t2):
@@ -415,6 +433,4 @@ def schur_product_check(sm, fs, xs, t1, t2):
     x_j* x_k: the [0, t2] map acts first, then the [0, t1] map; closure of
     the kernel family under this Schur composition keeps the matrix PSD.
     """
-    operand = _pair_products(xs, len(fs), sm.dim)
-    maps1, maps2 = _window_maps(sm, fs, t1, t2)
-    return min_eig(_apply_grid(maps1, sm.dim, lambda j, k: _apply(maps2[j][k], operand(j, k))))
+    return min_eig(_gram(sm, fs, (t1, t2), _pair_products(xs, len(fs), sm.dim))[0])

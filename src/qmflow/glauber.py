@@ -38,8 +38,8 @@ LABELS = ("pp", "pm", "mp", "mm")
 
 _SIGN = {"p": +1, "m": -1}
 
-# 6 sites cannot run (d = 64): a 4 GiB padded Choi matrix (MAX_CHOI_BLOCK_DIM
-# is 32), and schur_product_check holds 32 dense window maps of 268 MB each
+# 6 sites cannot run (d = 64): only the 4 GiB padded Choi matrix, over
+# MAX_CHOI_BLOCK_DIM (32), stops them
 MIN_SITES = 3
 MAX_SITES = 5
 

@@ -21,9 +21,8 @@ the map as a dense array or as a ``scipy.sparse`` CSR matrix (the views a
 ``StructureMapSet`` builds of its maps); ``_apply_each`` applies one map
 to several operators in one product on their column-stacked block.
 ``apply_superop`` is the dense validation followed by ``_apply``.
-``_apply_grid`` applies a whole table of computed dense maps to a grid of
-operator blocks (the extended semigroup, the dissipativity lift and the
-flow's Gram kernels).
+``_apply_grid`` applies a whole table of computed maps to a grid of
+operator blocks (the extended semigroup and the dissipativity lift).
 
 CSR builders: the public map builders (``sandwich_map``, ``commutator_map``,
 ``dissipator_map``, ...) are dense ``np.kron`` products and stay the

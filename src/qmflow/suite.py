@@ -45,15 +45,15 @@ from .extended import (
 from .flows import (
     StepFunction,
     _evolution_maps,
+    _gram,
+    _norm_gap,
     _pair_products,
-    _q_bound_min_eig,
     _unit_window_image,
-    _window_maps,
     schur_product_check,
     step_inner_product,
 )
 from .glauber import build_glauber_structure_maps
-from .linalg import _apply, _apply_grid, _draw_op, matrix_exponential, max_abs, min_eig
+from .linalg import _apply, _draw_op, matrix_exponential, max_abs, min_eig
 from .serialize import (
     _finite_float,
     glauber_config_from_obj,
@@ -418,14 +418,10 @@ def _check_flow(ctx):
     xs = [_draw_op(rng, sm.dim) for _ in range(4)]
     dig = _digest(base, *xs)
     x = _draw_op(rng, sm.dim)
-    # one t = 0.7 table serves the kernel and the q-bound records; it is
-    # freed before the Schur check builds its two
-    maps, = _window_maps(sm, fs, 0.7)
-    yield _record("flow-kernel-cp", "min_eig",
-                  min_eig(_apply_grid(maps, sm.dim, _pair_products(xs, len(fs), sm.dim))),
-                  tol["kernel_cp"], dig)
-    q_bound = _q_bound_min_eig(maps, x)
-    del maps
+    # one t = 0.7 batch serves the kernel and the q-bound records
+    kernel, q_bound = map(min_eig, _gram(sm, fs, (0.7,), _pair_products(xs, len(fs), sm.dim),
+                                         _norm_gap(x)))
+    yield _record("flow-kernel-cp", "min_eig", kernel, tol["kernel_cp"], dig)
     yield _record("flow-schur-closure", "min_eig",
                   schur_product_check(sm, fs, xs, 0.4, 0.3), tol["schur"], dig)
     yield _record("flow-q-bound", "min_eig", q_bound, tol["q_bound"], _digest(dig, x))

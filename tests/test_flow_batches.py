@@ -148,7 +148,7 @@ class TestBitIdentical:
     def test_batch_equals_reference(self, request, model, mode):
         sm = request.getfixturevalue(model)
         windows = batch_windows()
-        got = _evolution_maps(sm, windows, mode)
+        got = list(_evolution_maps(sm, windows, mode))
         assert len(got) == len(windows)
         for (f, g, s, t), m in zip(windows, got):
             assert np.array_equal(evolution_map(sm, f, g, s, t, mode), m), (s, t)
@@ -170,14 +170,14 @@ class TestBitIdentical:
         sm = replace(periodic4_sm, theta_zero=periodic4_sm.theta_zero + commutator_map(z))
         assert sm._group == [] and sm._sectors.side == sm.dim ** 2
         windows = batch_windows()[:3]
-        for (f, g, s, t), m in zip(windows, _evolution_maps(sm, windows, mode)):
+        for (f, g, s, t), m in zip(windows, list(_evolution_maps(sm, windows, mode))):
             assert np.array_equal(m, component_map(sm, f, g, s, t, mode)), (s, t)
 
     def test_signed_zero_is_a_distinct_key(self, qubit_sm, expm_calls):
         # -0.0 and 0.0 give the same generator but are kept apart on purpose
         f = StepFunction.indicator(0.0, 1.0, complex(-0.0, 0.0))
         g = StepFunction.indicator(0.0, 1.0, 0.0)
-        _evolution_maps(qubit_sm, [(f, g, 0.0, 1.0), (g, g, 0.0, 1.0)])
+        list(_evolution_maps(qubit_sm, [(f, g, 0.0, 1.0), (g, g, 0.0, 1.0)]))
         assert len(expm_calls) == 2
 
 
@@ -213,7 +213,7 @@ class TestCallCounts:
                        (_split_pieces(f), _split_pieces(g), 0.0, 2.0)]
             keys = [k for w in windows for k in segment_keys(*w)]
             expm_calls.clear()
-            _evolution_maps(glauber_sm, windows)
+            list(_evolution_maps(glauber_sm, windows))
             assert len(expm_calls) == len(set(keys))
             shared += len(keys) - len(set(keys))
         assert shared > 0
@@ -248,26 +248,32 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("model", ["glauber_sm", "qubit_sm"])
     def test_kernel_and_q_bound_share_one_table(self, request, model, monkeypatch):
-        # the flow group builds the t = 0.7 table once for both records,
-        # whose values are those of the public kernels on the same draws
+        # the flow group sends both records' operands through one t = 0.7
+        # batch, whose values are those of the public kernels on the same draws
         sm = request.getfixturevalue(model)
-        tables = []
-        original = flows._window_maps
+        grams, batches = [], []
+        original, original_maps = flows._gram, flows._evolution_maps
 
-        def window_maps(sm_, fs, *ts):
-            tables.append(ts)
-            return original(sm_, fs, *ts)
+        def gram(sm_, fs, ts, *operands):
+            grams.append((tuple(ts), len(operands)))
+            return original(sm_, fs, ts, *operands)
 
-        monkeypatch.setattr(flows, "_window_maps", window_maps)
-        monkeypatch.setattr(suite, "_window_maps", window_maps)
+        def evolution_maps(sm_, windows, *args):
+            batches.append(len(windows))
+            return original_maps(sm_, windows, *args)
+
+        monkeypatch.setattr(flows, "_gram", gram)
+        monkeypatch.setattr(suite, "_gram", gram)
+        monkeypatch.setattr(flows, "_evolution_maps", evolution_maps)
         records = {r.name: r for r in suite._check_flow(
             {"rc": parse_config({}), "sm": sm, "base": "b"})}
-        assert tables == [(0.7,), (0.4, 0.3)]
+        assert grams == [((0.7,), 2), ((0.4, 0.3), 1)]
+        assert batches == [16, 32]
         rng = rng_for(0, "flow-kernel")
         fs = [_random_step(rng) for _ in range(3)] + [1.0]
         xs = [_draw_op(rng, sm.dim) for _ in range(4)]
         x = _draw_op(rng, sm.dim)
-        monkeypatch.setattr(flows, "_window_maps", original)
+        monkeypatch.setattr(flows, "_gram", original)
         assert records["flow-kernel-cp"].value == kernel_cp_residual(sm, fs, xs, 0.7)
         assert records["flow-q-bound"].value == q_bound_check(sm, fs, 0.7, x)
 
@@ -311,6 +317,30 @@ def alive(factors):
     return [i for i, refs in enumerate(factors) if any(r() is not None for r in refs)]
 
 
+class TestLiveness:
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm"])
+    def test_gram_holds_no_table_of_maps(self, request, model, monkeypatch):
+        # each window map of the Schur check is dropped once its block is
+        # written: at most one map per time is alive at once
+        sm = request.getfixturevalue(model)
+        refs, counts = [], []
+        original = flows._evolution_maps
+
+        def evolution_maps(*args):
+            for m in original(*args):
+                refs.append(weakref.ref(m))
+                counts.append(sum(r() is not None for r in refs))
+                yield m
+                del m
+
+        monkeypatch.setattr(flows, "_evolution_maps", evolution_maps)
+        fs, ts = [F, G, 1.0], (0.4, 0.3)
+        xs = [_draw_op(rng_for(0, "liveness"), sm.dim) for _ in fs]
+        schur_product_check(sm, fs, xs, *ts)
+        assert len(refs) == len(ts) * len(fs) ** 2
+        assert max(counts) <= len(ts)
+
+
 class TestLastUse:
     def test_no_factor_outlives_its_last_use(self, qubit_sm, monkeypatch):
         seen = []
@@ -324,7 +354,7 @@ class TestLastUse:
         for n in counts:
             want += [[first] if j == 1 else [] for j in range(n)]
             first += n
-        _evolution_maps(qubit_sm, windows)
+        list(_evolution_maps(qubit_sm, windows))
         assert seen == want
         assert len(factors) == sum(counts)
         assert alive(factors) == []
@@ -336,7 +366,7 @@ class TestLastUse:
         # [0.5, 1) and [1.5, 2) share one factor, which the second window
         # uses again: it is alive when the [1, 1.5) factor is computed,
         # while the window's first factor, [0.25, 0.5), is already gone
-        maps = _evolution_maps(qubit_sm, [(f, f, 0.25, 2.0), (f, f, 0.5, 1.0)])
+        maps = list(_evolution_maps(qubit_sm, [(f, f, 0.25, 2.0), (f, f, 0.5, 1.0)]))
         assert seen == [[], [0], [1]]
         assert alive(factors) == []
         assert np.array_equal(maps[0], reference_map(qubit_sm, f, f, 0.25, 2.0, "physical"))
@@ -425,7 +455,7 @@ class TestBlockBasis:
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
     def test_open4_batch_matches_reference(self, open4_sm, mode):
         windows = batch_windows()
-        got = _evolution_maps(open4_sm, windows, mode)
+        got = list(_evolution_maps(open4_sm, windows, mode))
         for (f, g, s, t), m in zip(windows, got):
             want = reference_map(open4_sm, f, g, s, t, mode)
             assert max_abs(m - want) <= 1e-13 * max_abs(want), (s, t)
@@ -540,6 +570,30 @@ class TestMessages:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^{name} must be finite, got {shown}$"):
                 point_generator(qubit_sm, f0, g0)
+
+    @pytest.mark.parametrize("pieces", [((-100.0, 0.0, 30.0), (0.0, 1.0, 0.5)),
+                                        ((-2.0, 0.0, 1e200), (0.0, 1.0, 0.5))],
+                             ids=["overflow", "non-finite-product"])
+    def test_non_finite_weight_refused(self, glauber_sm, expm_calls, pieces):
+        # exp(<f, g> outside the window) is refused before any exponential,
+        # with no warning
+        f = StepFunction(pieces)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the weight exp\(<f, g> outside the window\) "
+                                                 r"is not finite: <f, g> there is "):
+                flow_matrix_element(glauber_sm, f, f, 0.0, 1.0, np.eye(glauber_sm.dim))
+        assert expm_calls == []
+
+    @pytest.mark.parametrize("x, msg", [
+        (np.eye(3), r"operator dimension 3 does not match superoperator dimension 8"),
+        (np.ones((8, 4)), r"operator must be a square matrix, got shape \(8, 4\)"),
+        (np.diag([np.nan] + [1.0] * 7), r"operator contains non-finite entries")],
+        ids=["dimension", "not-square", "non-finite"])
+    def test_observable_refused_before_any_exponential(self, glauber_sm, expm_calls, x, msg):
+        with pytest.raises(ValueError, match=rf"^{msg}$"):
+            flow_matrix_element(glauber_sm, F, G, 0.0, 2.0, x)
+        assert expm_calls == []
 
     def test_batch_routine_stays_private(self):
         for name in ("_evolution_maps", "_unit_window_image"):

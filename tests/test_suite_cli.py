@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,25 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "window ends must be finite" in err
+
+    def test_flow_element_non_finite_weight(self, tmp_path, capsys, qubit_sm):
+        # exp(<f, g> outside the window) overflows: refused with exit 2 and
+        # nothing written, not Infinity/NaN entries
+        mp = tmp_path / "maps.json"
+        save_json(structure_maps_to_obj(qubit_sm), mp)
+        rcp = tmp_path / "rc.json"
+        save_json({"model": {"structure_maps": str(mp)}}, rcp)
+        fp, xp, outp = tmp_path / "f.json", tmp_path / "x.json", tmp_path / "out.json"
+        save_json(step_function_to_obj(StepFunction(((-100.0, 0.0, 30.0), (0.0, 1.0, 0.5)))), fp)
+        save_json(operator_to_obj(np.eye(2)), xp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["flow-element", "--config", str(rcp),
+                                           "--f", str(fp), "--g", str(fp), "--window", "0,1",
+                                           "--observable", str(xp), "--out", str(outp)])
+        assert code == 2
+        assert err.startswith("error: the weight exp(<f, g> outside the window) is not finite")
+        assert not outp.exists()
 
     def test_suite_writes_deterministic_file(self, tmp_path, capsys):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
