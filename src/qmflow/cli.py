@@ -99,7 +99,7 @@ def _load_run_config(args):
         obj = dict(obj)
         if getattr(args, "mode", None):
             obj["mode"] = args.mode
-        if getattr(args, "t", None):
+        if getattr(args, "t", None) is not None:
             try:
                 obj["t_grid"] = [float(v) for v in args.t.split(",")]
             except ValueError:

@@ -51,8 +51,14 @@ assembles each factor on the blocks of that basis that hold vec(1)
 (``_Sectors.unit_stacks``, which the extended layer's unit images use),
 exponentiates them with ``linalg._expm_stacks`` and multiplies the
 factors there: one block of 6 rows at 3 periodic sites, 23 of 256 rows
-at 4 periodic sites. Both routines plan a window's segments with
-``_window_plan``.
+at 4 periodic sites.
+
+One segment walk, ``_window_plan``, cuts a window into the common
+refinement of both functions' breakpoints and reads their values there.
+The batch, the unit image and ``step_inner_product`` all plan with it: the
+inner product sums conj(f0) g0 length over the window's plan, or over the
+plans of the spans before and after it, so a matrix element's weight and
+its factors come from one refinement.
 """
 
 from collections import Counter
@@ -135,25 +141,19 @@ class StepFunction:
         return pts
 
 
-def _merged_grid(points):
-    """Sorted deduplicated points, merging anything closer than MERGE_TOL."""
-    pts = sorted(points)
-    out = []
-    for p in pts:
-        if not out or p - out[-1] > MERGE_TOL:
-            out.append(p)
-    return out
-
-
 def _segments(f, g, start, end):
-    """Common refinement of [start, end] by both functions' breakpoints."""
-    pts = [p for p in f.breakpoints() + g.breakpoints() if start < p < end]
-    grid = _merged_grid([start] + pts + [end])
+    """Common refinement of [start, end] by both functions' breakpoints,
+    a point closer than MERGE_TOL to the last one kept merged into it."""
+    grid = [start]
+    for p in sorted(p for p in f.breakpoints() + g.breakpoints() if start < p < end) + [end]:
+        if p - grid[-1] > MERGE_TOL:
+            grid.append(p)
     return list(zip(grid, grid[1:]))
 
 
 def step_inner_product(f, g, window=None, complement=False):
-    """Integral of conj(f) g, over the line or a window or its complement.
+    """Integral of conj(f) g, over the line or a window or its complement,
+    summed over the segments of ``_window_plan``.
 
     Parameters
     ----------
@@ -171,17 +171,11 @@ def step_inner_product(f, g, window=None, complement=False):
     if not pts:
         return total
     lo, hi = min(pts), max(pts)
-    if window is not None:
-        pts = pts + [s, t]
-        lo, hi = min(lo, s), max(hi, t)
-    grid = _merged_grid([p for p in pts if lo <= p <= hi] + [lo, hi])
-    for a, b in zip(grid, grid[1:]):
-        mid = 0.5 * (a + b)
-        if window is not None:
-            inside = s <= mid <= t
-            if complement == inside:
-                continue
-        total += np.conj(f.value_at(mid)) * g.value_at(mid) * (b - a)
+    spans = ([(lo, hi)] if window is None
+             else [(min(lo, s), s), (t, max(hi, t))] if complement else [(s, t)])
+    for a, b in spans:
+        for _, f0, g0, length in _window_plan(f, g, a, b):
+            total += np.conj(f0) * g0 * length
     return total
 
 

@@ -476,36 +476,46 @@ def _refuse_overflowing_times(rc, *gens):
 def run_suite(rc, groups=None):
     """Execute the registered checks and collect a report.
 
-    groups, when given, restricts to a subset of {"structure", "extended",
-    "flow"}. Construction failures become failing records instead of
-    exceptions, so a bad model still yields a report (and a nonzero exit
-    downstream). With the extended group, a grid time at which an entry
-    of the generator times t overflows is refused with a ValueError before
-    any group runs.
+    groups, when given, restricts to a nonempty subset of {"structure",
+    "extended", "flow"}; None means every group, and an empty selection
+    is refused with a ValueError. Construction failures become failing
+    records instead of exceptions, so a bad model still yields a report
+    (and a nonzero exit downstream). A model that is built but whose
+    generators are refused still gets the structure group, which needs
+    only the maps, and then its ``model-construction`` record. With the
+    extended group, a grid time at which an entry of the generator times
+    t overflows is refused with a ValueError before any group runs.
     """
-    wanted = set(groups) if groups else {name for name, _ in _REGISTRY}
-    unknown = wanted - {name for name, _ in _REGISTRY}
+    names = {name for name, _ in _REGISTRY}
+    if groups is not None and not groups:
+        raise ValueError(f"no check group selected: name at least one of {sorted(names)}")
+    wanted = set(names if groups is None else groups)
+    unknown = wanted - names
     if unknown:
         raise ValueError(f"unknown check groups {sorted(unknown)}")
 
-    records = []
+    records, failure = [], None
     ctx = {"rc": rc}
     try:
         _set_up(ctx, generators=not {"extended", "flow"}.isdisjoint(wanted))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        records.append(CheckRecord(name="model-construction", kind="error",
-                                   passed=False, message=str(exc)))
+        failure = CheckRecord(name="model-construction", kind="error",
+                              passed=False, message=str(exc))
+        # the maps were built and digested before the generators refused them
+        wanted &= {"structure"} if "base" in ctx else set()
     else:
         if "extended" in wanted:
             _refuse_overflowing_times(rc, ctx["gen_phys"], ctx["gen_cons"])
-        for name, check in _REGISTRY:
-            if name not in wanted:
-                continue
-            try:
-                records.extend(check(ctx))
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                records.append(CheckRecord(name=f"{name}-group", kind="error",
-                                           passed=False, message=str(exc)))
+    for name, check in _REGISTRY:
+        if name not in wanted:
+            continue
+        try:
+            records.extend(check(ctx))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            records.append(CheckRecord(name=f"{name}-group", kind="error",
+                                       passed=False, message=str(exc)))
+    if failure is not None:
+        records.append(failure)
     sm = ctx.get("sm")
     model_info = {"kind": rc.model_kind, "dim": None, "ito": None}
     if sm is not None:

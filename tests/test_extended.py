@@ -28,6 +28,7 @@ from qmflow import (
     extended_choi_min_eig,
     generator_cp_min_eig,
     kappa_residual,
+    kernel_cp_residual,
     matrix_exponential,
     max_abs,
     min_eig,
@@ -437,6 +438,26 @@ class TestGeneratorCp:
         monkeypatch.setattr(ext, "matrix_exponential", refuse)
         monkeypatch.setattr(ext, "extended_choi_min_eig", refuse)
         assert generator_cp_min_eig(glauber_gen_phys) > -1e-12
+
+
+class TestFlowBridge:
+    """The paper's bridge between the layers: on the constant functions 0
+    and 1 over [0, t], the window map between f_j and f_k is the extended
+    semigroup's entry (j, k), so with the row-0 matrix units e_{0p} as
+    operands the flow kernel's Gram matrix is the table Choi matrix up to
+    one permutation, and its smallest eigenvalue is the extended test's."""
+
+    @pytest.mark.parametrize("t", [0.05, 0.7])
+    @pytest.mark.parametrize("name", ["good qubit", "weak qubit", "qubit, negated drift",
+                                      "weak qubit, jump with a trace", "3-site periodic chain",
+                                      "3-site open chain", "3-site chain, real parts x 0.3"])
+    def test_flow_kernel_is_the_extended_choi_test(self, name, t):
+        sm = _CP_MODELS[name]()
+        d = sm.dim
+        assert d <= 8
+        units = [np.outer(np.eye(d)[0], np.eye(d)[p]) for p in range(d)]
+        assert (kernel_cp_residual(sm, [0.0] * d + [1.0] * d, units + units, t)
+                == extended_choi_min_eig(build_extended_generator(sm), t))
 
 
 class TestDelta:

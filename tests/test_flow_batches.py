@@ -656,3 +656,44 @@ class TestUnitWindowImage:
         with pytest.raises(ValueError, match=msg) as unit:
             _unit_window_image(glauber_sm, f, f, 0.0, end, mode)
         assert str(unit.value) == str(dense.value)
+
+
+_PLAN = flows._window_plan
+_UNIT_IMAGE = suite._unit_window_image
+
+
+def _keyed_without_length(monkeypatch):
+    # factors of equal values but different lengths share one exponential
+    monkeypatch.setattr(flows, "_window_plan", lambda *window: [
+        (np.array([f0, g0]).tobytes(), f0, g0, length) for _, f0, g0, length in _PLAN(*window)])
+
+
+def _reversed_in_time(monkeypatch):
+    monkeypatch.setattr(flows, "_window_plan", lambda *window: _PLAN(*window)[::-1])
+
+
+def _conservative_unit_image(monkeypatch):
+    monkeypatch.setattr(suite, "_unit_window_image",
+                        lambda sm, f, g, start, end, mode="physical":
+                        _UNIT_IMAGE(sm, f, g, start, end, "conservative"))
+
+
+class TestFlowAdversaries:
+    """flow-composition, flow-refinement and flow-unitality hold for every
+    model the build accepts, so each is shown to fail on a fault in the
+    code: a factor cache that ignores the segment length, segments
+    multiplied in reverse time order, and the unit image in the
+    conservative normalization."""
+
+    @pytest.mark.parametrize("fault, failing", [
+        (None, set()),
+        (_keyed_without_length, {"flow-composition", "flow-refinement"}),
+        (_reversed_in_time, {"flow-composition"}),
+        (_conservative_unit_image, {"flow-unitality"}),
+    ])
+    def test_fault_fails_its_records(self, monkeypatch, fault, failing):
+        if fault is not None:
+            fault(monkeypatch)
+        records = run_suite(parse_config({}), groups=("flow",)).records
+        assert len(records) == 7
+        assert {r.name for r in records if not r.passed} == failing

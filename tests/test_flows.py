@@ -95,6 +95,35 @@ class TestInnerProduct:
         want = (1 - 1j) * (-1j) * 0.5 + 2 * (-1j) * 1.0
         assert step_inner_product(f, g) == pytest.approx(want)
 
+    @pytest.mark.parametrize("window", [None, (0.0, 2.0), (0.3, 1.1), (-1.0, 3.0)])
+    def test_piece_overlap_oracle(self, window):
+        # sum over pairs of pieces of conj(v) w times the length of their
+        # overlap inside the span(s): no segment walk
+        def overlap(f, g, spans):
+            terms = [np.conj(v) * w * max(0.0, min(b1, b2, hi) - max(a1, a2, lo))
+                     for a1, b1, v in f.pieces for a2, b2, w in g.pieces for lo, hi in spans]
+            return sum(terms), sum(abs(z) for z in terms)
+
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            f, g = (_random_steps(rng) for _ in range(2))
+            cases = [({}, [(-np.inf, np.inf)])] if window is None else [
+                ({"window": window}, [window]),
+                ({"window": window, "complement": True},
+                 [(-np.inf, window[0]), (window[1], np.inf)])]
+            for kwargs, spans in cases:
+                want, scale = overlap(f, g, spans)
+                got = step_inner_product(f, g, **kwargs)
+                assert abs(got - want) <= 1e-12 * max(scale, 1e-300)
+
+
+def _random_steps(rng):
+    """1 to 4 pieces with values in the unit square, on [-0.5, 2.5]."""
+    k = int(rng.integers(1, 5))
+    pts = np.sort(rng.uniform(-0.5, 2.5, size=2 * k))
+    return StepFunction(tuple((pts[2 * i], pts[2 * i + 1], complex(*rng.uniform(-1, 1, 2)))
+                              for i in range(k)))
+
 
 class TestPointGenerator:
     def test_four_corner_table(self, qubit_sm):

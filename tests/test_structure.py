@@ -35,6 +35,7 @@ from qmflow import (
     run_suite,
     sandwich_map,
 )
+from qmflow.cli import main
 from qmflow.linalg import _apply, _draw_op
 from qmflow.serialize import save_json, structure_maps_to_obj
 from qmflow.structure import _CALIBRATION_PAIRS, _CALIBRATION_SEED, _DENSE, calibrate_ito
@@ -710,6 +711,27 @@ class TestReportsAndAdversaries:
         with pytest.raises(ValueError) as err:
             build_extended_generator(bad)
         assert str(err.value) == message
+
+    def test_structure_records_survive_a_refused_generator(self, tmp_path, capsys, glauber_sm):
+        maps = _file_model(tmp_path, _derivation_breaker(glauber_sm, 1e-3))
+        rcp = tmp_path / "rc.json"
+        save_json({"model": {"structure_maps": maps}}, rcp)
+        records = {}
+        for command, code in (("check-structure", 1), ("suite", 2)):
+            assert main([command, "--config", str(rcp)]) == code
+            records[command] = json.loads(capsys.readouterr().out)["records"]
+        structure = records["check-structure"]
+        assert [r["name"] for r in structure] == [
+            "structure-unital", "structure-conjugation", "structure-derivation",
+            "structure-ito-rule"]
+        assert records["suite"][:-1] == structure
+        last = records["suite"][-1]
+        assert last["name"] == "model-construction" and not last["passed"]
+        assert last["message"].startswith("axiom failure: noise maps are not derivations")
+        # without the structure group only the construction record is left
+        rc = parse_config({"model": {"structure_maps": maps}})
+        assert [r.name for r in run_suite(rc, groups=("extended", "flow")).records] == [
+            "model-construction"]
 
     def test_conjugation_breaker_matches_dense_formula(self, tmp_path, glauber_sm):
         rng = np.random.default_rng(33)

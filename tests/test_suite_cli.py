@@ -182,6 +182,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="unknown check groups"):
             run_suite(small_rc, groups=("spectra",))
 
+    @pytest.mark.parametrize("groups", [(), []])
+    def test_empty_group_selection_refused(self, small_rc, groups):
+        with pytest.raises(ValueError, match="no check group selected"):
+            run_suite(small_rc, groups=groups)
+
     def test_csv_shape(self, small_report):
         text = report_to_csv(small_report)
         lines = text.strip().split("\n")
@@ -569,6 +574,13 @@ class TestCli:
     def test_malformed_time(self, capsys):
         code, out, err = _run(capsys, ["check-cp", "--t", "0.1;0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["check-cp", "suite"])
+    def test_empty_time_grid_refused(self, capsys, command):
+        code, out, err = _run(capsys, [command, "--t", ""])
+        assert code == 2
+        assert out == ""
+        assert "--t must be comma-separated numbers, got ''" in err
 
 
 class TestOverflowRefusals:
