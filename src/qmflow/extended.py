@@ -222,9 +222,9 @@ def _semigroup(gen, t):
     """The table of time-t maps exp(t L_ij).
 
     Each entry is the flow factor exp(t K(i, j)) (``flows._factor``, one
-    exponential on the compact matrix of the source's ``_Sectors``),
-    mapped back to the std basis, 0 off L_ij's diagonal blocks as the
-    exact map is.
+    exponential on the compact matrix of the distinct blocks of the
+    source's ``_Sectors``), mapped back to the std basis with every copy
+    restored, 0 off L_ij's diagonal blocks as the exact map is.
     """
     sm, t = gen.source, _time(t)
     return _table(lambda i, j: sm._sectors.to_standard(_factor(sm, i, j, t, gen.mode),

@@ -58,6 +58,10 @@ elements, split by their characters); at 5 periodic sites 512 of 1024
 rows in blocks of at most 52; on the open chain (the flip fixes no
 component) half the rows, unsplit. A set without a symmetry has the
 trivial group's basis: the components themselves, with Q the identity.
+Last, the sector blocks of one size whose three maps' blocks have the
+same bytes are held once: the others are equal-block copies, and the
+flow factors exponentiate the held blocks alone (at 4 open sites 15 of
+32 blocks, 91 of 128 rows).
 """
 
 import warnings
@@ -317,17 +321,33 @@ class _Sectors:
     in ascending std order, and ``position`` the layout position of each
     std index's source. ``plan`` holds the sector blocks in layout positions,
     one (k, s) index array per block size s, and ``stacks[alpha]`` the
-    (k, s, s) stacks Q_b* theta_alpha Q_b, one per plan entry. The
-    ``unit_*`` fields are the representatives' sector blocks that hold
-    vec(1), all of trivial character: their plan and stacks in local
-    positions, vec(1) in them, and for each std index the local position
-    of its source's trivial column (-1 outside them) and 1 / sqrt of that
-    column's orbit size.
+    stacks Q_b* theta_alpha Q_b of their distinct blocks (below), one per
+    plan entry. The ``unit_*`` fields are the representatives' sector
+    blocks that hold vec(1), all of trivial character: their plan and
+    stacks in local positions, vec(1) in them, and for each std index the
+    local position of its source's trivial column (-1 outside them) and
+    1 / sqrt of that column's orbit size.
+
+    Equal-block copies beside the orbit copies: in each plan entry, the
+    blocks whose theta_-, theta_0 and theta_+ blocks have the same bytes
+    as an earlier block's copy it, and ``stacks[alpha]`` holds only the
+    first block of each group, in plan order. ``copies`` holds, per plan
+    entry, the stack row that each block reads, and ``distinct_plan`` the
+    held blocks in the positions of their own compact matrix of
+    ``distinct_side`` rows (the layout's positions, renumbered in order).
+    Equal maps' blocks give equal blocks of every point generator, and of
+    its exponential, so the flow factors and the resolvent work on the
+    held blocks; ``expand`` (and so ``to_standard``) restores the copies.
+    With no equal blocks ``copies`` is None and ``distinct_plan`` is
+    ``plan``.
     """
 
     plan: tuple
     stacks: dict
     side: int
+    distinct_plan: tuple
+    distinct_side: int
+    copies: tuple
     source: np.ndarray
     position: np.ndarray
     fourier: tuple
@@ -343,8 +363,9 @@ class _Sectors:
         diagonal blocks of the std plan (whose blocks lie within
         components). Each product with Q is one batched product per orbit
         size on the compact side; an orbit of size 1 has the Fourier block
-        1, so its rows and columns are kept."""
-        m, side = _unblock(stacks, self.plan, self.side), self.side
+        1, so its rows and columns are kept. The stacks are those of the
+        distinct blocks (``distinct_plan``), expanded first."""
+        m, side = _unblock(self.expand(stacks), self.plan, self.side), self.side
         for start, f in self.fourier:
             k, s, _ = f.shape
             if s > 1:
@@ -357,6 +378,13 @@ class _Sectors:
                 part = m[:, cols].reshape(side, k, s).transpose(1, 0, 2) @ f.conj().transpose(0, 2, 1)
                 m[:, cols] = part.transpose(1, 0, 2).reshape(side, k * s)
         return _unblock([_block(m, self.position[idx]) for idx in plan], plan, self.position.size)
+
+    def expand(self, stacks):
+        """The stacks on ``plan`` of stacks on ``distinct_plan``: each
+        copy gathered from the block it copies."""
+        if self.copies is None:
+            return stacks
+        return [stack[rows] for stack, rows in zip(stacks, self.copies)]
 
     def unit_image(self, e):
         """The operator exp(t L)(1), for e = exp(t L) on the unit blocks."""
@@ -485,13 +513,36 @@ def _sector_basis(sm, found):
     unit_one[unit_pos[trivial]] = np.sqrt(size[diagonal])
     source_orbit = orbit[local[source]]
 
-    sectors = _Sectors(plan=plan, stacks=stacks, side=side, source=source,
-                       position=np.argsort(layout)[local[source]],
+    # equal blocks: in each plan entry, the blocks whose three map blocks
+    # have the same bytes copy the first of them, and only the first of
+    # each is held, in plan order
+    kept, copies = [], []
+    for i, idx in enumerate(plan):
+        keys = np.concatenate([stacks[alpha][i].reshape(idx.shape[0], -1)
+                               for alpha in (-1, 0, 1)], axis=1)
+        rank = {}
+        copies.append(np.array([rank.setdefault(key.tobytes(), len(rank)) for key in keys]))
+        kept.append(np.unique(copies[-1], return_index=True)[1])
+    if any(rows.size < idx.shape[0] for idx, rows in zip(plan, kept)):
+        stacks = {alpha: tuple(stack[rows] for stack, rows in zip(group_, kept))
+                  for alpha, group_ in stacks.items()}
+        held_pos = np.zeros(side, bool)
+        for idx, rows in zip(plan, kept):
+            held_pos[idx[rows]] = True
+        renumber = np.cumsum(held_pos) - 1
+        distinct_plan = tuple(renumber[idx[rows]] for idx, rows in zip(plan, kept))
+        copies = tuple(copies)
+    else:
+        distinct_plan, copies = plan, None
+
+    sectors = _Sectors(plan=plan, stacks=stacks, side=side, distinct_plan=distinct_plan,
+                       distinct_side=sum(idx.size for idx in distinct_plan), copies=copies,
+                       source=source, position=np.argsort(layout)[local[source]],
                        fourier=tuple(fourier), unit_plan=unit_plan, unit_stacks=unit_stacks,
                        unit_one=unit_one, unit_local=unit_pos[column[source_orbit, 0]],
                        unit_scale=1.0 / np.sqrt(size[source_orbit]))
-    for array in (sectors.source, sectors.position, *plan, *unit_plan,
-                  *(f for _, f in fourier),
+    for array in (sectors.source, sectors.position, *plan, *distinct_plan, *(copies or ()),
+                  *unit_plan, *(f for _, f in fourier),
                   *(s for group_ in (*stacks.values(), *unit_stacks.values()) for s in group_),
                   sectors.unit_one, sectors.unit_local, sectors.unit_scale):
         array.flags.writeable = False

@@ -224,18 +224,20 @@ class TestCallCounts:
         assert len(expm_calls) == len(_segments(F, G, 0.1, 1.8)) == 6
 
     def test_factors_exponentiate_the_representatives_alone(self, open4_sm, monkeypatch):
-        # one matrix_exponential per segment, on the 128 of 256 rows that
-        # the 4-site open chain's orbit representatives hold
+        # one matrix_exponential per segment, on the 91 distinct-block rows
+        # of the 128 of 256 that the 4-site open chain's orbit
+        # representatives hold
         sides = []
         monkeypatch.setattr(flows, "matrix_exponential",
                             lambda m, t=1.0: sides.append(m.shape[0]) or matrix_exponential(m, t))
         flow_matrix_element(open4_sm, F, G, 0.1, 1.8, np.eye(open4_sm.dim))
-        assert sides == [128] * len(_segments(F, G, 0.1, 1.8))
+        assert sides == [91] * len(_segments(F, G, 0.1, 1.8))
 
     def test_periodic_factors_exponentiate_the_compact_sectors(self, periodic4_sm, monkeypatch):
         # at 4 periodic sites the compact side is the 7 representatives'
-        # 172 of 256 rows, and the stabilizers' characters split its
-        # 144-row component: the largest block has 22 rows
+        # 172 of 256 rows, less 3 of their four equal 1-row blocks, and the
+        # stabilizers' characters split its 144-row component: the largest
+        # block has 22 rows
         largest = []
 
         def exponential(m, t=1.0):
@@ -244,7 +246,7 @@ class TestCallCounts:
 
         monkeypatch.setattr(flows, "matrix_exponential", exponential)
         flow_matrix_element(periodic4_sm, F, G, 0.1, 1.8, np.eye(periodic4_sm.dim))
-        assert largest == [(172, 22)] * len(_segments(F, G, 0.1, 1.8))
+        assert largest == [(169, 22)] * len(_segments(F, G, 0.1, 1.8))
 
     @pytest.mark.parametrize("model", ["glauber_sm", "qubit_sm"])
     def test_kernel_and_q_bound_share_one_table(self, request, model, monkeypatch):
@@ -417,7 +419,8 @@ class TestBlockBasis:
                                               ("open4_sm", [1, 3, 9])])
     def test_plan_covers_every_index_once(self, request, model, sizes):
         sm = request.getfixturevalue(model)
-        plan, stacks = sm._plan, _sector_basis(sm, []).stacks
+        basis = _sector_basis(sm, [])
+        plan, stacks = sm._plan, {alpha: basis.expand(s) for alpha, s in basis.stacks.items()}
         n = sm.dim ** 2
         assert [idx.shape[1] for idx in plan] == sizes
         assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in plan])),
@@ -438,7 +441,7 @@ class TestBlockBasis:
             assert len(plan) == len(want)
             for got, idx in zip(plan, want):
                 assert got.dtype == idx.dtype and np.array_equal(got, idx)
-        stacks = basis.stacks
+        stacks = {alpha: basis.expand(s) for alpha, s in basis.stacks.items()}
         # the stacks hold the dense blocks' values, not their bytes: they are
         # read from the views, which store no zeros, so a commutator map's
         # -0.0 (its -1j * 0j off the view) is +0.0 in its stack

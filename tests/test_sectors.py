@@ -1,7 +1,7 @@
 """The character basis of the periodic chain's symmetries: detection from
-the maps, the extended exponentials computed in it, and the trivial
-group's basis of every other model, which keeps the per-entry
-exponentials bit for bit."""
+the maps, the extended exponentials computed in it, the trivial group's
+basis of every other model, which keeps the per-entry exponentials bit for
+bit, and the equal-block copies, which keep the factors bit for bit."""
 
 from dataclasses import replace
 
@@ -333,8 +333,9 @@ class TestSectorSemigroup:
         gen = build_extended_generator(periodic4, "physical")
         _semigroup(gen, 0.5)
         _unit_images(gen, 0.5)
-        # the compact side: 7 representatives of the 25 components
-        assert sides == [172] * 4 + [23] * 4
+        # the compact side: 7 representatives of the 25 components, 172
+        # rows, less 3 of the four equal 1-row blocks
+        assert sides == [169] * 4 + [23] * 4
 
     def test_negative_time_refused(self, periodic3):
         gen = build_extended_generator(periodic3, "physical")
@@ -387,6 +388,130 @@ class TestEntryPathUnchanged:
                         assert np.array_equal(_block(got, idx), _block(got, sectors.source[idx]))
                         assert np.max(np.abs(_block(got, idx) - _block(want, idx))) <= tol
                     assert np.max(np.abs(images[i][j] - _apply(want, eye))) <= 1e-14
+
+
+def layout_std(sectors):
+    """The std index at each layout position of a basis whose Q is the
+    identity."""
+    held = np.flatnonzero(sectors.source == np.arange(sectors.source.size))
+    std = np.empty(sectors.side, int)
+    std[sectors.position[held]] = held
+    return std
+
+
+def full_plan_stacks(sm):
+    """The dense maps' blocks on every block of the plan of sm's basis, for
+    a basis whose Q is the identity (the open chain's), each -0.0 made
+    +0.0 as in the stacks read from the views."""
+    sectors, std = sm._sectors, layout_std(sm._sectors)
+    return {alpha: [_block(m, std[idx]) + 0j for idx in sectors.plan]
+            for alpha, m in sm.maps().items()}
+
+
+def full_plan_factor(sm, f0, g0, length, mode):
+    """exp(length K(f0, g0)) with every block of the plan held: each one
+    scattered into the compact matrix of the whole layout, one
+    matrix_exponential call, each one gathered."""
+    sectors = sm._sectors
+    k = _unblock(flows._generator_blocks(full_plan_stacks(sm), f0, g0, mode),
+                 sectors.plan, sectors.side)
+    m = matrix_exponential(k, length)
+    return [_block(m, idx) for idx in sectors.plan]
+
+
+# (f0, g0, length): generic values, f0 = 0, g0 = 0, both 0 (theta_0 alone,
+# whose pattern splits blocks further) and a signed zero
+SEGMENTS = [(0.3 - 0.2j, 0.6 + 0.1j, 0.5), (0.0, -0.5 + 0.4j, 0.7), (0.4 - 0.3j, 0.0, 0.2),
+            (0.0, 0.0, 0.45), (complex(-0.0, 0.0), 1.0, 1.3)]
+
+
+class TestEqualBlocks:
+    """Equal-block copies: in each plan entry, the blocks whose three map
+    blocks have equal bytes are held once, and the factors are exponentiated
+    on those alone."""
+
+    @pytest.mark.parametrize("sites", [3, 4, 5])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_factors_equal_the_full_plan_bitwise(self, sites, mode):
+        sm = chain(sites, "open")
+        sectors = sm._sectors
+        assert sectors.distinct_side < sectors.side
+        for alpha, stacks in full_plan_stacks(sm).items():
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(sectors.expand(sectors.stacks[alpha]), stacks, strict=True))
+        for f0, g0, length in SEGMENTS:
+            got = sectors.expand(flows._factor(sm, f0, g0, length, mode))
+            want = full_plan_factor(sm, f0, g0, length, mode)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (f0, g0, length)
+        # theta_0 alone splits the distinct blocks further
+        k = _unblock(sectors.stacks[0], sectors.distinct_plan, sectors.distinct_side)
+        assert sum(idx.shape[0] for idx in _diagonal_blocks(k)) > \
+            sum(idx.shape[0] for idx in sectors.distinct_plan)
+
+    def test_open4_counts(self, open4):
+        sectors = open4._sectors
+        assert [idx.shape for idx in sectors.plan] == [(8, 1), (16, 3), (8, 9)]
+        assert [idx.shape for idx in sectors.distinct_plan] == [(1, 1), (6, 3), (8, 9)]
+        assert (sectors.side, sectors.distinct_side) == (128, 91)
+
+    @pytest.mark.parametrize("sites", [3, 4, 5])
+    def test_copies_are_the_equal_blocks_of_the_maps(self, sites):
+        # Q is the identity on the open chain, so the held blocks are the
+        # dense maps' blocks: blocks copy one another exactly when all
+        # three maps' dense blocks are equal
+        sm = chain(sites, "open")
+        sectors, std = sm._sectors, layout_std(sm._sectors)
+        for idx, copies in zip(sectors.plan, sectors.copies):
+            blocks = [[_block(m, std[idx[r:r + 1]]) for m in sm.maps().values()]
+                      for r in range(idx.shape[0])]
+            for r in range(idx.shape[0]):
+                first = next(q for q in range(r + 1)
+                             if all(np.array_equal(a, b) for a, b in zip(blocks[q], blocks[r])))
+                assert copies[r] == copies[first]
+                assert (copies[r] == copies[:r]).any() == (first < r)
+
+    @pytest.mark.parametrize("sites, copies", [
+        (3, None), (4, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 1, 2, 3], [0], [0, 1], [0]]), (5, None)])
+    def test_periodic_chains(self, sites, copies):
+        # only the 4-site chain's four 1-row blocks are equal
+        sectors = chain(sites)._sectors
+        if copies is None:
+            assert sectors.copies is None and sectors.distinct_plan is sectors.plan
+            assert sectors.distinct_side == sectors.side
+        else:
+            assert [c.tolist() for c in sectors.copies] == copies
+            assert (sectors.side, sectors.distinct_side) == (172, 169)
+
+    def test_qubit_has_no_copies(self, qubit_sm):
+        assert qubit_sm._sectors.copies is None
+
+    def test_one_ulp_off_is_not_merged(self, open4):
+        # one theta_plus entry of a copied 3-row block moved by one ulp, and
+        # its image under the flip with it, so the flip still holds
+        sectors, std = open4._sectors, layout_std(open4._sectors)
+        idx, copies = sectors.plan[1], sectors.copies[1]
+        r = int(np.flatnonzero(copies == copies[0])[1])
+        rows = std[idx[r]]
+        a, b = np.argwhere(open4.theta_plus[np.ix_(rows, rows)] != 0)[0]
+        d = open4.dim
+        flip = _vec_permutation(np.arange(d) ^ (d - 1))
+        tp = open4.theta_plus.copy()
+        for i, j in ((rows[a], rows[b]), (flip[rows[a]], flip[rows[b]])):
+            tp[i, j] = np.nextafter(tp[i, j].real, np.inf) + 1j * tp[i, j].imag
+        bad = replace(open4, theta_plus=tp)
+        assert [order for order, _ in bad._group] == [2]
+        moved = bad._sectors
+        assert [idx.shape for idx in moved.plan] == [idx.shape for idx in sectors.plan]
+        assert [idx.shape for idx in moved.distinct_plan] == [(1, 1), (7, 3), (8, 9)]
+        assert moved.copies[1][r] not in np.delete(moved.copies[1], r)
+        zero, plus = (moved.expand(moved.stacks[alpha])[1] for alpha in (0, 1))
+        assert np.array_equal(zero[r], zero[0]) and not np.array_equal(plus[r], plus[0])
+        for mode in ("physical", "conservative"):
+            got = moved.expand(flows._factor(bad, 0.3 - 0.2j, 0.6 + 0.1j, 0.5, mode))
+            want = full_plan_factor(bad, 0.3 - 0.2j, 0.6 + 0.1j, 0.5, mode)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_chain_and_its_file_give_the_same_rows(tmp_path, periodic4):
