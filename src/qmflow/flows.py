@@ -52,11 +52,11 @@ qubit) has the trivial group's basis, the components of the maps' union
 pattern, and the compact matrix is K.
 
 A window's image of the identity needs no window map: ``_unit_window_image``
-assembles each factor on the blocks of that basis that hold vec(1)
-(``_Sectors.unit_stacks``, which the extended layer's unit images use),
-exponentiates them with ``linalg._expm_stacks`` and multiplies the
-factors there: one block of 6 rows at 3 periodic sites, 23 of 256 rows
-at 4 periodic sites.
+assembles each segment's factor on the blocks of that basis that hold
+vec(1) (``_Sectors.unit_stacks``, which the extended layer's unit images
+use), exponentiates the window's factors in one ``linalg._expm_stacks``
+pass with per-segment lengths and multiplies them there: one block of 6
+rows at 3 periodic sites, 23 of 256 rows at 4 periodic sites.
 
 One segment walk, ``_window_plan``, cuts a window into the common
 refinement of both functions' breakpoints and reads their values there.
@@ -309,15 +309,21 @@ def _unit_window_image(sm, f, g, start, end, mode="physical"):
     ``_apply(evolution_map(sm, f, g, start, end, mode), 1)``, computed on
     the sector blocks that vec(1) lies in (``_Sectors.unit_stacks``).
 
-    The window is planned as in ``_evolution_maps``; each segment's factor
-    is exponentiated on those blocks alone and the factors multiply in
-    time order. An empty window gives the identity.
+    The window is planned as in ``_evolution_maps``. Each segment's factor
+    is assembled on those blocks alone, the segments are stacked per block
+    size and exponentiated in one ``linalg._expm_stacks`` pass with
+    per-segment lengths (scipy exponentiates each block on its own, so
+    each factor has the bits of its own exponential), and the factors
+    multiply in time order. An empty window gives the identity.
     """
     _check_mode(mode)
     sectors = sm._sectors
+    plan = _window_plan(f, g, start, end)
+    stacks = zip(*(_generator_blocks(sectors.unit_stacks, f0, g0, mode) for _, f0, g0, _ in plan))
+    factors = [e.reshape(len(plan), -1, *e.shape[1:]) for e in _expm_stacks(
+        [np.concatenate(k) for k in stacks], [length for *_, length in plan])]
     total = None
-    for _, f0, g0, length in _window_plan(f, g, start, end):
-        factor = _expm_stacks(_generator_blocks(sectors.unit_stacks, f0, g0, mode), length)
+    for factor in zip(*factors):
         total = factor if total is None else [a @ b for a, b in zip(total, factor)]
     if total is None:
         return np.eye(sm.dim, dtype=complex)

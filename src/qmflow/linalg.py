@@ -39,7 +39,7 @@ Block-diagonal solves: the chain's generators and Choi matrices are block
 diagonal once their rows are permuted by the connected components of the
 nonzero pattern (at 4 sites L_11 has 25 blocks, the largest 144 of 256
 rows). ``matrix_exponential``, ``min_eig`` and ``is_psd`` find those
-components (``_diagonal_blocks``, memoized per exact pattern) and solve
+components (``_diagonal_blocks``, memoized per exact raw pattern) and solve
 each group of equal-size blocks in one stacked ``expm`` or ``eigvalsh``
 call. An input that is one block (any dense matrix) is a stack of one,
 which gives the same bits as the unstacked call. The eigensolves take the
@@ -48,12 +48,15 @@ Hermitian part of each gathered block, not of the whole matrix.
 gathered stacks by t, exponentiates each in one stacked call and refuses
 an overflow of either with the time in the message. The flow layer calls
 it directly on stacks it assembled itself (a window's image of the
-identity, on the sector blocks that hold vec(1)).
+identity, on the sector blocks that hold vec(1), with one time per
+segment).
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
 blocks; ``_pattern_plan`` finds the plan from a list of nonzero positions
 with no dense pass (the extended layer reads each entry's plan from the
-positions of its CSR sum this way). The flow factors, the window products
+positions of its CSR sum this way), and ``_component_labels`` labels the
+components of a list of positions that may repeat, in one sparse pass
+(the extended layer's Choi sectors). The flow factors, the window products
 and the extended exponentials work in one symmetry-reduced basis
 (``StructureMapSet._sectors``, which ``structure._sector_basis`` builds
 from the maps' CSR views): only its compact matrices and each map mapped
@@ -326,18 +329,16 @@ def _diagonal_blocks(m):
     read-only index arrays, one of shape (k, s) per block size s (ascending),
     whose rows are the k blocks of that size; a matrix that is one block
     has the plan ``(arange(n)[None],)``. Plans are memoized under the exact
-    packed pattern.
+    packed pattern, which is symmetrized only when its plan is not held.
     """
-    n = m.shape[0]
-    nz = m != 0
-    return _block_plan(n, np.packbits(nz | nz.T).tobytes())
+    return _block_plan(m.shape[0], np.packbits(m != 0).tobytes())
 
 
 @functools.lru_cache(maxsize=32)
 def _block_plan(n, packed):
-    """``_diagonal_blocks`` of the n x n symmetric pattern packed in bytes."""
+    """``_diagonal_blocks`` of the n x n pattern packed in bytes."""
     pattern = np.unpackbits(np.frombuffer(packed, np.uint8), count=n * n).reshape(n, n)
-    return _components_plan(scipy.sparse.csr_array(pattern))
+    return _components_plan(scipy.sparse.csr_array(pattern | pattern.T))
 
 
 def _pattern_plan(n, rows, cols):
@@ -352,11 +353,27 @@ def _pattern_plan(n, rows, cols):
     return _components_plan(pattern)
 
 
+def _component_labels(n, rows, cols):
+    """The connected component of each index of an n x n array whose
+    nonzero entries sit at (rows, cols), repeats allowed, numbered 0, ...,
+    k - 1; the pattern need not be symmetric."""
+    pattern = scipy.sparse.coo_array((np.ones(rows.size, np.int32), (rows, cols)), shape=(n, n))
+    return connected_components(pattern, directed=True, connection="weak")[1]
+
+
 def _components_plan(pattern):
     """The plan of the connected components of a symmetric CSR pattern."""
     # the pattern is symmetric, so its strong components are its connected
     # components, found without the transpose a weak search makes
     count, labels = connected_components(pattern, directed=True, connection="strong")
+    return _labels_plan(labels)
+
+
+def _labels_plan(labels):
+    """The plan of the groups of indices with equal labels, for labels
+    0, ..., k - 1 that are each used: one (k, s) index array per group
+    size s (ascending), each row a group in ascending index order, the
+    groups of a size in label order."""
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")   # grouped by component
     starts = np.cumsum(sizes) - sizes
@@ -404,19 +421,35 @@ def matrix_exponential(m, t=1.0):
 def _expm_stacks(stacks, t):
     """The list of exp(t * S) for each (k, s, s) stack S of an iterable,
     in one stacked ``scipy.linalg.expm`` call per stack, for a finite
-    float t; the overflow of t * S or of its exponential is refused as
-    ``matrix_exponential`` refuses it."""
+    float t, or a sequence of N finite times for stacks whose rows fall
+    into N equal runs, run j taken at t[j]. The overflow of t * S or of its
+    exponential is refused as ``matrix_exponential`` refuses it, naming
+    the time of the earliest run where either occurs."""
+    times = np.asarray(t, float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         # the blocks of t * M, entry for entry t * m[i, j]
-        stacks = [t * s for s in stacks]
-        if not all(np.all(np.isfinite(s)) for s in stacks):
-            raise ValueError(f"t * M overflows at t = {t!r}: the generator "
-                             "is too large for this time")
-        stacks = [scipy.linalg.expm(s) for s in stacks]
-    if not all(np.all(np.isfinite(s)) for s in stacks):
-        raise ValueError(f"exp(t * M) overflows at t = {t!r}: the semigroup "
-                         "is not finite at this time")
+        stacks = [np.repeat(times, len(s) // times.size)[:, None, None] * s for s in stacks]
+        scaled = _first_overflow(stacks, times.size)
+        # only the runs before the first overflow of t * M are exponentiated
+        stacks = [scipy.linalg.expm(s[:len(s) // times.size * scaled]) for s in stacks]
+    grown = _first_overflow(stacks, scaled)
+    if grown < scaled:
+        raise ValueError(f"exp(t * M) overflows at t = {float(times[grown])!r}: the "
+                         "semigroup is not finite at this time")
+    if scaled < times.size:
+        raise ValueError(f"t * M overflows at t = {float(times[scaled])!r}: the "
+                         "generator is too large for this time")
     return stacks
+
+
+def _first_overflow(stacks, runs):
+    """The earliest of the stacks' ``runs`` equal runs of rows that holds
+    an entry that is not finite, or runs when every entry is finite."""
+    first = runs
+    for s in stacks:
+        if not np.isfinite(s).all():
+            first = min(first, int(np.argmin(np.isfinite(s).all(axis=(1, 2)))) * runs // len(s))
+    return first
 
 
 def _choi(s, d):

@@ -361,22 +361,10 @@ class _Sectors:
         """The n x n matrix Q m Q* of the stacks m on this basis's plan,
         each component holding its representative's block, 0 off the
         diagonal blocks of the std plan (whose blocks lie within
-        components). Each product with Q is one batched product per orbit
-        size on the compact side; an orbit of size 1 has the Fourier block
-        1, so its rows and columns are kept. The stacks are those of the
-        distinct blocks (``distinct_plan``), expanded first."""
-        m, side = _unblock(self.expand(stacks), self.plan, self.side), self.side
-        for start, f in self.fourier:
-            k, s, _ = f.shape
-            if s > 1:
-                rows = slice(start, start + k * s)
-                m[rows] = (f @ m[rows].reshape(k, s, side)).reshape(k * s, side)
-        for start, f in self.fourier:
-            k, s, _ = f.shape
-            if s > 1:
-                cols = slice(start, start + k * s)
-                part = m[:, cols].reshape(side, k, s).transpose(1, 0, 2) @ f.conj().transpose(0, 2, 1)
-                m[:, cols] = part.transpose(1, 0, 2).reshape(side, k * s)
+        components). The products with Q are batched per orbit size on the
+        compact side (``_by_orbits``). The stacks are those of the distinct
+        blocks (``distinct_plan``), expanded first."""
+        m = _by_orbits(_unblock(self.expand(stacks), self.plan, self.side), self.fourier)
         return _unblock([_block(m, self.position[idx]) for idx in plan], plan, self.position.size)
 
     def expand(self, stacks):
@@ -393,18 +381,37 @@ class _Sectors:
         return (vec * self.unit_scale).reshape((d, d), order="F")
 
 
+def _by_orbits(m, fourier, inverse=False):
+    """Q m Q* in place (Q* m Q when inverse) for the unitary Q whose Fourier
+    blocks ``fourier`` holds (``_characters``): one batched product per
+    orbit size on each side. An orbit of size 1 has the Fourier block 1,
+    so its rows and columns are kept."""
+    side = m.shape[0]
+    for start, f in fourier:
+        k, s, _ = f.shape
+        if s > 1:
+            rows = slice(start, start + k * s)
+            left = f.conj().transpose(0, 2, 1) if inverse else f
+            m[rows] = (left @ m[rows].reshape(k, s, side)).reshape(k * s, side)
+    for start, f in fourier:
+        k, s, _ = f.shape
+        if s > 1:
+            cols = slice(start, start + k * s)
+            right = f if inverse else f.conj().transpose(0, 2, 1)
+            part = m[:, cols].reshape(side, k, s).transpose(1, 0, 2) @ right
+            m[:, cols] = part.transpose(1, 0, 2).reshape(side, k * s)
+    return m
+
+
 def _sector_basis(sm, found):
     """The ``_Sectors`` of the group generated by found, (order,
     permutation) pairs from ``_symmetries``; for found = [] the trivial
     group's, whose plan is the components of the union pattern."""
     d, n = sm.dim, sm.dim ** 2
     rows, cols = sm._pattern
-    # each element of G kept as its vec permutation; the character a takes
-    # the value exp(2 pi i phase[a, b] / period) on the element b
+    # each element of G kept as its vec permutation
     orders, coords, act = _group_elements(found)
-    period = int(np.prod(orders))
     images = np.array([act(a, np.arange(n)) for a in coords])
-    phase = (coords * (period // orders)) @ coords.T % period
 
     # components numbered in plan order; the component each element moves
     # each one to, the representative of its orbit (the least) and the
@@ -423,36 +430,12 @@ def _sector_basis(sm, found):
         src = idx[rep[mine] - first]
         source[images[element[mine, None], src]] = src
 
-    # the representatives' indices in ascending std order (the compact
-    # side), each one's stabilizer H (a row of fixes per index), and its
-    # H-orbits: the element of H taking each one's least index to each
-    # member, and the characters of H trivial on the least index's own
-    # stabilizer. H's characters are the distinct restrictions of G's,
-    # each kept as the least character a that restricts to it.
+    # the representatives' indices in ascending std order: the compact side
     held = np.flatnonzero(source == np.arange(n))
     side = held.size
     local = np.full(n, -1)
     local[held] = np.arange(side)
-    fixes = (moved == np.arange(rep.size))[:, comp[held]]
-    reach = np.where(fixes, images[:, held], n)
-    least, orbit = np.unique(reach.min(axis=0), return_inverse=True)
-    size = np.bincount(orbit)
-    step = np.argmax(reach[:, local[least[orbit]]] == held, axis=0)
-    fixes = fixes[:, local[least]]
-    kinds, kind = np.unique(fixes.T, axis=0, return_inverse=True)
-    canonical = np.zeros((kinds.shape[0], coords.shape[0]), bool)
-    for i, h in enumerate(kinds):
-        canonical[i, np.unique(phase[:, h], axis=0, return_index=True)[1]] = True
-    stabilizer = fixes & (images[:, least] == least)
-    allowed = canonical[kind] & ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
-
-    # layout: orbits by size, then by least index; columns by character
-    order = np.argsort(size, kind="stable")
-    layout = np.lexsort((np.arange(side), np.argsort(order)[orbit]))
-    col_orbit, col_char = np.nonzero(allowed[order])
-    col_orbit = order[col_orbit]
-    column = np.full(allowed.shape, -1)
-    column[col_orbit, col_char] = np.arange(side)
+    orbit, size, allowed, layout, column, fourier = _characters(orders, coords, images, comp, held)
 
     # sector blocks: orbits coupled by a map, within each character
     inside = local[rows] >= 0
@@ -461,18 +444,15 @@ def _sector_basis(sm, found):
     pair, char = np.nonzero(allowed[o1] & allowed[o2])
     plan = _pattern_plan(side, column[o1[pair], char], column[o2[pair], char])
 
-    roots = np.exp(-2j * np.pi * np.arange(period) / period)
-    fourier, q_rows, q_cols = [], [], []
-    for s in np.unique(size):
-        span = np.flatnonzero(size[col_orbit] == s)
-        k = span.size // s
-        g = step[layout[span]].reshape(k, s, 1)
-        f = roots[phase[col_char[span].reshape(k, 1, s), g]] / np.sqrt(s)
-        fourier.append((int(span[0]), f))
-        q_rows.append(np.broadcast_to(layout[span].reshape(k, s, 1), f.shape).ravel())
-        q_cols.append(np.broadcast_to(span.reshape(k, 1, s), f.shape).ravel())
     split = size.max() > 1
     if split:
+        # each orbit's members sit at layout[span], its columns at span
+        q_rows, q_cols = [], []
+        for first, f in fourier:
+            k, s, _ = f.shape
+            span = np.arange(first, first + k * s).reshape(k, s)
+            q_rows.append(np.broadcast_to(layout[span][:, :, None], f.shape).ravel())
+            q_cols.append(np.broadcast_to(span[:, None, :], f.shape).ravel())
         q = scipy.sparse.csr_array(
             (np.concatenate([f.ravel() for _, f in fourier]),
              (np.concatenate(q_rows), np.concatenate(q_cols))), shape=(side, side))
@@ -547,6 +527,63 @@ def _sector_basis(sm, found):
                   sectors.unit_one, sectors.unit_local, sectors.unit_scale):
         array.flags.writeable = False
     return sectors
+
+
+def _characters(orders, coords, images, comp, held):
+    """The stabilizer-character columns of the indices held (ascending),
+    for the group G of ``_group_elements``' orders and coords, whose
+    element a (row a of coords) moves index x to images[a, x], and for
+    components labelled comp that G permutes.
+
+    Each held index's stabilizer H is that of its component, and its
+    H-orbit O is found with the element of H taking O's least index to each
+    member. Column (O, chi) is kept for each character chi of H trivial on
+    the least index's own stabilizer; H's characters are the distinct
+    restrictions of G's, each kept as the least character a that restricts
+    to it, and the character a takes the value exp(2 pi i phase[a, b] /
+    period) on the element b. Returns, over the held indices' local
+    positions: each one's orbit, each orbit's size, the (orbit, a) pairs
+    allowed, the layout (held positions ordered by orbit size, then by
+    orbit, then ascending), the layout position of each allowed column and
+    the unitary Fourier blocks as (first position, (k, s, s) stack) per
+    orbit size s, rows the members in layout order and columns the
+    characters: entry conj(chi(h_w)) / sqrt(s).
+    """
+    period = int(np.prod(orders))
+    phase = (coords * (period // orders)) @ coords.T % period
+    n, side = images.shape[1], held.size
+    local = np.full(n, -1)
+    local[held] = np.arange(side)
+    fixes = comp[images[:, held]] == comp[held]
+    reach = np.where(fixes, images[:, held], n)
+    least, orbit = np.unique(reach.min(axis=0), return_inverse=True)
+    size = np.bincount(orbit)
+    step = np.argmax(reach[:, local[least[orbit]]] == held, axis=0)
+    fixes = fixes[:, local[least]]
+    kinds, kind = np.unique(fixes.T, axis=0, return_inverse=True)
+    canonical = np.zeros((kinds.shape[0], coords.shape[0]), bool)
+    for i, h in enumerate(kinds):
+        canonical[i, np.unique(phase[:, h], axis=0, return_index=True)[1]] = True
+    stabilizer = fixes & (images[:, least] == least)
+    allowed = canonical[kind] & ~np.any(stabilizer.T[:, None, :] & (phase != 0)[None], axis=2)
+
+    # layout: orbits by size, then by least index; columns by character
+    order = np.argsort(size, kind="stable")
+    layout = np.lexsort((np.arange(side), np.argsort(order)[orbit]))
+    col_orbit, col_char = np.nonzero(allowed[order])
+    col_orbit = order[col_orbit]
+    column = np.full(allowed.shape, -1)
+    column[col_orbit, col_char] = np.arange(side)
+
+    roots = np.exp(-2j * np.pi * np.arange(period) / period)
+    fourier = []
+    for s in np.unique(size):
+        span = np.flatnonzero(size[col_orbit] == s)
+        k = span.size // s
+        g = step[layout[span]].reshape(k, s, 1)
+        fourier.append((int(span[0]),
+                        roots[phase[col_char[span].reshape(k, 1, s), g]] / np.sqrt(s)))
+    return orbit, size, allowed, layout, column, fourier
 
 
 def _stored_entries(sm):

@@ -1,5 +1,7 @@
 # qmflow first: it pins numpy's BLAS to 1 thread only if numpy is not loaded yet
 import qmflow  # noqa: F401
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from qmflow import (
     build_evans_hudson,
     build_extended_generator,
     build_glauber_structure_maps,
+    max_abs,
+    min_eig,
 )
+from qmflow.extended import _semigroup, _table_choi
+from qmflow.linalg import _hermitian_choi
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +59,31 @@ def random_op(rng, d, unit=True):
     if unit:
         x /= max(1.0, np.max(np.abs(x)))
     return x
+
+
+def std_choi_min_eig(gen, t):
+    """The oracle of extended_choi_min_eig, in the std basis: (the smallest
+    eigenvalue of the table Choi matrix c placed in the zero-padded
+    (2d)**2-side matrix, max|c|)."""
+    d = gen.dim
+    c = _hermitian_choi(_table_choi(_semigroup(gen, t), d))
+    p, k = np.divmod(np.arange(d * d), d)
+    rows = np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
+    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
+    full[rows[:, None], rows] = c
+    return min_eig(full), max_abs(c)
+
+
+def std_generator_cp_min_eig(gen):
+    """The oracle of generator_cp_min_eig, in the std basis: (the smallest
+    eigenvalue of the physical entries' table Choi matrix c projected away
+    from the unit maximally entangled vector w, max|c|)."""
+    gen = replace(gen, mode="physical")
+    d, n = gen.dim, gen.dim ** 2
+    c = _table_choi(gen.entries, d)
+    scale = max_abs(c)
+    w = np.zeros(2 * n)
+    w[np.r_[0:n:d + 1, n:2 * n:d + 1]] = (2 * d) ** -0.5
+    wc, cw = w @ c, c @ w
+    c -= np.outer(w, wc) + np.outer(cw - (w @ cw) * w, w)
+    return min_eig(c), scale

@@ -44,7 +44,7 @@ from qmflow.extended import _semigroup
 from qmflow.flows import _generator_blocks
 from qmflow.linalg import _apply
 from qmflow.suite import _RESOLVENT_EPS
-from conftest import random_op
+from conftest import random_op, std_choi_min_eig
 
 
 class TestBlockOp2:
@@ -190,6 +190,29 @@ def _assemble_blockwise(block_mats, d):
     return full
 
 
+def _padded_rows(d):
+    """The row of the zero-padded (2d)**2-side Choi matrix that each row
+    of the 2 d**2-side table Choi matrix is placed at."""
+    p, k = np.divmod(np.arange(d * d), d)
+    return np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
+
+
+def _sector_unitary(gen):
+    """The dense unitary V of the table Choi matrix's symmetry sectors
+    (``ExtendedGenerator._choi_sectors``): column j of the split rows is
+    the character column placed at row j, every other row is kept. None
+    for a trivial group."""
+    sectors = gen._choi_sectors
+    if sectors is None:
+        return None
+    v = np.eye(2 * gen.dim ** 2, dtype=complex)
+    for start, f in sectors.fourier:
+        k, s, _ = f.shape
+        idx = sectors.rows[start:start + k * s].reshape(k, s)
+        v[idx[:, :, None], idx[:, None, :]] = f
+    return v
+
+
 class TestFullMatrixAssembly:
     """A dense assembly of the extended map is the oracle for the Choi test,
     which builds only the table's Choi matrix and places it."""
@@ -208,16 +231,31 @@ class TestFullMatrixAssembly:
     @pytest.mark.parametrize("name", ["good qubit", "3-site periodic chain", "4-site open chain"])
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
     def test_choi_bitwise_equal_to_dense_assembly(self, name, mode, monkeypatch):
+        # the qubit has no symmetry: its matrix is the dense assembly's Choi
+        # matrix bit for bit; a chain's is V* (that matrix) V, V unitary
         import qmflow.extended as ext
 
         gen = build_extended_generator(_CP_MODELS[name](), mode)
         placed = []
         monkeypatch.setattr(ext, "min_eig", lambda h: placed.append(h) or min_eig(h))
+        rows, v = _padded_rows(gen.dim), _sector_unitary(gen)
+        if v is not None:
+            assert max_abs(v.conj().T @ v - np.eye(len(v))) <= 1e-14
         for t in (0.0, 0.3, 1.1):
             value = extended_choi_min_eig(gen, t)
             want = choi_of_map(_assemble_blockwise(_semigroup(gen, t), gen.dim))
-            assert np.array_equal(placed.pop(), want)
-            assert value == min_eig(want)
+            got = placed.pop()
+            if v is None:
+                assert np.array_equal(got, want)
+                assert value == min_eig(want)
+                continue
+            # 0 off the table's rows, as the dense assembly is
+            off = np.ones(len(got), bool)
+            off[rows] = False
+            assert not np.any(got[off]) and not np.any(got[:, off]) and not np.any(want[off])
+            c = want[rows[:, None], rows]
+            assert max_abs(got[rows[:, None], rows] - v.conj().T @ c @ v) <= 1e-14 * max(1.0, max_abs(c))
+            assert abs(value - min_eig(want)) <= 1e-13 * max(1.0, max_abs(c))
 
     def test_broken_conjugation_refused(self):
         # built past build_extended_generator's axiom check: theta_minus and
@@ -252,6 +290,14 @@ class TestPositivity:
         # calibrated constant below 1 (here 1/2) breaks positivity
         gen = build_extended_generator(_weak_qubit(), "physical")
         assert extended_choi_min_eig(gen, 0.5) < -1e-2
+
+    def test_scaled_chain_not_cp(self):
+        # the chain's symmetry splits its Choi matrix; the split keeps the
+        # verdict at every grid time
+        gen = build_extended_generator(_CP_MODELS["3-site chain, real parts x 0.3"]())
+        assert gen._choi_sectors is not None
+        for t in parse_config({}).t_grid:
+            assert extended_choi_min_eig(gen, t) < -1e-2
 
     def test_dimension_guard(self):
         # the set holds CSR views only: no 4096-row dense map is built
@@ -445,7 +491,8 @@ class TestFlowBridge:
     and 1 over [0, t], the window map between f_j and f_k is the extended
     semigroup's entry (j, k), so with the row-0 matrix units e_{0p} as
     operands the flow kernel's Gram matrix is the table Choi matrix up to
-    one permutation, and its smallest eigenvalue is the extended test's."""
+    one permutation, and its smallest eigenvalue is the extended test's in
+    the std basis (``std_choi_min_eig``)."""
 
     @pytest.mark.parametrize("t", [0.05, 0.7])
     @pytest.mark.parametrize("name", ["good qubit", "weak qubit", "qubit, negated drift",
@@ -456,8 +503,11 @@ class TestFlowBridge:
         d = sm.dim
         assert d <= 8
         units = [np.outer(np.eye(d)[0], np.eye(d)[p]) for p in range(d)]
-        assert (kernel_cp_residual(sm, [0.0] * d + [1.0] * d, units + units, t)
-                == extended_choi_min_eig(build_extended_generator(sm), t))
+        gen = build_extended_generator(sm)
+        want, scale = std_choi_min_eig(gen, t)
+        assert kernel_cp_residual(sm, [0.0] * d + [1.0] * d, units + units, t) == want
+        # the extended test splits the chains by their symmetry sectors
+        assert abs(extended_choi_min_eig(gen, t) - want) <= 1e-13 * max(1.0, scale)
 
 
 class TestDelta:

@@ -36,7 +36,7 @@ from qmflow import (
 )
 from qmflow import extended, flows, structure, suite
 from qmflow.flows import _as_step, _evolution_maps, _segments, _unit_window_image, _window_plan
-from qmflow.linalg import _apply, _block, _diagonal_blocks, _draw_op, _unblock, max_abs
+from qmflow.linalg import _apply, _block, _diagonal_blocks, _draw_op, _expm_stacks, _unblock, max_abs
 from qmflow.structure import _sector_basis
 from qmflow.suite import _random_step, _split_pieces
 
@@ -183,8 +183,9 @@ class TestBitIdentical:
 
 class TestCallCounts:
     def test_flow_group(self, expm_calls):
-        # the 924 factors of flow-unitality's 100 windows go through
-        # linalg._expm_stacks on the unit blocks, not matrix_exponential;
+        # the 924 factors of flow-unitality's 100 windows go through one
+        # linalg._expm_stacks pass per window on the unit blocks, not
+        # matrix_exponential;
         # the kernel and q-bound records share one t = 0.7 table of 50
         run_suite(parse_config({}), groups=("flow",))
         assert len(expm_calls) == 1070
@@ -196,13 +197,15 @@ class TestCallCounts:
                             lambda stacks, t: stacked.append(t) or original(stacks, t))
         sm = build_glauber_structure_maps(parse_config({}).glauber)
         rng = rng_for(0, "flow-unitality")
-        segments = 0
-        for _ in range(100):
-            f, g = _random_step(rng), _random_step(rng)
-            _unit_window_image(sm, f, g, 0.0, 2.0)
-            segments += len(_window_plan(f, g, 0.0, 2.0))
+        windows = [(_random_step(rng), _random_step(rng), 0.0, 2.0) for _ in range(100)]
+        for window in windows:
+            _unit_window_image(sm, *window)
         assert expm_calls == []
-        assert len(stacked) == segments == 924
+        # one pass per window over its segments, each at its own length
+        assert len(stacked) == 100
+        lengths = [[length for *_, length in _window_plan(*window)] for window in windows]
+        assert all(np.array_equal(t, want) for t, want in zip(stacked, lengths))
+        assert sum(map(len, lengths)) == 924
 
     def test_composition_batch_one_call_per_distinct_key(self, glauber_sm, expm_calls):
         rng = rng_for(0, "flow-composition")
@@ -643,6 +646,26 @@ class TestUnitWindowImage:
             scale = max(1.0, abs(np.exp(step_inner_product(f, g, window=(s, t)))))
             assert max_abs(got - want) <= 1e-14 * scale, (s, t)
 
+    @pytest.mark.parametrize("model", ["glauber_sm", "open4_sm"])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_stacked_segments_equal_the_segment_loop_bitwise(self, request, model, mode):
+        # the reference: each segment's factor exponentiated on its own
+        sm = request.getfixturevalue(model)
+        sectors = sm._sectors
+        rng = rng_for(0, "flow-unitality")
+        windows = [(_random_step(rng), _random_step(rng), 0.0, 2.0) for _ in range(30)]
+        windows += [(F, G, 1.2, 1.2)]
+        for window in windows:
+            got = _unit_window_image(sm, *window, mode)
+            total = None
+            for _, f0, g0, length in _window_plan(*window):
+                factor = _expm_stacks(flows._generator_blocks(sectors.unit_stacks, f0, g0, mode),
+                                      length)
+                total = factor if total is None else [a @ b for a, b in zip(total, factor)]
+            want = (np.eye(sm.dim) if total is None else sectors.unit_image(
+                _unblock(total, sectors.unit_plan, sectors.unit_one.size)))
+            assert np.array_equal(got, want)
+
     def test_empty_window_is_the_identity(self, glauber_sm):
         got = _unit_window_image(glauber_sm, F, G, 1.2, 1.2)
         assert got.dtype == complex and np.array_equal(got, np.eye(glauber_sm.dim))
@@ -659,6 +682,22 @@ class TestUnitWindowImage:
         with pytest.raises(ValueError, match=msg) as unit:
             _unit_window_image(glauber_sm, f, f, 0.0, end, mode)
         assert str(unit.value) == str(dense.value)
+
+    @pytest.mark.parametrize("pieces, msg", [
+        (((-1e305, 0.0, 1e5), (0.0, 1e306, 2e5)), r"^t \* M overflows at t = 1e\+305: "),
+        (((-1e306, 0.0, 1e5), (0.0, 1e305, 2e5)), r"^t \* M overflows at t = 1e\+306: "),
+        (((0.0, 1.5, 30.0), (1.5, 2.5, 31.0)), r"^exp\(t \* M\) overflows at t = 1\.5: "),
+        (((0.0, 1.0, 30.0), (1.0, 2.5, 31.0)), r"^exp\(t \* M\) overflows at t = 1\.0: "),
+        # an earlier overflow of either kind is named before a later one
+        (((0.0, 1.5, 30.0), (1.5, 1e305, 1e5)), r"^exp\(t \* M\) overflows at t = 1\.5: "),
+        (((-1e305, 0.0, 1e5), (0.0, 1.5, 30.0)), r"^t \* M overflows at t = 1e\+305: "),
+    ])
+    def test_refuses_at_the_earliest_overflowing_segment(self, glauber_sm, pieces, msg):
+        # one exponential pass over the window's segments still names the
+        # length of its first segment, in time order, that overflows
+        f = StepFunction(pieces)
+        with pytest.raises(ValueError, match=msg):
+            _unit_window_image(glauber_sm, f, f, pieces[0][0], pieces[-1][1])
 
 
 _PLAN = flows._window_plan

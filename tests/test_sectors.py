@@ -11,21 +11,25 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qmflow import (
+    DEFAULT_TOLERANCES,
     GlauberConfig,
     LABELS,
     build_extended_generator,
     build_glauber_structure_maps,
     check_cp_rows,
     commutator_map,
+    extended_choi_min_eig,
+    generator_cp_min_eig,
     matrix_exponential,
     parse_config,
     save_json,
     structure_maps_to_obj,
 )
-from qmflow import extended, flows, structure
+from qmflow import extended, flows, linalg, structure
 from qmflow.extended import _semigroup, _table_choi, _unit_images
 from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock
 from qmflow.structure import _cyclic_shift, _symmetries, _vec_permutation
+from conftest import std_choi_min_eig, std_generator_cp_min_eig
 
 DEFAULT_GRID = parse_config({}).t_grid
 
@@ -349,6 +353,70 @@ class TestSectorSemigroup:
         for fn in (_semigroup, _unit_images):
             with pytest.raises(ValueError, match=f"^evolution time must be finite, got {t}$"):
                 fn(gen, t)
+
+
+def eigensolve_sides(monkeypatch):
+    """The side of every block that reaches eigvalsh, appended as it is
+    solved."""
+    sides, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh",
+                        lambda a: sides.extend([a.shape[-1]] * len(a)) or real(a))
+    return sides
+
+
+class TestSectorChoi:
+    """Both Choi tests split by the group's characters, against the std
+    basis (``std_choi_min_eig`` and ``std_generator_cp_min_eig``)."""
+
+    @pytest.mark.parametrize("sites", [3, 4])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("mode", ["physical", "conservative"])
+    def test_against_the_std_basis(self, sites, boundary, mode):
+        gen = build_extended_generator(chain(sites, boundary), mode)
+        assert gen._choi_sectors is not None and gen._generator_choi_sectors is not None
+        choi, dissip = DEFAULT_TOLERANCES["choi"], DEFAULT_TOLERANCES["dissip"]
+        for t in DEFAULT_GRID:
+            want, scale = std_choi_min_eig(gen, t)
+            got = extended_choi_min_eig(gen, t)
+            assert abs(got - want) <= 1e-13 * max(1.0, scale), t
+            assert (got >= -choi) == (want >= -choi)
+        want, scale = std_generator_cp_min_eig(gen)
+        got = generator_cp_min_eig(gen)
+        assert abs(got - want) <= 1e-13 * max(1.0, scale)
+        assert (got >= -dissip) == (want >= -dissip)
+
+    def test_largest_eigensolve_block(self, periodic4, monkeypatch):
+        gen = build_extended_generator(periodic4)
+        sides = eigensolve_sides(monkeypatch)
+        std_choi_min_eig(gen, 0.5)
+        assert max(sides) == 296
+        sides.clear()
+        extended_choi_min_eig(gen, 0.5)
+        assert max(sides) == 46
+
+    @pytest.mark.parametrize("model, broken", [
+        ("qubit_sm", None), ("periodic4", site_z_breaker), ("periodic3", one_ulp_off)],
+        ids=["qubit", "site-z", "one-ulp"])
+    def test_trivial_group_keeps_the_std_bits(self, request, model, broken):
+        sm = request.getfixturevalue(model)
+        sm = sm if broken is None else broken(sm)
+        for mode in ("physical", "conservative"):
+            gen = build_extended_generator(sm, mode)
+            assert gen._choi_sectors is None and gen._generator_choi_sectors is None
+            for t in DEFAULT_GRID:
+                assert extended_choi_min_eig(gen, t) == std_choi_min_eig(gen, t)[0]
+            assert generator_cp_min_eig(gen) == std_generator_cp_min_eig(gen)[0]
+
+    def test_sector_data_built_once_per_generator(self, periodic3, monkeypatch):
+        built, real = [], extended._choi_sectors
+        monkeypatch.setattr(extended, "_choi_sectors",
+                            lambda *args, **kw: built.append(kw) or real(*args, **kw))
+        gen = build_extended_generator(periodic3)
+        for t in DEFAULT_GRID:
+            extended_choi_min_eig(gen, t)
+        generator_cp_min_eig(gen)
+        generator_cp_min_eig(gen)
+        assert built == [{}, {"unit": True}]
 
 
 class TestEntryPathUnchanged:

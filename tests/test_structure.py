@@ -663,12 +663,28 @@ class TestCsrBuild:
 # ||x|| 1 - x instead of two: extended-commutation moved from
 # 2.314416527914201e-16 to 3.2028260439959493e-16 and flow-q-bound from
 # 0.09410435422401942 to 0.09410435422401937; no other record moved.
-_DEFAULT_EXTENDED_FLOW_SHA = "39874d1cd572c644153a051e0bc514297c58f35700f6fa8858470e805b38d11a"
+# It was re-pinned when both Choi tests were split by the characters of the
+# chain's shift and flip; extended-cp moved from -5.080072143962802e-15,
+# -2.6585114251998812e-15, -2.6423581493773704e-15 and
+# -3.5604514122843876e-15 (t = 0.1, 0.25, 0.5, 1.0) to
+# -2.46728214114148e-16, -4.232317662573269e-16, -4.869371707755869e-16 and
+# -9.345749186384336e-16, and extended-generator-cp from
+# -8.609717192523089e-15 to -8.05333328736593e-15; no other record, verdict
+# or digest moved.
+_DEFAULT_EXTENDED_FLOW_SHA = "3082d5e5dade463993ea709c58c9e842e33557d7963a8ec565b89d58c6acfdff"
 
 # The same for the 4-site open chain, whose sector blocks fall into groups
 # of equal blocks. Pinned at the values computed before its factors were
 # exponentiated on one block per group; that change kept every byte.
-_OPEN4_EXTENDED_FLOW_SHA = "5e02ae23996a69f1d0a51d310b7489c247f96ebf2453a8a960e48dc09a48f074"
+# Re-pinned when both Choi tests were split by the characters of the
+# chain's flip: extended-cp moved from -3.2483922467842053e-15,
+# -3.716776257441582e-15, -3.635789811153141e-15 and -5.037996428372216e-15
+# (t = 0.1, 0.25, 0.5, 1.0) to -2.670327289095762e-16,
+# -5.500637982342321e-16, -8.652433335283839e-16 and
+# -1.303038350339393e-15, and extended-generator-cp from
+# -1.781009488585386e-14 to -1.2588183640058128e-14; no other record,
+# verdict or digest moved.
+_OPEN4_EXTENDED_FLOW_SHA = "1a695324e3e68d021544f43a03df18de8b8f1d19f4c79ceaa7bdaeb56151c82b"
 
 
 def _extended_flow_sha(rc):
