@@ -154,7 +154,7 @@ def _emit(args, header, rows, obj):
     if args.format == "csv":
         _write(_csv_text(header, rows), args.out)
     else:
-        _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
+        _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
 
 
 def _entries(m):
@@ -164,6 +164,8 @@ def _entries(m):
 
 
 def _cmd_build_glauber(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed!r}")
     cfg = glauber_config_from_obj(load_json(args.config), seed=args.seed)
     from .glauber import build_glauber_structure_maps
     sm = build_glauber_structure_maps(cfg)

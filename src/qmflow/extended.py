@@ -43,8 +43,10 @@ source's symmetry group (``_ChoiSectors``, built once per generator from
 the entries' plans or CSR sums, with no exponential): its components of
 more than one row are written in the basis of their stabilizers'
 characters, and the eigensolve sees one block per component and
-character. At 4 periodic sites the largest block is 46 rows, not 296. A
-model with a trivial group keeps the std basis, bit for bit.
+character (``structure._characters``, the rule of the flow factors'
+basis too). At 4 periodic sites the largest block is 46 rows, not 296. A
+model with a trivial group takes the same path: Q is the identity and the
+blocks are the components, so its eigenvalues have the std basis's bits.
 """
 
 from dataclasses import dataclass, replace
@@ -62,7 +64,6 @@ from .linalg import (
     _draw_op,
     _hermitian_choi,
     _labels_plan,
-    _pattern_plan,
     _unblock,
     matrix_exponential,
     max_abs,
@@ -182,15 +183,14 @@ class ExtendedGenerator:
     @cached_property
     def _choi_sectors(self):
         """The sector transform of the table Choi matrix of every exp(t L)
-        (``_ChoiSectors``), whose entry (i, j) lies on L_ij's plan blocks;
-        None for a trivial group."""
+        (``_ChoiSectors``), whose entry (i, j) lies on L_ij's plan blocks."""
         return _choi_sectors(self, lambda i, j: _plan_positions(self._plans[i][j]))
 
     @cached_property
     def _generator_choi_sectors(self):
         """The sector transform of the table Choi matrix of the entries,
         from the positions of their CSR sums, with the rows of the unit
-        maximally entangled vector joined; None for a trivial group."""
+        maximally entangled vector joined."""
         return _choi_sectors(self, lambda i, j: self._sums[i][j].nonzero(), unit=True)
 
     def block(self, i, j):
@@ -247,7 +247,7 @@ def _time(t):
 def _entry_plan(gen, i, j):
     """The plan of L_ij (``_diagonal_blocks`` of the dense entry, bit for
     bit), from the positions of its nonzero entries in ``gen._sums``."""
-    return _pattern_plan(gen.dim ** 2, *gen._sums[i][j].nonzero())
+    return _labels_plan(_component_labels(gen.dim ** 2, *gen._sums[i][j].nonzero()))
 
 
 def _semigroup(gen, t):
@@ -324,9 +324,10 @@ class _ChoiSectors:
     of more than one row (``rows``, in layout order) are split by the
     characters of their stabilizers as ``structure._characters`` splits
     them, with the Fourier blocks ``fourier``; ``plan`` holds the character
-    blocks in layout positions, one per (component, character). A
-    component of one row is left in place: its diagonal entry is its
-    eigenvalue.
+    blocks in layout positions, one per (component, character). For a
+    trivial group every Fourier block is 1 and the blocks are the
+    components. A component of one row is left in place: its diagonal
+    entry is its eigenvalue.
     """
 
     rows: np.ndarray
@@ -347,10 +348,9 @@ def _choi_sectors(gen, support, unit=False):
     """The ``_ChoiSectors`` of the table Choi matrix whose block (i, j) is
     Choi of a map with nonzero entries at most at support(i, j), (rows,
     cols); with unit, the rows of the unit maximally entangled vector are
-    also joined. None for a trivial group, whose matrix stays as it is."""
-    found = gen.source._group
-    if not found:
-        return None
+    also joined. Its blocks are ``structure._characters``' plan, one per
+    (component, character); for a trivial group they are the components,
+    and Q is the identity."""
     d, n = gen.dim, gen.dim ** 2
     rows, cols = [], []
     for i in (0, 1):
@@ -366,17 +366,10 @@ def _choi_sectors(gen, support, unit=False):
     comp = _component_labels(2 * n, np.concatenate(rows), np.concatenate(cols))
     held = np.flatnonzero(np.bincount(comp)[comp] > 1)
 
-    orders, coords, act = _group_elements(found)
+    orders, coords, act = _group_elements(gen.source._group)
     images = np.array([act(a, np.arange(n)) for a in coords])
     images = np.concatenate([images, images + n], axis=1)
-    orbit, size, allowed, layout, column, fourier = _characters(orders, coords, images, comp, held)
-    # each layout position's block: its orbit's component and its character
-    orbit_comp = np.empty(size.size, int)
-    orbit_comp[orbit] = comp[held]
-    o, a = np.nonzero(allowed)
-    key = np.empty(held.size, int)
-    key[column[o, a]] = orbit_comp[o] * coords.shape[0] + a
-    plan = _labels_plan(np.unique(key, return_inverse=True)[1])
+    _, _, layout, _, fourier, plan = _characters(orders, coords, images, comp, held)
     sectors = _ChoiSectors(rows=held[layout], fourier=tuple(fourier), plan=plan)
     for array in (sectors.rows, *(f for _, f in fourier)):
         array.flags.writeable = False
@@ -404,8 +397,7 @@ def _sector_choi(gen, t):
     sectors."""
     # built before the table, so that its transients do not add to it
     sectors = gen._choi_sectors
-    c = _hermitian_choi(_table_choi(_semigroup(gen, t), gen.dim))
-    return c if sectors is None else sectors.apply(c)
+    return sectors.apply(_hermitian_choi(_table_choi(_semigroup(gen, t), gen.dim)))
 
 
 def _padded(c, d):
@@ -483,9 +475,7 @@ def generator_cp_min_eig(gen):
     w[np.r_[0:n:d + 1, n:2 * n:d + 1]] = (2 * d) ** -0.5
     wc, cw = w @ c, c @ w
     c -= np.outer(w, wc) + np.outer(cw - (w @ cw) * w, w)
-    if gen._generator_choi_sectors is not None:
-        c = gen._generator_choi_sectors.apply(c)
-    return min_eig(c)
+    return min_eig(gen._generator_choi_sectors.apply(c))
 
 
 def delta_map(x):

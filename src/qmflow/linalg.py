@@ -52,11 +52,13 @@ identity, on the sector blocks that hold vec(1), with one time per
 segment).
 ``_block`` gathers a group of diagonal blocks into a (k, s, s) stack and
 ``_unblock`` scatters stacks back into a dense matrix that is 0 off the
-blocks; ``_pattern_plan`` finds the plan from a list of nonzero positions
-with no dense pass (the extended layer reads each entry's plan from the
-positions of its CSR sum this way), and ``_component_labels`` labels the
-components of a list of positions that may repeat, in one sparse pass
-(the extended layer's Choi sectors). The flow factors, the window products
+blocks. Every plan comes from one component routine:
+``_labels_plan(_component_labels(n, rows, cols))``, the weak components
+of a list of nonzero positions that may repeat and need not be
+symmetric, in one sparse pass. ``_diagonal_blocks`` reads the positions
+from the dense pattern; the structure maps' plan, each extended entry's
+plan (from the positions of its CSR sum) and the Choi sectors read them
+with no dense pass. The flow factors, the window products
 and the extended exponentials work in one symmetry-reduced basis
 (``StructureMapSet._sectors``, which ``structure._sector_basis`` builds
 from the maps' CSR views): only its compact matrices and each map mapped
@@ -324,12 +326,13 @@ def _todense(csrs, fills):
 def _diagonal_blocks(m):
     """The diagonal blocks of the square array m.
 
-    The blocks are the connected components of the symmetrized nonzero
-    pattern: permuted by them, m is block diagonal. Returns a tuple of
-    read-only index arrays, one of shape (k, s) per block size s (ascending),
-    whose rows are the k blocks of that size; a matrix that is one block
-    has the plan ``(arange(n)[None],)``. Plans are memoized under the exact
-    packed pattern, which is symmetrized only when its plan is not held.
+    The blocks are the connected components of the nonzero pattern, each
+    entry joining its row and its column: permuted by them, m is block
+    diagonal. Returns a tuple of read-only index arrays, one of shape
+    (k, s) per block size s (ascending), whose rows are the k blocks of
+    that size; a matrix that is one block has the plan
+    ``(arange(n)[None],)``. Plans are memoized under the exact packed
+    pattern.
     """
     return _block_plan(m.shape[0], np.packbits(m != 0).tobytes())
 
@@ -338,35 +341,16 @@ def _diagonal_blocks(m):
 def _block_plan(n, packed):
     """``_diagonal_blocks`` of the n x n pattern packed in bytes."""
     pattern = np.unpackbits(np.frombuffer(packed, np.uint8), count=n * n).reshape(n, n)
-    return _components_plan(scipy.sparse.csr_array(pattern | pattern.T))
-
-
-def _pattern_plan(n, rows, cols):
-    """``_diagonal_blocks`` of an n x n array whose nonzero entries sit at
-    (rows, cols), from those positions alone: the same plan, bit for bit,
-    with no dense pass."""
-    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    # the CSR array that csr_array makes of the dense packed pattern
-    pattern = scipy.sparse.csr_array(
-        (np.ones(keys.size, np.uint8), (keys % n).astype(np.int32), indptr), shape=(n, n))
-    return _components_plan(pattern)
+    return _labels_plan(_component_labels(n, *np.nonzero(pattern)))
 
 
 def _component_labels(n, rows, cols):
     """The connected component of each index of an n x n array whose
     nonzero entries sit at (rows, cols), repeats allowed, numbered 0, ...,
-    k - 1; the pattern need not be symmetric."""
+    k - 1 in the order of their least indices; the pattern need not be
+    symmetric."""
     pattern = scipy.sparse.coo_array((np.ones(rows.size, np.int32), (rows, cols)), shape=(n, n))
     return connected_components(pattern, directed=True, connection="weak")[1]
-
-
-def _components_plan(pattern):
-    """The plan of the connected components of a symmetric CSR pattern."""
-    # the pattern is symmetric, so its strong components are its connected
-    # components, found without the transpose a weak search makes
-    count, labels = connected_components(pattern, directed=True, connection="strong")
-    return _labels_plan(labels)
 
 
 def _labels_plan(labels):

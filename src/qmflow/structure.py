@@ -51,17 +51,19 @@ one representative, and every other member is indexed by the image of
 its representative's indices, so that its blocks are exact copies.
 Inside, each representative is split by the characters of its stabilizer
 in G (Buca and Prosen, New J. Phys. 14, 073007, 2012); a trivial
-stabilizer leaves it whole. Only the representatives' sector blocks are
-held, in a compact layout: at 4 periodic sites 7 of 25 components, 172 of
-256 rows in blocks of at most 22 (the 144-row component, fixed by all 8
-elements, split by their characters); at 5 periodic sites 512 of 1024
-rows in blocks of at most 52; on the open chain (the flip fixes no
-component) half the rows, unsplit. A set without a symmetry has the
-trivial group's basis: the components themselves, with Q the identity.
-Last, the sector blocks of one size whose three maps' blocks have the
-same bytes are held once: the others are equal-block copies, and the
-flow factors exponentiate the held blocks alone (at 4 open sites 15 of
-32 blocks, 91 of 128 rows).
+stabilizer leaves it whole. One rule, stated in ``_characters``, cuts the
+sector blocks: one block per (component, character), for this basis and
+for the extended layer's Choi sectors alike. Only the representatives'
+sector blocks are held, in a compact layout: at 4 periodic sites 7 of
+25 components, 172 of 256 rows in blocks of at most 22 (the 144-row
+component, fixed by all 8 elements, split by their characters); at 5
+periodic sites 512 of 1024 rows in blocks of at most 52; on the open
+chain (the flip fixes no component) half the rows, unsplit. A set
+without a symmetry has the trivial group's basis: the components
+themselves, with Q the identity. Last, the sector blocks of one size
+whose three maps' blocks have the same bytes are held once: the others
+are equal-block copies, and the flow factors exponentiate the held
+blocks alone (at 4 open sites 15 of 32 blocks, 91 of 128 rows).
 """
 
 import warnings
@@ -74,10 +76,11 @@ import scipy.sparse
 from .linalg import (
     _apply_each,
     _block,
+    _component_labels,
     _csr_commutator,
     _csr_dissipator,
     _draw_op,
-    _pattern_plan,
+    _labels_plan,
     _superop_dim,
     _todense,
     _transpose_perm,
@@ -216,20 +219,13 @@ class StructureMapSet:
         return _symmetries(self)
 
     @cached_property
-    def _pattern(self):
-        """(rows, cols) of every position at which some map is nonzero,
-        each once, read from the CSR views; found once per set."""
-        n = self.dim ** 2
-        keys = np.unique(np.concatenate([rows * n + cols
-                                         for rows, cols, _ in _stored_entries(self)]))
-        return keys // n, keys % n
-
-    @cached_property
     def _plan(self):
-        """The plan of the connected components of ``_pattern``, bit for bit
-        ``_diagonal_blocks`` of the maps' union pattern; found once per set.
-        Every point generator is block diagonal in it."""
-        return _pattern_plan(self.dim ** 2, *self._pattern)
+        """The plan of the connected components of the maps' union pattern,
+        bit for bit ``_diagonal_blocks`` of it, read from the positions the
+        views store; found once per set. Every point generator is block
+        diagonal in it."""
+        rows, cols, _ = (np.concatenate(part) for part in zip(*_stored_entries(self)))
+        return _labels_plan(_component_labels(self.dim ** 2, rows, cols))
 
 
 def _cyclic_shift(n):
@@ -320,13 +316,14 @@ class _Sectors:
     blocks of Q as (first position, (k, s, s) stack) per orbit size, rows
     in ascending std order, and ``position`` the layout position of each
     std index's source. ``plan`` holds the sector blocks in layout positions,
-    one (k, s) index array per block size s, and ``stacks[alpha]`` the
-    stacks Q_b* theta_alpha Q_b of their distinct blocks (below), one per
-    plan entry. The ``unit_*`` fields are the representatives' sector
-    blocks that hold vec(1), all of trivial character: their plan and
-    stacks in local positions, vec(1) in them, and for each std index the
-    local position of its source's trivial column (-1 outside them) and
-    1 / sqrt of that column's orbit size.
+    one per (component, character) (``_characters``), as one (k, s) index
+    array per block size s, and ``stacks[alpha]`` the stacks
+    Q_b* theta_alpha Q_b of their distinct blocks (below), one per plan
+    entry. The ``unit_*`` fields are the representatives' sector blocks
+    that hold vec(1), all of trivial character: their plan and stacks in
+    local positions, vec(1) in them, and for each std index the local
+    position of its source's trivial column (-1 outside them) and 1 /
+    sqrt of that column's orbit size.
 
     Equal-block copies beside the orbit copies: in each plan entry, the
     blocks whose theta_-, theta_0 and theta_+ blocks have the same bytes
@@ -406,9 +403,10 @@ def _by_orbits(m, fourier, inverse=False):
 def _sector_basis(sm, found):
     """The ``_Sectors`` of the group generated by found, (order,
     permutation) pairs from ``_symmetries``; for found = [] the trivial
-    group's, whose plan is the components of the union pattern."""
+    group's, whose plan is the components of the union pattern. The
+    sector blocks are ``_characters``' plan, one per (component,
+    character); each map's blocks are gathered from its sector matrix."""
     d, n = sm.dim, sm.dim ** 2
-    rows, cols = sm._pattern
     # each element of G kept as its vec permutation
     orders, coords, act = _group_elements(found)
     images = np.array([act(a, np.arange(n)) for a in coords])
@@ -435,14 +433,7 @@ def _sector_basis(sm, found):
     side = held.size
     local = np.full(n, -1)
     local[held] = np.arange(side)
-    orbit, size, allowed, layout, column, fourier = _characters(orders, coords, images, comp, held)
-
-    # sector blocks: orbits coupled by a map, within each character
-    inside = local[rows] >= 0
-    pairs = np.unique(orbit[local[rows[inside]]] * size.size + orbit[local[cols[inside]]])
-    o1, o2 = np.divmod(pairs, size.size)
-    pair, char = np.nonzero(allowed[o1] & allowed[o2])
-    plan = _pattern_plan(side, column[o1[pair], char], column[o2[pair], char])
+    orbit, size, layout, column, fourier, plan = _characters(orders, coords, images, comp, held)
 
     split = size.max() > 1
     if split:
@@ -458,34 +449,25 @@ def _sector_basis(sm, found):
              (np.concatenate(q_rows), np.concatenate(q_cols))), shape=(side, side))
         qh = q.conj().T.tocsr()
 
-    # each layout position's plan group, row in the group, slot in the row
-    group, row, slot = (np.empty(side, int) for _ in range(3))
-    for i, idx in enumerate(plan):
-        group[idx] = i
-        row[idx] = np.arange(idx.shape[0])[:, None]
-        slot[idx] = np.arange(idx.shape[1])
-    block = np.cumsum([0] + [idx.shape[0] for idx in plan])[group] + row
     stacks = {}
     for alpha, view in sm.csr.items():
         view = view[held][:, held] if side < n else view
         # without a split Q is the identity: the view's own entries
         sec = (qh @ view @ q if split else view).tocoo()
-        # entries between blocks are rounding on an exact 0: dropped
-        keep = block[sec.row] == block[sec.col]
-        r, c, v = sec.row[keep], sec.col[keep], sec.data[keep]
-        stacks[alpha] = tuple(np.zeros((idx.shape[0], idx.shape[1], idx.shape[1]), complex)
-                              for idx in plan)
-        for i, stack in enumerate(stacks[alpha]):
-            mine = group[r] == i
-            stack[row[r[mine]], slot[r[mine]], slot[c[mine]]] = v[mine]
+        # assigned, not summed, so that a -0.0 keeps its sign; the entries
+        # between blocks are rounding on an exact 0, and are not gathered
+        m = np.zeros((side, side), complex)
+        m[sec.row, sec.col] = sec.data
+        stacks[alpha] = tuple(_block(m, idx) for idx in plan)
 
-    # the unit blocks: those holding the trivial columns of diagonal orbits
+    # the unit blocks: the plan rows that hold the trivial column of a
+    # diagonal orbit
     diagonal = np.unique(orbit[local[np.intersect1d(np.arange(d) * (d + 1), held)]])
     trivial = column[diagonal, 0]
-    unit = np.isin(block, block[trivial])
+    keep = [np.isin(idx, trivial).any(axis=1) for idx in plan]
+    unit = np.isin(np.arange(side), np.concatenate([idx[k].ravel() for idx, k in zip(plan, keep)]))
     unit_pos = np.full(side, -1)
     unit_pos[unit] = np.arange(np.count_nonzero(unit))
-    keep = [unit[idx[:, 0]] for idx in plan]
     unit_plan = tuple(unit_pos[idx[k]] for idx, k in zip(plan, keep) if k.any())
     unit_stacks = {alpha: tuple(stack[k] for stack, k in zip(group_, keep) if k.any())
                    for alpha, group_ in stacks.items()}
@@ -541,13 +523,21 @@ def _characters(orders, coords, images, comp, held):
     the least index's own stabilizer; H's characters are the distinct
     restrictions of G's, each kept as the least character a that restricts
     to it, and the character a takes the value exp(2 pi i phase[a, b] /
-    period) on the element b. Returns, over the held indices' local
-    positions: each one's orbit, each orbit's size, the (orbit, a) pairs
-    allowed, the layout (held positions ordered by orbit size, then by
-    orbit, then ascending), the layout position of each allowed column and
-    the unitary Fourier blocks as (first position, (k, s, s) stack) per
-    orbit size s, rows the members in layout order and columns the
-    characters: entry conj(chi(h_w)) / sqrt(s).
+    period) on the element b. This is the one block rule of both sector
+    bases: one block per (component, character), holding the component's
+    columns of that character; the blocks are numbered by component, then
+    by character. With a trivial G every held index is its own orbit with
+    the one character, and the blocks are the components. The maps commute
+    with G, so they couple no two blocks; a block is held whole even where
+    no map couples two of its columns.
+
+    Returns, over the held indices' local positions: each one's orbit,
+    each orbit's size, the layout (held positions ordered by orbit size,
+    then by orbit, then ascending), the layout position of each allowed
+    (orbit, a) column (-1 for the others), the unitary Fourier blocks as
+    (first position, (k, s, s) stack) per orbit size s, rows the members
+    in layout order and columns the characters: entry conj(chi(h_w)) /
+    sqrt(s), and the plan of the blocks in layout positions.
     """
     period = int(np.prod(orders))
     phase = (coords * (period // orders)) @ coords.T % period
@@ -583,7 +573,12 @@ def _characters(orders, coords, images, comp, held):
         g = step[layout[span]].reshape(k, s, 1)
         fourier.append((int(span[0]),
                         roots[phase[col_char[span].reshape(k, 1, s), g]] / np.sqrt(s)))
-    return orbit, size, allowed, layout, column, fourier
+
+    # column j is (col_orbit[j], col_char[j]): its block is (the orbit's
+    # component, col_char[j])
+    key = comp[least[col_orbit]] * coords.shape[0] + col_char
+    plan = _labels_plan(np.unique(key, return_inverse=True)[1])
+    return orbit, size, layout, column, fourier, plan
 
 
 def _stored_entries(sm):

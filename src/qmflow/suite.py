@@ -45,6 +45,7 @@ from .extended import (
 from .flows import (
     StepFunction,
     _evolution_maps,
+    _factor,
     _gram,
     _norm_gap,
     _pair_products,
@@ -228,7 +229,13 @@ class CheckRecord:
 
 
 def _record(name, kind, value, tol, digest, t=None):
+    """The record of a measured value judged against tol. A value that is
+    not finite fails, and is stored as None with a message naming it: a
+    JSON report holds no NaN or infinity."""
     value = float(value)
+    if not np.isfinite(value):
+        return CheckRecord(name=name, kind=kind, tolerance=float(tol), t=t, passed=False,
+                           digest=digest, message=f"the measured value is {value!r}")
     if kind == "residual":
         ok = value <= tol
     elif kind == "min_eig":
@@ -360,7 +367,9 @@ def _check_extended(ctx):
                 err = max(err, max_abs(matrix_exponential(ge[i][j], 1.0)
                                        - matrix_exponential(entries[i][j], 1.0)))
         errs.append(err)
-    slope = float(np.polyfit(np.log(_RESOLVENT_EPS), np.log(errs), 1)[0])
+    # an error of 0 (maps that are all 0) has no slope: its log is -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = float(np.polyfit(np.log(_RESOLVENT_EPS), np.log(errs), 1)[0])
     yield _record("extended-resolvent-order", "slope", slope,
                   tol["resolvent_slope"], _digest(base, *_RESOLVENT_EPS))
 
@@ -404,9 +413,8 @@ def _check_flow(ctx):
         f0, g0 = r1 * np.exp(1j * a1), r2 * np.exp(1j * a2)
         x = _draw_op(rng, sm.dim)
         t = float(rng.uniform(0.1, 1.5))
-        # exp(t K(f0, g0)): the window [0, t] map of the constants f0 and g0
-        p, = _evolution_maps(sm, [(StepFunction.indicator(0.0, t, f0),
-                                   StepFunction.indicator(0.0, t, g0), 0.0, t)])
+        # exp(t K(f0, g0)), one flow factor mapped back to the std basis
+        p = sm._sectors.to_standard(_factor(sm, f0, g0, t, "physical"), sm._plan)
         lhs = float(np.linalg.norm(_apply(p, x), 2))
         rhs = float(np.exp(t * (abs(f0) ** 2 + abs(g0) ** 2) / 2) * np.linalg.norm(x, 2))
         worst = max(worst, (lhs - rhs) / max(rhs, 1e-300))
@@ -606,7 +614,7 @@ def validate_report(obj):
 def report_to_json_bytes(report):
     obj = report.to_obj()
     validate_report(obj)
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _csv_cell(v):

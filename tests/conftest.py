@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from qmflow import (
     GlauberConfig,
@@ -14,7 +16,7 @@ from qmflow import (
     min_eig,
 )
 from qmflow.extended import _semigroup, _table_choi
-from qmflow.linalg import _hermitian_choi
+from qmflow.linalg import _hermitian_choi, _labels_plan
 
 
 @pytest.fixture(scope="session")
@@ -87,3 +89,22 @@ def std_generator_cp_min_eig(gen):
     wc, cw = w @ c, c @ w
     c -= np.outer(w, wc) + np.outer(cw - (w @ cw) * w, w)
     return min_eig(c), scale
+
+
+def strong_components_plan(n, rows, cols):
+    """The oracle of ``linalg``'s component plan by another route: the
+    strong components of the symmetrized CSR pattern of the positions
+    (rows, cols), which for a symmetric pattern are its connected
+    components, grouped as ``_labels_plan`` groups them."""
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    pattern = scipy.sparse.csr_array(
+        (np.ones(keys.size, np.uint8), (keys % n).astype(np.int32), indptr), shape=(n, n))
+    return _labels_plan(connected_components(pattern, directed=True, connection="strong")[1])
+
+
+def assert_same_plan(got, want):
+    """Two plans hold the same index arrays, dtype included, in order."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -395,6 +395,24 @@ def periodic4_sm():
         parse_config({"model": {"glauber": {"sites": 4, "boundary": "periodic"}}}).glauber)
 
 
+class TestNormBoundMap:
+    """flow-norm-bound takes exp(t K(f0, g0)) as one flow factor mapped
+    back to the std basis: the bits of the window [0, t] map of the two
+    constants."""
+
+    @pytest.mark.parametrize("model", ["qubit_sm", "glauber_sm", "open4_sm", "periodic4_sm"])
+    def test_factor_is_the_constant_window_map(self, request, model):
+        sm = request.getfixturevalue(model)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            f0, g0 = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
+            t = float(rng.uniform(0.1, 1.5))
+            want, = _evolution_maps(sm, [(StepFunction.indicator(0.0, t, f0),
+                                          StepFunction.indicator(0.0, t, g0), 0.0, t)])
+            got = sm._sectors.to_standard(flows._factor(sm, f0, g0, t, "physical"), sm._plan)
+            assert np.array_equal(got, want), (f0, g0, t)
+
+
 @pytest.fixture(scope="module")
 def open4_file_sm(open4_sm, tmp_path_factory):
     """The 4-site open chain read back from its structure-map file: a set

@@ -25,8 +25,15 @@ from qmflow import (
     vectorize,
 )
 import qmflow.linalg
-from qmflow.linalg import _block, _block_plan, _diagonal_blocks, _hermitian_eigvals
-from conftest import random_op
+from qmflow.linalg import (
+    _block,
+    _block_plan,
+    _component_labels,
+    _diagonal_blocks,
+    _hermitian_eigvals,
+    _labels_plan,
+)
+from conftest import assert_same_plan, random_op, strong_components_plan
 
 
 class TestVectorization:
@@ -421,3 +428,31 @@ class TestDiagonalBlocks:
             m[k, (k + 1) % 40] = 1.0
             _diagonal_blocks(m)
         assert _block_plan.cache_info().currsize == slots == 32
+
+
+_patterns = st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)))
+
+
+class TestComponentPlan:
+    """Every plan is ``_labels_plan(_component_labels(n, rows, cols))``:
+    weak components of raw positions, which may repeat and need not be
+    symmetric, numbered by least index. It equals the plan of the strong
+    components of the symmetrized pattern."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_patterns)
+    def test_equals_the_symmetrized_strong_plan(self, pattern):
+        n, pairs = pattern
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+        want = strong_components_plan(n, rows, cols)
+        assert_same_plan(_labels_plan(_component_labels(n, rows, cols)), want)
+        m = np.zeros((n, n))
+        m[rows, cols] = 1.0
+        assert_same_plan(_diagonal_blocks(m), want)
+
+    def test_labels_follow_the_least_index(self):
+        # 3 -> 0 and 1 -> 2, one way each: two components, the one holding
+        # 0 first
+        labels = _component_labels(4, np.array([3, 1, 1]), np.array([0, 2, 2]))
+        assert labels.tolist() == [0, 1, 1, 0]

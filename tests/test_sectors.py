@@ -29,7 +29,12 @@ from qmflow import extended, flows, linalg, structure
 from qmflow.extended import _semigroup, _table_choi, _unit_images
 from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock
 from qmflow.structure import _cyclic_shift, _symmetries, _vec_permutation
-from conftest import std_choi_min_eig, std_generator_cp_min_eig
+from conftest import (
+    assert_same_plan,
+    std_choi_min_eig,
+    std_generator_cp_min_eig,
+    strong_components_plan,
+)
 
 DEFAULT_GRID = parse_config({}).t_grid
 
@@ -402,7 +407,6 @@ class TestSectorChoi:
         sm = sm if broken is None else broken(sm)
         for mode in ("physical", "conservative"):
             gen = build_extended_generator(sm, mode)
-            assert gen._choi_sectors is None and gen._generator_choi_sectors is None
             for t in DEFAULT_GRID:
                 assert extended_choi_min_eig(gen, t) == std_choi_min_eig(gen, t)[0]
             assert generator_cp_min_eig(gen) == std_generator_cp_min_eig(gen)[0]
@@ -417,6 +421,63 @@ class TestSectorChoi:
         generator_cp_min_eig(gen)
         generator_cp_min_eig(gen)
         assert built == [{}, {"unit": True}]
+
+
+def coupling_plan(sm):
+    """The oracle of ``_Sectors.plan`` by another route: the coupling pass,
+    which joins the columns (O1, chi) and (O2, chi) of every two orbits of
+    the representatives that a map couples, within each character, and
+    takes the components of those joins."""
+    n = sm.dim ** 2
+    orders, coords, act = structure._group_elements(sm._group)
+    images = np.array([act(a, np.arange(n)) for a in coords])
+    comp = np.empty(n, int)
+    for label, row in enumerate(row for idx in sm._plan for row in idx):
+        comp[row] = label
+    held = np.flatnonzero(sm._sectors.source == np.arange(n))
+    orbit, size, _, column, _, _ = structure._characters(orders, coords, images, comp, held)
+    local = np.full(n, -1)
+    local[held] = np.arange(held.size)
+    rows, cols, _ = (np.concatenate(part) for part in zip(*structure._stored_entries(sm)))
+    inside = local[rows] >= 0
+    pairs = np.unique(orbit[local[rows[inside]]] * size.size + orbit[local[cols[inside]]])
+    o1, o2 = np.divmod(pairs, size.size)
+    pair, char = np.nonzero((column[o1] >= 0) & (column[o2] >= 0))
+    return strong_components_plan(held.size, column[o1[pair], char], column[o2[pair], char])
+
+
+FIXTURE_MODELS = {
+    "qubit": lambda request: request.getfixturevalue("qubit_sm"),
+    "site-z": lambda request: site_z_breaker(request.getfixturevalue("periodic4")),
+    "one-ulp": lambda request: one_ulp_off(request.getfixturevalue("periodic3")),
+    "3-periodic": lambda request: request.getfixturevalue("periodic3"),
+    "3-open": lambda request: chain(3, "open"),
+    "4-periodic": lambda request: request.getfixturevalue("periodic4"),
+    "4-open": lambda request: request.getfixturevalue("open4"),
+}
+
+
+@pytest.mark.parametrize("model", FIXTURE_MODELS)
+class TestOnePlanRule:
+    """Every plan comes from one component routine, and the sector blocks
+    of both bases from one (component, character) rule: each against an
+    independent route on every fixture model."""
+
+    def test_component_plans(self, request, model):
+        sm = FIXTURE_MODELS[model](request)
+        n = sm.dim ** 2
+        rows, cols, _ = (np.concatenate(part) for part in zip(*structure._stored_entries(sm)))
+        assert_same_plan(sm._plan, strong_components_plan(n, rows, cols))
+        for mode in ("physical", "conservative"):
+            gen = build_extended_generator(sm, mode)
+            for i in (0, 1):
+                for j in (0, 1):
+                    want = strong_components_plan(n, *gen._sums[i][j].nonzero())
+                    assert_same_plan(gen._plans[i][j], want)
+
+    def test_sector_plan_is_the_coupling_plan(self, request, model):
+        sm = FIXTURE_MODELS[model](request)
+        assert_same_plan(sm._sectors.plan, coupling_plan(sm))
 
 
 class TestEntryPathUnchanged:

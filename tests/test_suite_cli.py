@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,13 @@ class TestCli:
         assert code == 0
         assert out.count("\n") == 1
         assert json.loads(out)["dim"] == 8
+
+    def test_build_glauber_refuses_a_negative_seed(self, tmp_path, capsys):
+        cfgp = tmp_path / "chain.json"
+        save_json({"sites": 3}, cfgp)
+        code, out, err = _run(capsys, ["build-glauber", "--config", str(cfgp), "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
 
     def test_check_structure_passes(self, tmp_path, capsys):
         code, out, err = _run(capsys, ["check-structure", "--t", "0.2",
@@ -610,6 +618,48 @@ class TestOverflowRefusals:
         assert proc.stderr.startswith("error: ") and "t = 1e+308" in proc.stderr
         assert "Warning" not in proc.stderr
         assert not out.exists()
+
+
+class TestStrictJson:
+    """A measured value that is not finite fails and is stored as null,
+    with a message naming it, so every report is strict JSON."""
+
+    @pytest.mark.parametrize("kind", ["residual", "min_eig", "slope", "bound"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_fails_as_null(self, kind, value):
+        record = qmflow.suite._record("check", kind, value, 0.5, "digest")
+        assert (record.value, record.passed) == (None, False)
+        assert record.message == f"the measured value is {value!r}"
+
+    def test_zero_maps_report_under_warnings_as_errors(self, tmp_path):
+        # every map 0: the resolvent errors are 0, and their log-log slope nan
+        z = np.zeros((4, 4))
+        zero = StructureMapSet(dim=2, theta_minus=z, theta_zero=z, theta_plus=z)
+        save_json(structure_maps_to_obj(zero), tmp_path / "maps.json")
+        save_json({"model": {"structure_maps": "maps.json"}}, tmp_path / "rc.json")
+        src = str(Path(qmflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qmflow.cli", "suite", "--config", "rc.json",
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        validate_report(report)
+        failed = [(r["name"], r["value"], r["message"]) for r in report["records"]
+                  if not r["passed"]]
+        assert failed == [("extended-resolvent-order", None, "the measured value is nan")]
+
+    def test_emitters_refuse_a_non_finite_number(self, small_report):
+        bad = replace(small_report, records=(replace(small_report.records[0],
+                                                     value=float("nan")),))
+        with pytest.raises(ValueError):
+            report_to_json_bytes(bad)
 
 
 class TestSuiteGridRefusal:
