@@ -23,20 +23,21 @@ through the one 2x2 table, never a (2d)**2-side superoperator: ``_table``
 builds a table entry by entry, ``_semigroup`` is the table of time-t maps
 exp(t L_ij) (``_time`` is the one place a non-finite or negative time is
 refused), ``linalg._apply_grid`` applies a table to the blocks of an
-operator, ``_table_choi`` is a table's Choi matrix, and ``_unit_deviation``
-measures how far a table's images of the identity (``_unit_images``) are
-from fixed multiples of it. The entries L_ij = K(i, j) are the flow's
-point generators, so exponentials and resolvents are computed in the
-symmetry-reduced basis of the flow factors (``StructureMapSet._sectors``,
-the representatives' stabilizer-character blocks): ``_semigroup``
-exponentiates each entry there in one call and maps it back onto L_ij's
-own plan (``_entry_plan``, read from its CSR sum), ``_unit_images`` only
-the blocks that hold vec(1), and ``resolvent_generator`` solves each
-entry block by block. The entries are stored once, as CSR sums (``_sums``);
-a check that needs them dense converts them per call and keeps no copy.
-``generator_cp_min_eig`` decides complete positivity for every t, and the
-dissipativity form at every ampliation, from one eigenvalue of the
-generator with no exponential.
+operator, ``_table_choi`` is a table's dense Choi matrix (the time-t Choi
+test gathers its entries instead, ``_ChoiSectors.gather``), and
+``_unit_deviation`` measures how far a table's images of the identity
+(``_unit_images``) are from fixed multiples of it. The entries L_ij =
+K(i, j) are the flow's point generators, so exponentials and resolvents
+are computed in the symmetry-reduced basis of the flow factors
+(``StructureMapSet._sectors``, the representatives' stabilizer-character
+blocks): ``_semigroup`` exponentiates each entry there in one call and
+maps it back onto L_ij's own plan (``_entry_plan``, read from its CSR
+sum), ``_unit_images`` only the blocks that hold vec(1), and
+``resolvent_generator`` solves each entry block by block. The entries are
+stored once, as CSR sums (``_sums``); a check that needs them dense
+converts them per call and keeps no copy. ``generator_cp_min_eig`` decides
+complete positivity for every t, and the dissipativity form at every
+ampliation, from one eigenvalue of the generator with no exponential.
 
 Both Choi tests split the table Choi matrix by the characters of the
 source's symmetry group (``_ChoiSectors``, built once per generator from
@@ -47,6 +48,10 @@ character (``structure._characters``, the rule of the flow factors'
 basis too). At 4 periodic sites the largest block is 46 rows, not 296. A
 model with a trivial group takes the same path: Q is the identity and the
 blocks are the components, so its eigenvalues have the std basis's bits.
+The time-t test builds no dense table Choi matrix: it reads the rows of
+the multi-row components and the diagonal of the others from the maps,
+and places each character block straight into the padded matrix, which
+has the bytes the dense composition gives.
 """
 
 from dataclasses import dataclass, replace
@@ -62,7 +67,7 @@ from .linalg import (
     _choi,
     _component_labels,
     _draw_op,
-    _hermitian_choi,
+    _check_hermitian,
     _labels_plan,
     _unblock,
     matrix_exponential,
@@ -326,11 +331,12 @@ class _ChoiSectors:
     them, with the Fourier blocks ``fourier``; ``plan`` holds the character
     blocks in layout positions, one per (component, character). For a
     trivial group every Fourier block is 1 and the blocks are the
-    components. A component of one row is left in place: its diagonal
-    entry is its eigenvalue.
+    components. A component of one row (``singles``, ascending) is left in
+    place: its diagonal entry is its eigenvalue.
     """
 
     rows: np.ndarray
+    singles: np.ndarray
     fourier: tuple
     plan: tuple
 
@@ -342,6 +348,46 @@ class _ChoiSectors:
         c[rows[:, None], rows] = _unblock([_block(m, idx) for idx in self.plan],
                                          self.plan, side)
         return c
+
+    def gather(self, table, d):
+        """(c[rows][:, rows], c's diagonal at singles) for the table Choi
+        matrix c of table (``_table_choi``), read straight from the maps,
+        one quadrant (i, j) at a time: C[i n + a d + b, j n + e d + f] =
+        S_ij[f d + b, e d + a] with n = d**2. c is 0 everywhere else: there
+        it lies between two components."""
+        n = d * d
+        quadrant, rest = np.divmod(self.rows, n)
+        a, b = np.divmod(rest, d)
+        held = np.empty((self.rows.size, self.rows.size), dtype=complex)
+        for i in (0, 1):
+            x = np.flatnonzero(quadrant == i)[:, None]
+            for j in (0, 1):
+                y = np.flatnonzero(quadrant == j)
+                held[x, y] = table[i][j].reshape(d, d, d, d)[b[y], b[x], a[y], a[x]]
+        quadrant, rest = np.divmod(self.singles, n)
+        a, b = np.divmod(rest, d)
+        diagonal = np.empty(self.singles.size, dtype=complex)
+        for i in (0, 1):
+            x = quadrant == i
+            diagonal[x] = table[i][i].reshape(d, d, d, d)[b[x], b[x], a[x], a[x]]
+        return held, diagonal
+
+    def padded(self, held, diagonal, d):
+        """The (2d)**2-side matrix holding row i n + p d + k of the table
+        Choi matrix at (i d + p) 2d + i d + k, n = d**2, 0 else: the plan's
+        blocks of held (rows by rows, as ``apply`` leaves them) and the
+        diagonal at singles, each placed straight into it."""
+        def place(r):
+            quadrant, rest = np.divmod(r, d * d)
+            return (quadrant * d + rest // d) * (2 * d) + quadrant * d + rest % d
+
+        full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
+        at = place(self.rows)
+        for idx in self.plan:
+            full[at[idx][:, :, None], at[idx][:, None, :]] = _block(held, idx)
+        at = place(self.singles)
+        full[at, at] = diagonal
+        return full
 
 
 def _choi_sectors(gen, support, unit=False):
@@ -364,14 +410,16 @@ def _choi_sectors(gen, support, unit=False):
         rows.append(np.full(diagonal.size, diagonal[0]))
         cols.append(diagonal)
     comp = _component_labels(2 * n, np.concatenate(rows), np.concatenate(cols))
-    held = np.flatnonzero(np.bincount(comp)[comp] > 1)
+    sizes = np.bincount(comp)[comp]
+    held = np.flatnonzero(sizes > 1)
 
     orders, coords, act = _group_elements(gen.source._group)
     images = np.array([act(a, np.arange(n)) for a in coords])
     images = np.concatenate([images, images + n], axis=1)
     _, _, layout, _, fourier, plan = _characters(orders, coords, images, comp, held)
-    sectors = _ChoiSectors(rows=held[layout], fourier=tuple(fourier), plan=plan)
-    for array in (sectors.rows, *(f for _, f in fourier)):
+    sectors = _ChoiSectors(rows=held[layout], singles=np.flatnonzero(sizes == 1),
+                           fourier=tuple(fourier), plan=plan)
+    for array in (sectors.rows, sectors.singles, *(f for _, f in fourier)):
         array.flags.writeable = False
     return sectors
 
@@ -380,34 +428,28 @@ def extended_choi_min_eig(gen, t):
     """Smallest Choi eigenvalue of the time-t extended map.
 
     Nonnegative (to tolerance) iff the extended map is completely
-    positive. Its Choi matrix (side (2d)**2, guarded) is ``_table_choi``
-    with row p*d + k of block row i moved to (i*d + p)*2d + i*d + k, 0 else
-    (``_padded``). The table Choi matrix is written in its symmetry sectors
-    first (``_sector_choi``), a unitary change of basis within each
-    component with the rounding between characters dropped, so the one
-    ``min_eig`` call on the padded matrix solves the character blocks; the
-    table Choi matrix is dropped before that call.
+    positive. Its Choi matrix (side (2d)**2, guarded) is the table Choi
+    matrix c (``_table_choi``) with row p*d + k of block row i moved to
+    (i*d + p)*2d + i*d + k, 0 else. c is never built: the held rows of its
+    components of more than one row and the diagonal of the others, the
+    only entries that can be nonzero, are gathered from the time-t maps
+    (``_ChoiSectors.gather``) and checked Hermitian as ``_hermitian_choi``
+    checks c. The held rows are written in the symmetry sectors, a unitary
+    change of basis within each component, and each character block is
+    placed straight into the padded matrix with the rounding between
+    characters dropped (``_ChoiSectors.padded``), so the one ``min_eig``
+    call solves the character blocks. The maps are dropped before the
+    padded matrix is made.
     """
     _choi_guard(gen)
-    return min_eig(_padded(_sector_choi(gen, t), gen.dim))
-
-
-def _sector_choi(gen, t):
-    """The time-t table Choi matrix, checked Hermitian, in its symmetry
-    sectors."""
     # built before the table, so that its transients do not add to it
     sectors = gen._choi_sectors
-    return sectors.apply(_hermitian_choi(_table_choi(_semigroup(gen, t), gen.dim)))
-
-
-def _padded(c, d):
-    """The (2d)**2-side matrix with row p*d + k of block row i of c at
-    (i*d + p)*2d + i*d + k, 0 else."""
-    p, k = np.divmod(np.arange(d * d), d)
-    rows = np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
-    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
-    full[rows[:, None], rows] = c
-    return full
+    held, diagonal = sectors.gather(_semigroup(gen, t), gen.dim)
+    # c is 0 off these two parts, so their maxima are those of c - c* and c
+    _check_hermitian(np.max([max_abs(held - held.conj().T), max_abs(diagonal - diagonal.conj())]),
+                     np.max([max_abs(held), max_abs(diagonal)]))
+    return min_eig(sectors.padded(_by_orbits(held, sectors.fourier, inverse=True),
+                                  diagonal, gen.dim))
 
 
 def _choi_guard(gen):

@@ -456,11 +456,16 @@ def choi_of_map(s):
 
 def _hermitian_choi(c):
     """The Choi matrix c, checked Hermitian as ``choi_of_map`` states."""
-    dev = max_abs(c - c.conj().T)
-    if dev > 1e-10 * max(1.0, max_abs(c)):
+    _check_hermitian(max_abs(c - c.conj().T), max_abs(c))
+    return c
+
+
+def _check_hermitian(dev, scale):
+    """Refuses a Choi matrix whose largest |c - c*| entry, dev, exceeds
+    1e-10 max(1, scale), scale its largest |c| entry."""
+    if dev > 1e-10 * max(1.0, scale):
         raise ValueError(
             f"map not hermiticity-preserving: Choi asymmetry {dev:.3e}")
-    return c
 
 
 def _hermitian_eigvals(h):

@@ -43,6 +43,12 @@ def _finite_float(v):
     return x if np.isfinite(x) else None
 
 
+def _check_seed(seed):
+    """Refuses a seed that is not a nonnegative integer (booleans too)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"config key 'seed' must be a nonnegative integer, got {seed!r}")
+
+
 def _dim(obj, what):
     """obj["dim"], refused unless a positive integer (booleans are not)."""
     d = obj["dim"]
@@ -194,7 +200,7 @@ def glauber_config_to_obj(cfg):
 
 def glauber_config_from_obj(obj, seed=0):
     """Parse a chain config; missing covariance tables are filled with
-    seeded random defaults."""
+    seeded random defaults, for which seed must be a nonnegative integer."""
     if not isinstance(obj, dict):
         raise ValueError("chain config: expected an object")
     if "sites" not in obj:
@@ -214,6 +220,7 @@ def glauber_config_from_obj(obj, seed=0):
                             for lab, v in table.items()}
     else:
         from .glauber import default_constants
+        _check_seed(seed)
         kwargs["gg_plus"], kwargs["gg_minus"] = default_constants(seed)
     return GlauberConfig(**kwargs)
 

@@ -56,6 +56,7 @@ from .flows import (
 from .glauber import build_glauber_structure_maps
 from .linalg import _apply, _draw_op, matrix_exponential, max_abs, min_eig
 from .serialize import (
+    _check_seed,
     _finite_float,
     glauber_config_from_obj,
     glauber_config_to_obj,
@@ -125,8 +126,7 @@ def parse_config(obj, seed_override=None):
     seed = obj.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"config key 'seed' must be a nonnegative integer, got {seed!r}")
+    _check_seed(seed)
 
     mode = obj.get("mode", "physical")
     if mode not in ("physical", "conservative"):
@@ -367,11 +367,17 @@ def _check_extended(ctx):
                 err = max(err, max_abs(matrix_exponential(ge[i][j], 1.0)
                                        - matrix_exponential(entries[i][j], 1.0)))
         errs.append(err)
-    # an error of 0 (maps that are all 0) has no slope: its log is -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = float(np.polyfit(np.log(_RESOLVENT_EPS), np.log(errs), 1)[0])
-    yield _record("extended-resolvent-order", "slope", slope,
-                  tol["resolvent_slope"], _digest(base, *_RESOLVENT_EPS))
+    digest = _digest(base, *_RESOLVENT_EPS)
+    if any(errs):
+        # an error of 0 at some eps only has no slope: its log is -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = float(np.polyfit(np.log(_RESOLVENT_EPS), np.log(errs), 1)[0])
+        yield _record("extended-resolvent-order", "slope", slope, tol["resolvent_slope"], digest)
+    else:
+        # L_eps = L at every eps (all maps 0): there is no order to measure
+        yield CheckRecord(name="extended-resolvent-order", kind="slope",
+                          tolerance=float(tol["resolvent_slope"]), passed=True,
+                          digest=digest, message="the resolvent is exact at every eps")
 
 
 def _check_flow(ctx):

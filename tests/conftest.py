@@ -12,6 +12,7 @@ from qmflow import (
     build_evans_hudson,
     build_extended_generator,
     build_glauber_structure_maps,
+    commutator_map,
     max_abs,
     min_eig,
 )
@@ -63,17 +64,57 @@ def random_op(rng, d, unit=True):
     return x
 
 
+def padded_rows(d):
+    """The row of the zero-padded (2d)**2-side Choi matrix that each row
+    p*d + k of block row i of the 2 d**2-side table Choi matrix is placed
+    at: (i*d + p)*2d + i*d + k."""
+    p, k = np.divmod(np.arange(d * d), d)
+    return np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
+
+
+def padded_bands(c, d, band=256):
+    """The table Choi matrix c placed in the zero (2d)**2-side matrix,
+    ``band`` rows at a time."""
+    rows, side = padded_rows(d), 4 * d * d
+    source = np.full(side, -1)
+    source[rows] = np.arange(rows.size)
+    for start in range(0, side, band):
+        part = source[start:start + band]
+        out = np.zeros((part.size, side), dtype=complex)
+        placed = np.flatnonzero(part >= 0)
+        out[placed[:, None], rows] = c[part[placed]]
+        yield out
+
+
+def padded(c, d):
+    """The table Choi matrix c placed in the zero (2d)**2-side matrix."""
+    return np.concatenate(list(padded_bands(c, d)))
+
+
+def dense_sector_choi(gen, t):
+    """The oracle of extended_choi_min_eig's matrix before it is padded,
+    by the dense composition: the table Choi matrix (``_table_choi``),
+    checked Hermitian (``_hermitian_choi``) and written in its symmetry
+    sectors (``_ChoiSectors.apply``)."""
+    return gen._choi_sectors.apply(_hermitian_choi(_table_choi(_semigroup(gen, t), gen.dim)))
+
+
+def same_bytes_as_padded(h, c, d, band=256):
+    """h has the dtype, shape and bytes (so signed zeros count) of the
+    table Choi matrix c padded (``padded``), compared ``band`` rows at a
+    time, so that the padded matrix is never whole."""
+    side = 4 * d * d
+    return h.dtype == complex and h.shape == (side, side) and all(
+        h[start:start + band].tobytes() == part.tobytes()
+        for start, part in zip(range(0, side, band), padded_bands(c, d, band)))
+
+
 def std_choi_min_eig(gen, t):
     """The oracle of extended_choi_min_eig, in the std basis: (the smallest
     eigenvalue of the table Choi matrix c placed in the zero-padded
     (2d)**2-side matrix, max|c|)."""
-    d = gen.dim
-    c = _hermitian_choi(_table_choi(_semigroup(gen, t), d))
-    p, k = np.divmod(np.arange(d * d), d)
-    rows = np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
-    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
-    full[rows[:, None], rows] = c
-    return min_eig(full), max_abs(c)
+    c = _hermitian_choi(_table_choi(_semigroup(gen, t), gen.dim))
+    return min_eig(padded(c, gen.dim)), max_abs(c)
 
 
 def std_generator_cp_min_eig(gen):
@@ -89,6 +130,23 @@ def std_generator_cp_min_eig(gen):
     wc, cw = w @ c, c @ w
     c -= np.outer(w, wc) + np.outer(cw - (w @ cw) * w, w)
     return min_eig(c), scale
+
+
+def site_z_breaker(sm):
+    """sm with -i [., sigma_z on site 1] added to theta_0: a Hermitian
+    commutator term, so the set stays valid, on one site only."""
+    n = sm.dim.bit_length() - 1
+    z = np.kron(np.diag([1.0, -1.0]), np.eye(2 ** (n - 1)))
+    return replace(sm, theta_zero=sm.theta_zero + commutator_map(z))
+
+
+def one_ulp_off(sm):
+    """sm with one stored entry of theta_0 moved by one ulp: the pattern is
+    still invariant under the shift and the flip, the values are not."""
+    tz = sm.theta_zero.copy()
+    r, c = np.argwhere(tz != 0)[5]
+    tz[r, c] = np.nextafter(tz[r, c].real, np.inf) + 1j * tz[r, c].imag
+    return replace(sm, theta_zero=tz)
 
 
 def strong_components_plan(n, rows, cols):

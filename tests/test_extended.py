@@ -40,11 +40,19 @@ from qmflow import (
     vectorize,
 )
 import qmflow.suite as suite
-from qmflow.extended import _semigroup
+from qmflow.extended import _semigroup, _table_choi
 from qmflow.flows import _generator_blocks
-from qmflow.linalg import _apply
+from qmflow.linalg import _apply, _hermitian_choi
 from qmflow.suite import _RESOLVENT_EPS
-from conftest import random_op, std_choi_min_eig
+from conftest import (
+    dense_sector_choi,
+    one_ulp_off,
+    padded_rows,
+    random_op,
+    same_bytes_as_padded,
+    site_z_breaker,
+    std_choi_min_eig,
+)
 
 
 class TestBlockOp2:
@@ -190,13 +198,6 @@ def _assemble_blockwise(block_mats, d):
     return full
 
 
-def _padded_rows(d):
-    """The row of the zero-padded (2d)**2-side Choi matrix that each row
-    of the 2 d**2-side table Choi matrix is placed at."""
-    p, k = np.divmod(np.arange(d * d), d)
-    return np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
-
-
 def _sector_unitary(gen):
     """The dense unitary V of the table Choi matrix's symmetry sectors
     (``ExtendedGenerator._choi_sectors``): column j of the split rows is
@@ -238,7 +239,7 @@ class TestFullMatrixAssembly:
         gen = build_extended_generator(_CP_MODELS[name](), mode)
         placed = []
         monkeypatch.setattr(ext, "min_eig", lambda h: placed.append(h) or min_eig(h))
-        rows, v = _padded_rows(gen.dim), _sector_unitary(gen)
+        rows, v = padded_rows(gen.dim), _sector_unitary(gen)
         if v is not None:
             assert max_abs(v.conj().T @ v - np.eye(len(v))) <= 1e-14
         for t in (0.0, 0.3, 1.1):
@@ -412,6 +413,68 @@ _CP_MODELS = {
     "weak qubit, jump with a trace": lambda: build_evans_hudson(
         np.zeros((2, 2)), np.array([[2.0, 0.3], [0.1, 1.0]]), 0.25, 0.0),
 }
+
+_BYTE_MODELS = {
+    **{f"{sites}-site {boundary} chain": (lambda sites=sites, boundary=boundary:
+                                           _chain(sites, boundary))
+       for sites in (3, 4, 5) for boundary in ("periodic", "open")},
+    "good qubit": _CP_MODELS["good qubit"],
+    "site-z": lambda: site_z_breaker(_chain(4, "periodic")),
+    "one-ulp": lambda: one_ulp_off(_chain(3, "periodic")),
+    # their values are negative
+    "weak qubit": _weak_qubit,
+    "3-site chain, real parts x 0.3": _CP_MODELS["3-site chain, real parts x 0.3"],
+}
+
+
+class TestPaddedChoiBytes:
+    """extended_choi_min_eig gathers the table Choi matrix's blocks from the
+    time-t maps straight into the padded matrix; that matrix has the bytes
+    of the dense composition (``conftest.dense_sector_choi``, padded),
+    signed zeros included, and its asymmetry check refuses as the dense
+    check does."""
+
+    @pytest.mark.parametrize("name", _BYTE_MODELS)
+    def test_same_bytes_as_the_dense_composition(self, name, monkeypatch):
+        import qmflow.extended as ext
+
+        sm, same = _BYTE_MODELS[name](), []
+        # compared as it is handed over, so that no two 5-site matrices are kept
+        monkeypatch.setattr(ext, "min_eig", lambda h: same.append(
+            same_bytes_as_padded(h, dense_sector_choi(gen, t), gen.dim)) or 0.0)
+        for mode in ("physical", "conservative"):
+            gen = build_extended_generator(sm, mode)
+            for t in parse_config({}).t_grid:
+                extended_choi_min_eig(gen, t)
+        assert same == [True] * 8
+
+    @pytest.mark.parametrize("where", ["held", "single"])
+    def test_asymmetry_refused_as_the_dense_check_refuses(self, where, monkeypatch):
+        # C[i n + a d + b, j n + e d + f] = S_ij[f d + b, e d + a]: one entry
+        # of c moved off Hermitian, between two rows of one component of
+        # more than one row, or on the imaginary diagonal of a one-row one
+        import qmflow.extended as ext
+
+        gen = build_extended_generator(_chain(3, "periodic"))
+        d, sectors = gen.dim, gen._choi_sectors
+        assert sectors.singles.size and sectors.plan[-1].shape[1] > 1
+        if where == "held":
+            r, s = sectors.rows[sectors.plan[-1][0, :2]]
+            bump, asymmetry = 1e-3, 1e-3
+        else:
+            r = s = sectors.singles[-1]
+            bump, asymmetry = 1e-3j, 2e-3
+        (i, a, b), (j, e, f) = (np.unravel_index(x, (2, d, d)) for x in (r, s))
+        table = [list(row) for row in _semigroup(gen, 0.5)]
+        table[i][j] = table[i][j].copy()
+        table[i][j][f * d + b, e * d + a] += bump
+        monkeypatch.setattr(ext, "_semigroup", lambda gen, t: table)
+        with pytest.raises(ValueError, match="^map not hermiticity-preserving") as dense:
+            _hermitian_choi(_table_choi(table, d))
+        with pytest.raises(ValueError) as gathered:
+            extended_choi_min_eig(gen, 0.5)
+        assert str(gathered.value) == str(dense.value) == (
+            f"map not hermiticity-preserving: Choi asymmetry {asymmetry:.3e}")
 
 
 def _doubled_generator_choi(gen):

@@ -17,7 +17,6 @@ from qmflow import (
     build_extended_generator,
     build_glauber_structure_maps,
     check_cp_rows,
-    commutator_map,
     extended_choi_min_eig,
     generator_cp_min_eig,
     matrix_exponential,
@@ -31,6 +30,9 @@ from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock
 from qmflow.structure import _cyclic_shift, _symmetries, _vec_permutation
 from conftest import (
     assert_same_plan,
+    one_ulp_off,
+    padded,
+    site_z_breaker,
     std_choi_min_eig,
     std_generator_cp_min_eig,
     strong_components_plan,
@@ -71,12 +73,7 @@ def off_blocks(m):
 def padded_choi_plan(table, d):
     """The plan of the zero-padded (2d)**2-side Choi matrix that
     extended_choi_min_eig hands to min_eig."""
-    c = _table_choi(table, d)
-    p, k = np.divmod(np.arange(d * d), d)
-    rows = np.concatenate([(i * d + p) * (2 * d) + i * d + k for i in (0, 1)])
-    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
-    full[rows[:, None], rows] = c
-    return _diagonal_blocks(full)
+    return _diagonal_blocks(padded(_table_choi(table, d), d))
 
 
 def assert_trivial_basis(sm):
@@ -88,14 +85,6 @@ def assert_trivial_basis(sm):
     assert np.array_equal(sectors.position, np.arange(n))
     assert [f.shape for _, f in sectors.fourier] == [(n, 1, 1)]
     assert np.all(sectors.fourier[0][1] == 1)
-
-
-def site_z_breaker(sm):
-    """sm with -i [., sigma_z on site 1] added to theta_0: a Hermitian
-    commutator term, so the set stays valid, on one site only."""
-    n = sm.dim.bit_length() - 1
-    z = np.kron(np.diag([1.0, -1.0]), np.eye(2 ** (n - 1)))
-    return replace(sm, theta_zero=sm.theta_zero + commutator_map(z))
 
 
 class TestDetection:
@@ -156,15 +145,6 @@ class TestDetection:
                     want = matrix_exponential(gen.block(i, j), t)
                     assert np.array_equal(table[i][j], want)
                     assert np.max(np.abs(images[i][j] - _apply(want, eye))) <= 1e-14
-
-
-def one_ulp_off(sm):
-    """sm with one stored entry of theta_0 moved by one ulp: the pattern is
-    still invariant under the shift and the flip, the values are not."""
-    tz = sm.theta_zero.copy()
-    r, c = np.argwhere(tz != 0)[5]
-    tz[r, c] = np.nextafter(tz[r, c].real, np.inf) + 1j * tz[r, c].imag
-    return replace(sm, theta_zero=tz)
 
 
 def representatives(sm):

@@ -12,6 +12,7 @@ from qmflow import (
     load_json,
     operator_from_obj,
     operator_to_obj,
+    parse_config,
     save_json,
     step_function_from_obj,
     step_function_to_obj,
@@ -170,6 +171,20 @@ class TestGlauberConfigRoundtrip:
         a = glauber_config_from_obj({"sites": 3}, seed=2)
         b = GlauberConfig.with_random_constants(sites=3, boundary="periodic", seed=2)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "2", None])
+    def test_bad_seed_refused_before_the_defaults(self, seed, monkeypatch):
+        # parse_config's message, not numpy's, and no default constants drawn
+        from qmflow import glauber
+
+        monkeypatch.setattr(glauber, "default_constants",
+                            lambda seed: pytest.fail("default_constants called"))
+        with pytest.raises(ValueError) as refused:
+            glauber_config_from_obj({"sites": 3}, seed=seed)
+        with pytest.raises(ValueError) as parsed:
+            parse_config({"seed": seed})
+        assert str(refused.value) == str(parsed.value) == (
+            f"config key 'seed' must be a nonnegative integer, got {seed!r}")
 
     def test_one_sided_tables_rejected(self):
         obj = {"sites": 3, "gg_plus": {lab: [1.0, 0.0] for lab in

@@ -632,7 +632,8 @@ class TestStrictJson:
         assert record.message == f"the measured value is {value!r}"
 
     def test_zero_maps_report_under_warnings_as_errors(self, tmp_path):
-        # every map 0: the resolvent errors are 0, and their log-log slope nan
+        # every map 0: the resolvent errors are 0, so the order record
+        # passes with no value, and every record is strict JSON
         z = np.zeros((4, 4))
         zero = StructureMapSet(dim=2, theta_minus=z, theta_zero=z, theta_plus=z)
         save_json(structure_maps_to_obj(zero), tmp_path / "maps.json")
@@ -644,22 +645,54 @@ class TestStrictJson:
             [sys.executable, "-W", "error", "-m", "qmflow.cli", "suite", "--config", "rc.json",
              "--out", str(out)],
             cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (1, "")
+        assert (proc.returncode, proc.stderr) == (0, "")
 
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
 
         report = json.loads(out.read_text(), parse_constant=refuse)
         validate_report(report)
-        failed = [(r["name"], r["value"], r["message"]) for r in report["records"]
-                  if not r["passed"]]
-        assert failed == [("extended-resolvent-order", None, "the measured value is nan")]
+        assert report["passed"] and all(r["passed"] for r in report["records"])
+        order = [(r["value"], r["message"]) for r in report["records"]
+                 if r["name"] == "extended-resolvent-order"]
+        assert order == [(None, "the resolvent is exact at every eps")]
 
     def test_emitters_refuse_a_non_finite_number(self, small_report):
         bad = replace(small_report, records=(replace(small_report.records[0],
                                                      value=float("nan")),))
         with pytest.raises(ValueError):
             report_to_json_bytes(bad)
+
+
+class TestResolventOrder:
+    """extended-resolvent-order passes first-order convergence, passes a
+    resolvent that is exact at every eps with no value, and fails any other
+    order."""
+
+    @staticmethod
+    def order_record(monkeypatch, regularized):
+        monkeypatch.setattr(qmflow.suite, "resolvent_generator", regularized)
+        report = run_suite(parse_config({}), groups=("extended",))
+        (record,) = [r for r in report.records if r.name == "extended-resolvent-order"]
+        return record
+
+    def test_first_order_passes(self, monkeypatch):
+        record = self.order_record(monkeypatch, qmflow.suite.resolvent_generator)
+        assert record.passed and abs(record.value - 1.0) <= 0.2 and record.message is None
+
+    def test_exact_resolvent_passes_with_no_value(self, monkeypatch):
+        record = self.order_record(monkeypatch, lambda gen, eps: gen.entries)
+        assert (record.value, record.passed, record.message) == (
+            None, True, "the resolvent is exact at every eps")
+
+    def test_second_order_fails(self, monkeypatch):
+        # L_eps = L + eps**2: exp(L_eps) = e^(eps**2) exp(L), an eps**2 error
+        def second_order(gen, eps):
+            eye = np.eye(gen.dim ** 2)
+            return tuple(tuple(m + eps ** 2 * eye for m in row) for row in gen.entries)
+
+        record = self.order_record(monkeypatch, second_order)
+        assert not record.passed and abs(record.value - 2.0) <= 1e-3
 
 
 class TestSuiteGridRefusal:
