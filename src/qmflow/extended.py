@@ -23,8 +23,8 @@ through the one 2x2 table, never a (2d)**2-side superoperator: ``_table``
 builds a table entry by entry, ``_semigroup`` is the table of time-t maps
 exp(t L_ij) (``_time`` is the one place a non-finite or negative time is
 refused), ``linalg._apply_grid`` applies a table to the blocks of an
-operator, ``_table_choi`` is a table's dense Choi matrix (the time-t Choi
-test gathers its entries instead, ``_ChoiSectors.gather``), and
+operator, ``_ChoiSectors.gather`` reads the entries of a table's Choi
+matrix that can be nonzero straight from the maps, and
 ``_unit_deviation`` measures how far a table's images of the identity
 (``_unit_images``) are from fixed multiples of it. The entries L_ij =
 K(i, j) are the flow's point generators, so exponentials and resolvents
@@ -48,10 +48,14 @@ character (``structure._characters``, the rule of the flow factors'
 basis too). At 4 periodic sites the largest block is 46 rows, not 296. A
 model with a trivial group takes the same path: Q is the identity and the
 blocks are the components, so its eigenvalues have the std basis's bits.
-The time-t test builds no dense table Choi matrix: it reads the rows of
-the multi-row components and the diagonal of the others from the maps,
-and places each character block straight into the padded matrix, which
-has the bytes the dense composition gives.
+Neither test builds a dense table Choi matrix. Each reads the rows of
+the multi-row components and the diagonal of the others from its maps,
+the time-t maps or the generator's entries (whose rows are then
+projected away from the maximally entangled vector), and
+``_ChoiSectors.min_eig`` places each character block into one zero
+matrix for the one eigensolve: the padded (2d)**2-side Choi matrix of
+the time-t map, or the 2 d**2-side table Choi matrix of the generator.
+Either has the bytes the dense composition gives.
 """
 
 from dataclasses import dataclass, replace
@@ -64,7 +68,6 @@ from .linalg import (
     _apply,
     _apply_grid,
     _block,
-    _choi,
     _component_labels,
     _draw_op,
     _check_hermitian,
@@ -91,10 +94,11 @@ __all__ = [
     "resolvent_generator",
 ]
 
-# The full Choi matrix is dense with side (2d)**2, so it takes 16 (2d)**4
-# bytes: 256 MiB at block dimension 32 and 4 GiB at 64. Its eigensolve is
-# split into diagonal blocks (linalg.min_eig), so memory, not solve time,
-# sets this bar.
+# The time-t test builds the padded Choi matrix, dense with side (2d)**2,
+# so it takes 16 (2d)**4 bytes: 256 MiB at block dimension 32 and 4 GiB at
+# 64; the generator test builds the 2 d**2-side table Choi matrix, a
+# quarter of that. Each eigensolve is split into diagonal blocks
+# (linalg.min_eig), so memory, not solve time, sets this bar.
 MAX_CHOI_BLOCK_DIM = 32
 
 
@@ -304,11 +308,6 @@ def apply_extended(gen, t, x):
     return BlockOp2.from_full(_apply_grid(_semigroup(gen, t), gen.dim, x.block))
 
 
-def _table_choi(table, d):
-    """The 2 d**2-side matrix whose (i, j) block is Choi(table[i][j])."""
-    return np.block([[_choi(table[i][j], d) for j in (0, 1)] for i in (0, 1)])
-
-
 def _plan_positions(plan):
     """(rows, cols) of every position within the diagonal blocks of a plan,
     as 32-bit indices."""
@@ -332,7 +331,8 @@ class _ChoiSectors:
     blocks in layout positions, one per (component, character). For a
     trivial group every Fourier block is 1 and the blocks are the
     components. A component of one row (``singles``, ascending) is left in
-    place: its diagonal entry is its eigenvalue.
+    place: its diagonal entry is its eigenvalue. Both Choi tests read the
+    matrix with ``gather`` and end in ``min_eig``.
     """
 
     rows: np.ndarray
@@ -340,21 +340,13 @@ class _ChoiSectors:
     fourier: tuple
     plan: tuple
 
-    def apply(self, c):
-        """c, in place, with its split components replaced by Q* c Q in the
-        same rows: the character blocks, 0 between them."""
-        rows, side = self.rows, self.rows.size
-        m = _by_orbits(c[rows[:, None], rows], self.fourier, inverse=True)
-        c[rows[:, None], rows] = _unblock([_block(m, idx) for idx in self.plan],
-                                         self.plan, side)
-        return c
-
     def gather(self, table, d):
         """(c[rows][:, rows], c's diagonal at singles) for the table Choi
-        matrix c of table (``_table_choi``), read straight from the maps,
-        one quadrant (i, j) at a time: C[i n + a d + b, j n + e d + f] =
-        S_ij[f d + b, e d + a] with n = d**2. c is 0 everywhere else: there
-        it lies between two components."""
+        matrix c of table, the 2 d**2-side matrix whose (i, j) block is
+        Choi(table[i][j]), read straight from the maps, one quadrant (i, j)
+        at a time: C[i n + a d + b, j n + e d + f] = S_ij[f d + b, e d + a]
+        with n = d**2. c is 0 everywhere else: there it lies between two
+        components."""
         n = d * d
         quadrant, rest = np.divmod(self.rows, n)
         a, b = np.divmod(rest, d)
@@ -372,22 +364,27 @@ class _ChoiSectors:
             diagonal[x] = table[i][i].reshape(d, d, d, d)[b[x], b[x], a[x], a[x]]
         return held, diagonal
 
-    def padded(self, held, diagonal, d):
-        """The (2d)**2-side matrix holding row i n + p d + k of the table
-        Choi matrix at (i d + p) 2d + i d + k, n = d**2, 0 else: the plan's
-        blocks of held (rows by rows, as ``apply`` leaves them) and the
-        diagonal at singles, each placed straight into it."""
-        def place(r):
-            quadrant, rest = np.divmod(r, d * d)
-            return (quadrant * d + rest // d) * (2 * d) + quadrant * d + rest % d
-
-        full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
-        at = place(self.rows)
+    def min_eig(self, held, diagonal, at, side):
+        """The smallest eigenvalue of the table Choi matrix's held rows
+        (rows by rows, as ``gather`` reads them) and its diagonal at
+        singles, with std row r placed at row at[r] of a zero side x side
+        matrix. held is written in the sectors, Q* held Q in place, and
+        each plan block is placed on its own, so the rounding between
+        characters is dropped; the one ``min_eig`` call solves the blocks."""
+        held = _by_orbits(held, self.fourier, inverse=True)
+        full = np.zeros((side, side), dtype=complex)
+        rows = at[self.rows]
         for idx in self.plan:
-            full[at[idx][:, :, None], at[idx][:, None, :]] = _block(held, idx)
-        at = place(self.singles)
-        full[at, at] = diagonal
-        return full
+            full[rows[idx][:, :, None], rows[idx][:, None, :]] = _block(held, idx)
+        singles = at[self.singles]
+        full[singles, singles] = diagonal
+        return min_eig(full)
+
+
+def _unit_rows(d):
+    """The rows i d**2 + k (d + 1) of the table Choi matrix, ascending: the
+    2d rows on which the unit maximally entangled vector is nonzero."""
+    return np.r_[0:d * d:d + 1, d * d:2 * d * d:d + 1]
 
 
 def _choi_sectors(gen, support, unit=False):
@@ -406,9 +403,8 @@ def _choi_sectors(gen, support, unit=False):
             rows.append((c % d) * d + r % d + i * n)
             cols.append((c // d) * d + r // d + j * n)
     if unit:
-        diagonal = np.r_[0:n:d + 1, n:2 * n:d + 1]
-        rows.append(np.full(diagonal.size, diagonal[0]))
-        cols.append(diagonal)
+        rows.append(np.zeros(2 * d, dtype=int))
+        cols.append(_unit_rows(d))
     comp = _component_labels(2 * n, np.concatenate(rows), np.concatenate(cols))
     sizes = np.bincount(comp)[comp]
     held = np.flatnonzero(sizes > 1)
@@ -429,7 +425,7 @@ def extended_choi_min_eig(gen, t):
 
     Nonnegative (to tolerance) iff the extended map is completely
     positive. Its Choi matrix (side (2d)**2, guarded) is the table Choi
-    matrix c (``_table_choi``) with row p*d + k of block row i moved to
+    matrix c of the time-t maps with row p*d + k of block row i moved to
     (i*d + p)*2d + i*d + k, 0 else. c is never built: the held rows of its
     components of more than one row and the diagonal of the others, the
     only entries that can be nonzero, are gathered from the time-t maps
@@ -437,7 +433,7 @@ def extended_choi_min_eig(gen, t):
     checks c. The held rows are written in the symmetry sectors, a unitary
     change of basis within each component, and each character block is
     placed straight into the padded matrix with the rounding between
-    characters dropped (``_ChoiSectors.padded``), so the one ``min_eig``
+    characters dropped (``_ChoiSectors.min_eig``), so the one ``min_eig``
     call solves the character blocks. The maps are dropped before the
     padded matrix is made.
     """
@@ -448,8 +444,9 @@ def extended_choi_min_eig(gen, t):
     # c is 0 off these two parts, so their maxima are those of c - c* and c
     _check_hermitian(np.max([max_abs(held - held.conj().T), max_abs(diagonal - diagonal.conj())]),
                      np.max([max_abs(held), max_abs(diagonal)]))
-    return min_eig(sectors.padded(_by_orbits(held, sectors.fourier, inverse=True),
-                                  diagonal, gen.dim))
+    d = gen.dim
+    i, p, k = np.unravel_index(np.arange(2 * d * d), (2, d, d))
+    return sectors.min_eig(held, diagonal, (i * d + p) * (2 * d) + i * d + k, 4 * d * d)
 
 
 def _choi_guard(gen):
@@ -499,25 +496,33 @@ def generator_cp_min_eig(gen):
     preserves hermiticity (the conjugation axiom, checked at build) and
     this is >= 0 (Lindblad 1976; Wolf and Cirac 2008). C is 0 off the
     rows whose two block indices agree; what is left has side 2 d**2 and
-    (i, j) block Choi(L_ij), and the projection is the rank-two update
-    C - w(w*C) - (Cw)w* + (w*Cw)ww*, which keeps its blocks for
-    ``min_eig``. w itself gives the eigenvalue 0. w has the trivial
-    character, so the projected matrix is split by the same symmetry
-    sectors (``ExtendedGenerator._generator_choi_sectors``, whose components
-    join the rows w lies on) before the eigensolve. The conservative
-    generator plus delta^2 / 2 differs from the physical one by a term
-    the projection removes, so this also decides the dissipativity form
-    at every block operator and ampliation level.
+    (i, j) block Choi(L_ij), the table Choi matrix of the entries. Its
+    sectors (``ExtendedGenerator._generator_choi_sectors``) join the 2d
+    rows w lies on into one component, so the projection, the rank-two
+    update C - w(w*C) - (Cw)w* + (w*Cw)ww*, changes only the held rows
+    that ``_ChoiSectors.gather`` reads from the entries; its products are
+    taken on w's rows alone, as w is 0 off them. w itself gives the
+    eigenvalue 0. w has the trivial character, so the projected rows are
+    split by the same symmetry sectors and placed in the zero 2 d**2-side
+    matrix for the one eigensolve (``_ChoiSectors.min_eig``). The
+    conservative generator plus delta^2 / 2 differs from the physical one
+    by a term the projection removes, so this also decides the
+    dissipativity form at every block operator and ampliation level.
     """
     _choi_guard(gen)
     gen = _in_mode(gen, "physical")
-    d, n = gen.dim, gen.dim ** 2
-    c = _table_choi(gen.entries, d)
-    w = np.zeros(2 * n)
-    w[np.r_[0:n:d + 1, n:2 * n:d + 1]] = (2 * d) ** -0.5
-    wc, cw = w @ c, c @ w
-    c -= np.outer(w, wc) + np.outer(cw - (w @ cw) * w, w)
-    return min_eig(gen._generator_choi_sectors.apply(c))
+    d, n, sectors = gen.dim, gen.dim ** 2, gen._generator_choi_sectors
+    held, diagonal = sectors.gather(gen.entries, d)
+    # the positions in held of w's rows, in ascending std order
+    at = np.empty(2 * n, dtype=int)
+    at[sectors.rows] = np.arange(sectors.rows.size)
+    pos = at[_unit_rows(d)]
+    wp = np.full(pos.size, (2 * d) ** -0.5)
+    w = np.zeros(sectors.rows.size)
+    w[pos] = wp
+    wc, cw = wp @ held[pos], held[:, pos] @ wp
+    held -= np.outer(w, wc) + np.outer(cw - (wp @ cw[pos]) * w, w)
+    return sectors.min_eig(held, diagonal, np.arange(2 * n), 2 * n)
 
 
 def delta_map(x):

@@ -2,6 +2,7 @@
 import qmflow  # noqa: F401
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse
@@ -16,8 +17,9 @@ from qmflow import (
     max_abs,
     min_eig,
 )
-from qmflow.extended import _semigroup, _table_choi
-from qmflow.linalg import _hermitian_choi, _labels_plan
+from qmflow.extended import _semigroup
+from qmflow.linalg import _block, _choi, _hermitian_choi, _labels_plan, _unblock
+from qmflow.structure import _by_orbits
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +66,22 @@ def random_op(rng, d, unit=True):
     return x
 
 
+def table_choi(table, d):
+    """The 2 d**2-side matrix whose (i, j) block is Choi(table[i][j])."""
+    return np.block([[_choi(table[i][j], d) for j in (0, 1)] for i in (0, 1)])
+
+
+def sector_apply(sectors, c):
+    """c, in place, with the split components of ``sectors`` (a
+    ``_ChoiSectors``) replaced by Q* c Q in the same rows: the character
+    blocks, 0 between them."""
+    rows, side = sectors.rows, sectors.rows.size
+    m = _by_orbits(c[rows[:, None], rows], sectors.fourier, inverse=True)
+    c[rows[:, None], rows] = _unblock([_block(m, idx) for idx in sectors.plan],
+                                     sectors.plan, side)
+    return c
+
+
 def padded_rows(d):
     """The row of the zero-padded (2d)**2-side Choi matrix that each row
     p*d + k of block row i of the 2 d**2-side table Choi matrix is placed
@@ -93,10 +111,11 @@ def padded(c, d):
 
 def dense_sector_choi(gen, t):
     """The oracle of extended_choi_min_eig's matrix before it is padded,
-    by the dense composition: the table Choi matrix (``_table_choi``),
+    by the dense composition: the table Choi matrix (``table_choi``),
     checked Hermitian (``_hermitian_choi``) and written in its symmetry
-    sectors (``_ChoiSectors.apply``)."""
-    return gen._choi_sectors.apply(_hermitian_choi(_table_choi(_semigroup(gen, t), gen.dim)))
+    sectors (``sector_apply``)."""
+    return sector_apply(gen._choi_sectors,
+                        _hermitian_choi(table_choi(_semigroup(gen, t), gen.dim)))
 
 
 def same_bytes_as_padded(h, c, d, band=256):
@@ -113,23 +132,64 @@ def std_choi_min_eig(gen, t):
     """The oracle of extended_choi_min_eig, in the std basis: (the smallest
     eigenvalue of the table Choi matrix c placed in the zero-padded
     (2d)**2-side matrix, max|c|)."""
-    c = _hermitian_choi(_table_choi(_semigroup(gen, t), gen.dim))
+    c = _hermitian_choi(table_choi(_semigroup(gen, t), gen.dim))
     return min_eig(padded(c, gen.dim)), max_abs(c)
+
+
+def projected_generator_choi(gen):
+    """(the physical entries' table Choi matrix c projected away from the
+    unit maximally entangled vector w, max|c| before the projection), by the
+    dense composition. The rank-two update C - w(w*C) - (Cw)w* + (w*Cw)ww*
+    takes its products on the 2d rows w is nonzero on, ascending, as
+    generator_cp_min_eig takes them: w is 0 off them."""
+    gen = replace(gen, mode="physical")
+    d, n = gen.dim, gen.dim ** 2
+    c = table_choi(gen.entries, d)
+    scale = max_abs(c)
+    pos = np.r_[0:n:d + 1, n:2 * n:d + 1]
+    wp = np.full(pos.size, (2 * d) ** -0.5)
+    w = np.zeros(2 * n)
+    w[pos] = wp
+    wc, cw = wp @ c[pos], c[:, pos] @ wp
+    c -= np.outer(w, wc) + np.outer(cw - (wp @ cw[pos]) * w, w)
+    return c, scale
 
 
 def std_generator_cp_min_eig(gen):
     """The oracle of generator_cp_min_eig, in the std basis: (the smallest
+    eigenvalue of the projected table Choi matrix
+    (``projected_generator_choi``), max|c|)."""
+    c, scale = projected_generator_choi(gen)
+    return min_eig(c), scale
+
+
+def exact_generator_cp_min_eig(gen, dps=40):
+    """The oracle of generator_cp_min_eig at dps digits: (the smallest
     eigenvalue of the physical entries' table Choi matrix c projected away
-    from the unit maximally entangled vector w, max|c|)."""
+    from the unit maximally entangled vector w, max|c|), from the dense
+    entries. c is split into the components of its pattern with w's rows
+    joined (scipy.sparse.csgraph, no code of ``_ChoiSectors``); the one
+    holding w is projected by the rank-two update in mpmath, and each is
+    solved by mpmath's Hermitian eigensolver."""
     gen = replace(gen, mode="physical")
     d, n = gen.dim, gen.dim ** 2
-    c = _table_choi(gen.entries, d)
-    scale = max_abs(c)
-    w = np.zeros(2 * n)
-    w[np.r_[0:n:d + 1, n:2 * n:d + 1]] = (2 * d) ** -0.5
-    wc, cw = w @ c, c @ w
-    c -= np.outer(w, wc) + np.outer(cw - (w @ cw) * w, w)
-    return min_eig(c), scale
+    c = table_choi(gen.entries, d)
+    unit = np.r_[0:n:d + 1, n:2 * n:d + 1]
+    link = scipy.sparse.coo_array((np.ones(unit.size), (np.full(unit.size, unit[0]), unit)),
+                                  shape=c.shape)
+    count, labels = connected_components(scipy.sparse.coo_array(c != 0) + link, directed=False)
+    worst = mpmath.inf
+    with mpmath.workdps(dps):
+        for idx in (np.flatnonzero(labels == label) for label in range(count)):
+            m = mpmath.matrix([[mpmath.mpc(x) for x in row] for row in c[np.ix_(idx, idx)].tolist()])
+            on = np.isin(idx, unit)
+            if on.any():
+                w = mpmath.matrix([1 / mpmath.sqrt(2 * d) if o else 0 for o in on])
+                wm, mw = w.T * m, m * w
+                m = m - w * wm - mw * w.T + (w.T * mw)[0, 0] * (w * w.T)
+            eigvals = mpmath.eighe(m, eigvals_only=True) if idx.size > 1 else [m[0, 0]]
+            worst = min([worst, *(mpmath.re(e) for e in eigvals)])
+    return worst, max_abs(c)
 
 
 def site_z_breaker(sm):

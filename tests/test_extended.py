@@ -15,6 +15,7 @@ from qmflow import (
     build_evans_hudson,
     build_extended_generator,
     build_glauber_structure_maps,
+    build_model,
     choi_of_map,
     commutation_residual,
     commutator_map,
@@ -40,18 +41,22 @@ from qmflow import (
     vectorize,
 )
 import qmflow.suite as suite
-from qmflow.extended import _semigroup, _table_choi
+from qmflow.extended import _semigroup
 from qmflow.flows import _generator_blocks
 from qmflow.linalg import _apply, _hermitian_choi
 from qmflow.suite import _RESOLVENT_EPS
 from conftest import (
     dense_sector_choi,
+    exact_generator_cp_min_eig,
     one_ulp_off,
     padded_rows,
+    projected_generator_choi,
     random_op,
     same_bytes_as_padded,
+    sector_apply,
     site_z_breaker,
     std_choi_min_eig,
+    table_choi,
 )
 
 
@@ -470,11 +475,31 @@ class TestPaddedChoiBytes:
         table[i][j][f * d + b, e * d + a] += bump
         monkeypatch.setattr(ext, "_semigroup", lambda gen, t: table)
         with pytest.raises(ValueError, match="^map not hermiticity-preserving") as dense:
-            _hermitian_choi(_table_choi(table, d))
+            _hermitian_choi(table_choi(table, d))
         with pytest.raises(ValueError) as gathered:
             extended_choi_min_eig(gen, 0.5)
         assert str(gathered.value) == str(dense.value) == (
             f"map not hermiticity-preserving: Choi asymmetry {asymmetry:.3e}")
+
+
+class TestGeneratorChoiBytes:
+    """generator_cp_min_eig gathers the physical entries' table Choi
+    matrix's held rows, projects them on the rows of w and places the
+    character blocks in a zero 2 d**2-side matrix; that matrix has the bytes
+    of the dense composition (``conftest.projected_generator_choi`` written
+    in the sectors by ``sector_apply``), signed zeros included."""
+
+    @pytest.mark.parametrize("name", _BYTE_MODELS)
+    def test_same_bytes_as_the_dense_composition(self, name, monkeypatch):
+        import qmflow.extended as ext
+
+        gen, handed = build_extended_generator(_BYTE_MODELS[name]()), []
+        monkeypatch.setattr(ext, "min_eig", lambda h: handed.append(h) or 0.0)
+        generator_cp_min_eig(gen)
+        (got,) = handed
+        want = sector_apply(gen._generator_choi_sectors, projected_generator_choi(gen)[0])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _doubled_generator_choi(gen):
@@ -535,6 +560,14 @@ class TestGeneratorCp:
         want = min(0.0, float(np.linalg.eigvalsh(p @ c @ p)[0]))
         got = generator_cp_min_eig(gen)
         assert abs(got - want) <= 1e-12 * max(1.0, max_abs(c))
+
+    @pytest.mark.parametrize("sm", [
+        _CP_MODELS["good qubit"], _CP_MODELS["3-site open chain"],
+        lambda: build_model(parse_config({}))], ids=["qubit", "3-site open", "default"])
+    def test_within_rounding_of_a_40_digit_eigensolve(self, sm):
+        gen = build_extended_generator(sm())
+        exact, scale = exact_generator_cp_min_eig(gen)
+        assert abs(generator_cp_min_eig(gen) - exact) <= 1e-14 * max(1.0, scale)
 
     def test_either_mode_gives_the_physical_value(self, glauber_gen_phys, glauber_gen_cons):
         assert generator_cp_min_eig(glauber_gen_cons) == generator_cp_min_eig(glauber_gen_phys)

@@ -25,7 +25,7 @@ from qmflow import (
     structure_maps_to_obj,
 )
 from qmflow import extended, flows, linalg, structure
-from qmflow.extended import _semigroup, _table_choi, _unit_images
+from qmflow.extended import _semigroup, _unit_images
 from qmflow.linalg import _apply, _block, _diagonal_blocks, _unblock
 from qmflow.structure import _cyclic_shift, _symmetries, _vec_permutation
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     std_choi_min_eig,
     std_generator_cp_min_eig,
     strong_components_plan,
+    table_choi,
 )
 
 DEFAULT_GRID = parse_config({}).t_grid
@@ -73,7 +74,7 @@ def off_blocks(m):
 def padded_choi_plan(table, d):
     """The plan of the zero-padded (2d)**2-side Choi matrix that
     extended_choi_min_eig hands to min_eig."""
-    return _diagonal_blocks(padded(_table_choi(table, d), d))
+    return _diagonal_blocks(padded(table_choi(table, d), d))
 
 
 def assert_trivial_basis(sm):
