@@ -50,8 +50,8 @@ model with a trivial group takes the same path: Q is the identity and the
 blocks are the components, so its eigenvalues have the std basis's bits.
 Neither test builds a dense table Choi matrix. Each reads the rows of
 the multi-row components and the diagonal of the others from its maps,
-the time-t maps or the generator's entries (whose rows are then
-projected away from the maximally entangled vector), and
+the time-t maps or the CSR sums of the generator's entries (whose rows
+are then projected away from the maximally entangled vector), and
 ``_ChoiSectors.min_eig`` places each character block into one zero
 matrix for the one eigensolve: the padded (2d)**2-side Choi matrix of
 the time-t map, or the 2 d**2-side table Choi matrix of the generator.
@@ -316,6 +316,15 @@ def _plan_positions(plan):
             np.concatenate([np.broadcast_to(idx[:, None, :], shape).ravel() for idx, shape in blocks]))
 
 
+def _read(m, rows, cols):
+    """m[rows, cols] for index arrays of one shape, read at flat (row, col)
+    pairs: m may be a dense array or a ``csr_array``, which gives a sparse
+    result for no pair."""
+    if not rows.size:
+        return np.zeros(rows.shape, dtype=complex)
+    return m[rows.ravel(), cols.ravel()].reshape(rows.shape)
+
+
 @dataclass(frozen=True)
 class _ChoiSectors:
     """The 2 d**2-side table Choi matrix's symmetry-sector basis.
@@ -346,7 +355,8 @@ class _ChoiSectors:
         Choi(table[i][j]), read straight from the maps, one quadrant (i, j)
         at a time: C[i n + a d + b, j n + e d + f] = S_ij[f d + b, e d + a]
         with n = d**2. c is 0 everywhere else: there it lies between two
-        components."""
+        components. Each map may be a dense array or a ``csr_array``
+        (``_read``)."""
         n = d * d
         quadrant, rest = np.divmod(self.rows, n)
         a, b = np.divmod(rest, d)
@@ -355,13 +365,13 @@ class _ChoiSectors:
             x = np.flatnonzero(quadrant == i)[:, None]
             for j in (0, 1):
                 y = np.flatnonzero(quadrant == j)
-                held[x, y] = table[i][j].reshape(d, d, d, d)[b[y], b[x], a[y], a[x]]
+                held[x, y] = _read(table[i][j], b[y] * d + b[x], a[y] * d + a[x])
         quadrant, rest = np.divmod(self.singles, n)
         a, b = np.divmod(rest, d)
         diagonal = np.empty(self.singles.size, dtype=complex)
         for i in (0, 1):
             x = quadrant == i
-            diagonal[x] = table[i][i].reshape(d, d, d, d)[b[x], b[x], a[x], a[x]]
+            diagonal[x] = _read(table[i][i], b[x] * (d + 1), a[x] * (d + 1))
         return held, diagonal
 
     def min_eig(self, held, diagonal, at, side):
@@ -500,19 +510,20 @@ def generator_cp_min_eig(gen):
     sectors (``ExtendedGenerator._generator_choi_sectors``) join the 2d
     rows w lies on into one component, so the projection, the rank-two
     update C - w(w*C) - (Cw)w* + (w*Cw)ww*, changes only the held rows
-    that ``_ChoiSectors.gather`` reads from the entries; its products are
-    taken on w's rows alone, as w is 0 off them. w itself gives the
-    eigenvalue 0. w has the trivial character, so the projected rows are
-    split by the same symmetry sectors and placed in the zero 2 d**2-side
-    matrix for the one eigensolve (``_ChoiSectors.min_eig``). The
-    conservative generator plus delta^2 / 2 differs from the physical one
-    by a term the projection removes, so this also decides the
-    dissipativity form at every block operator and ampliation level.
+    that ``_ChoiSectors.gather`` reads from the entries' CSR sums, with no
+    dense entry; its products are taken on w's rows alone, as w is 0 off
+    them. w itself gives the eigenvalue 0. w has the trivial character, so
+    the projected rows are split by the same symmetry sectors and placed
+    in the zero 2 d**2-side matrix for the one eigensolve
+    (``_ChoiSectors.min_eig``). The conservative generator plus
+    delta^2 / 2 differs from the physical one by a term the projection
+    removes, so this also decides the dissipativity form at every block
+    operator and ampliation level.
     """
     _choi_guard(gen)
     gen = _in_mode(gen, "physical")
     d, n, sectors = gen.dim, gen.dim ** 2, gen._generator_choi_sectors
-    held, diagonal = sectors.gather(gen.entries, d)
+    held, diagonal = sectors.gather(gen._sums, d)
     # the positions in held of w's rows, in ascending std order
     at = np.empty(2 * n, dtype=int)
     at[sectors.rows] = np.arange(sectors.rows.size)

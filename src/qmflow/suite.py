@@ -17,6 +17,14 @@ conditional complete positivity, kernel, Schur, bounds) belongs to the
 physical normalization; the fixed unit block belongs to the conservative
 one. The config's mode selects the generator used for evolution commands
 and is echoed in the report.
+
+A record measures the model: each one is failed by some model at the
+default tolerances, or is a code check named as such, and the tests'
+record table (``tests/test_record_table.py``) holds one row per record
+saying which. Identities of the library that read nothing of the model
+(the block derivation delta and its semigroup, the generator's
+commutation with delta^2) are tier-1 tests, not records, and have no
+tolerance key.
 """
 
 import hashlib
@@ -25,17 +33,11 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import __version__
 from .extended import (
-    BlockOp2,
     build_extended_generator,
-    commutation_residual,
     conservativity_residual,
-    delta_map,
-    delta_sq_map,
-    delta_sq_semigroup,
     extended_choi_min_eig,
     generator_cp_min_eig,
     kappa_residual,
@@ -84,8 +86,6 @@ DEFAULT_TOLERANCES = {
     "leibnitz": 1e-10,
     "leibnitz_ito": 1e-9,
     "dissip": 1e-8,
-    "delta_formula": 1e-12,
-    "commutation": 1e-12,
     "resolvent_slope": 0.2,
     "flow_composition": 1e-10,
     "flow_unitality": 1e-10,
@@ -318,10 +318,17 @@ def _check_structure(ctx):
 
 
 def _per_time_records(rc, gp, gc, base):
-    """(extended-cp, -conservativity, -normalization) records per grid time."""
+    """(extended-cp, -conservativity, -normalization) records per grid time.
+
+    The physical time-t map sends the unit to e^t in its (1, 1) block, so
+    the Choi test's rounding grows like e^t: extended-cp is judged against
+    choi * e^t, as extended-normalization divides by e^t. The bound is
+    taken after the value, so at a time whose e^t overflows the Choi test
+    has refused the time-t map first.
+    """
     tol = rc.tolerances
     return [(_record("extended-cp", "min_eig", extended_choi_min_eig(gp, t),
-                     tol["choi"], _digest(base, t), t=t),
+                     tol["choi"] * np.exp(t), _digest(base, t), t=t),
              _record("extended-conservativity", "residual", conservativity_residual(gc, t),
                      tol["conservativity"], _digest(base, t), t=t),
              _record("extended-normalization", "residual", normalization_residual(gp, t),
@@ -330,7 +337,7 @@ def _per_time_records(rc, gp, gc, base):
 
 
 def _check_extended(ctx):
-    rc, sm, base = ctx["rc"], ctx["sm"], ctx["base"]
+    rc, base = ctx["rc"], ctx["base"]
     gp, gc = ctx["gen_phys"], ctx["gen_cons"]
     tol = rc.tolerances
 
@@ -339,24 +346,8 @@ def _check_extended(ctx):
         yield from column
     yield _record("extended-kappa", "residual", kappa_residual(gp),
                   tol["kappa"], base)
-
     yield _record("extended-generator-cp", "min_eig", generator_cp_min_eig(gp),
                   tol["dissip"], base)
-
-    rng = rng_for(rc.seed, "extended-delta")
-    # delta^2 on M_2 (row-major 2 x 2 matrices); its semigroup acts on x's blocks
-    d_sq = np.column_stack([delta_sq_map(u.reshape(2, 2)).as_full().ravel() for u in np.eye(4)])
-    worst_formula, worst_semi = 0.0, 0.0
-    for _ in range(20):
-        x = BlockOp2.from_full(_draw_op(rng, 2 * sm.dim))
-        worst_formula = max(worst_formula, (delta_sq_map(x) - delta_map(delta_map(x))).max_abs())
-        t = float(rng.uniform(0.1, 2.0))
-        y = np.tensordot(scipy.linalg.expm(0.5 * t * d_sq), [x.x00, x.x01, x.x10, x.x11], 1)
-        worst_semi = max(worst_semi, (delta_sq_semigroup(t, x) - BlockOp2(*y)).max_abs())
-    yield _record("extended-delta-formula", "residual",
-                  max(worst_formula, worst_semi), tol["delta_formula"], base)
-    yield _record("extended-commutation", "residual", commutation_residual(gc),
-                  tol["commutation"], base)
 
     errs, entries = [], gc.entries
     for eps in _RESOLVENT_EPS:

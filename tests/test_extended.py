@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qmflow import (
@@ -37,13 +38,13 @@ from qmflow import (
     parse_config,
     point_generator,
     resolvent_generator,
-    run_suite,
+    rng_for,
     vectorize,
 )
 import qmflow.suite as suite
 from qmflow.extended import _semigroup
 from qmflow.flows import _generator_blocks
-from qmflow.linalg import _apply, _hermitian_choi
+from qmflow.linalg import _apply, _draw_op, _hermitian_choi
 from qmflow.suite import _RESOLVENT_EPS
 from conftest import (
     dense_sector_choi,
@@ -132,8 +133,9 @@ class TestGeneratorTable:
     def test_extended_group_keeps_no_dense_entry(self, config):
         ctx = suite._set_up({"rc": parse_config(config)})
         records = list(suite._check_extended(ctx))
-        assert {"extended-kappa", "extended-generator-cp", "extended-commutation",
-                "extended-resolvent-order"} <= {r.name for r in records}
+        assert {r.name for r in records} == {
+            "extended-cp", "extended-conservativity", "extended-normalization",
+            "extended-kappa", "extended-generator-cp", "extended-resolvent-order"}
         assert all(r.passed for r in records)
         n = ctx["sm"].dim ** 2
 
@@ -606,6 +608,11 @@ class TestFlowBridge:
         assert abs(extended_choi_min_eig(gen, t) - want) <= 1e-13 * max(1.0, scale)
 
 
+def _too_fast(t, x):
+    """delta_sq_semigroup damping the off-diagonal blocks at rate t, not t / 2."""
+    return BlockOp2(x.x00, np.exp(-t) * x.x01, np.exp(-t) * x.x10, x.x11)
+
+
 class TestDelta:
     def test_delta_matches_commutator(self):
         rng = np.random.default_rng(50)
@@ -656,20 +663,21 @@ class TestDelta:
         assert commutation_residual(qubit_gen_cons) < 1e-14
         assert commutation_residual(glauber_gen_cons) < 1e-13
 
-    def test_delta_formula_record_flags_a_wrong_rate(self, monkeypatch):
-        # the record compares delta_sq_semigroup with expm of delta^2's 4 x 4
-        # matrix on M_2; a semigroup damping at rate t instead of t / 2 fails
-        def record():
-            report = run_suite(parse_config({"t_grid": [0.5]}), groups=("extended",))
-            return next(r for r in report.records if r.name == "extended-delta-formula")
-
-        assert record().passed
-
-        def too_fast(t, x):
-            return BlockOp2(x.x00, np.exp(-t) * x.x01, np.exp(-t) * x.x10, x.x11)
-
-        monkeypatch.setattr(suite, "delta_sq_semigroup", too_fast)
-        assert not record().passed
+    @pytest.mark.parametrize("semigroup, ok", [(delta_sq_semigroup, True), (_too_fast, False)],
+                             ids=["library", "too fast"])
+    def test_delta_sq_semigroup_is_expm_of_delta_sq_on_m2(self, semigroup, ok):
+        # delta^2 on M_2 (row-major 2 x 2 matrices) is a 4 x 4 matrix whose
+        # exponential acts on x's four blocks; 20 seeded draws of 16 x 16
+        # operators and times
+        d_sq = np.column_stack([delta_sq_map(u.reshape(2, 2)).as_full().ravel() for u in np.eye(4)])
+        rng = rng_for(0, "extended-delta")
+        worst = 0.0
+        for _ in range(20):
+            x = BlockOp2.from_full(_draw_op(rng, 16))
+            t = float(rng.uniform(0.1, 2.0))
+            y = np.tensordot(scipy.linalg.expm(0.5 * t * d_sq), [x.x00, x.x01, x.x10, x.x11], 1)
+            worst = max(worst, (semigroup(t, x) - BlockOp2(*y)).max_abs())
+        assert (worst <= 1e-12) == ok
 
 
 def _swapped_corners(gen):
@@ -694,13 +702,13 @@ class TestCommutation:
     @pytest.mark.parametrize("mode", ["physical", "conservative"])
     def test_good_models_pass(self, name, mode):
         gen = build_extended_generator(_CP_MODELS[name](), mode)
-        assert commutation_residual(gen) <= DEFAULT_TOLERANCES["commutation"]
+        assert commutation_residual(gen) <= 1e-12
 
     @pytest.mark.parametrize("name", ["good qubit", "3-site periodic chain", "4-site open chain"])
     @pytest.mark.parametrize("adversary", [_swapped_corners, _physical_table])
     def test_adversaries_fail(self, name, adversary):
         gen = adversary(build_extended_generator(_CP_MODELS[name](), "conservative"))
-        # far above the record's tolerance, 1e-12
+        # far above the good models' bound, 1e-12
         assert commutation_residual(gen) > 1e-2
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +20,7 @@ from qmflow import (
     build_extended_generator,
     build_model,
     check_cp_rows,
+    default_constants,
     flow_matrix_element,
     load_json,
     matrix_exponential,
@@ -108,6 +110,14 @@ class TestParseConfig:
                 parse_config({"tolerances": {"choi": bad}})
         with pytest.raises(ValueError, match="'tolerances'"):
             parse_config({"tolerances": [1]})
+
+    @pytest.mark.parametrize("name", ["commutation", "delta_formula"])
+    def test_removed_tolerances_refused(self, name):
+        # their records held by construction and left the report
+        assert len(DEFAULT_TOLERANCES) == 16
+        with pytest.raises(ValueError, match=f"^config key 'tolerances.{name}' "
+                                             "is not a known check tolerance$"):
+            parse_config({"tolerances": {name: 1e-12}})
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -257,6 +267,32 @@ class TestCheckCpRows:
         consv = [r for r in report.records if r.name == "extended-conservativity"]
         assert not passed
         assert [r["passed"] for r in rows] == [r.passed for r in consv]
+
+    @pytest.mark.parametrize("real_scale, t, ok", [(1.0, 20.0, True), (0.3, 0.1, False)])
+    def test_choi_bound_grows_like_the_unit_block(self, real_scale, t, ok):
+        # the physical (1, 1) block grows like e^t, and the Choi test's
+        # rounding with it: the default chain, CP by construction, reads
+        # -4.9e-6 at t = 20 against 1e-9 e^20; with the real parts of its
+        # constants x 0.3 it reads -0.15 at t = 0.1
+        plus, minus = (
+            {lab: [real_scale * v.real, v.imag] for lab, v in table.items()}
+            for table in default_constants(0))
+        rc = parse_config({"t_grid": [t], "model": {"glauber": {
+            "sites": 3, "gg_plus": plus, "gg_minus": minus}}})
+        (record,) = (r for r in run_suite(rc, groups=("extended",)).records
+                     if r.name == "extended-cp")
+        assert record.tolerance == DEFAULT_TOLERANCES["choi"] * np.exp(t)
+        assert record.passed == ok and check_cp_rows(rc)[1] == ok
+        assert abs(record.value) > 1e-6
+
+    def test_a_time_whose_exponential_overflows_is_refused(self):
+        # e^710 overflows: the time-t map is refused before any bound is taken
+        rc = parse_config({"t_grid": [0.5, 710.0]})
+        message = "exp(t * M) overflows at t = 710.0: the semigroup is not finite at this time"
+        (record,) = run_suite(rc, groups=("extended",)).records
+        assert record.name == "extended-group" and record.message == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_cp_rows(rc)
 
 
 def _run(capsys, argv):
@@ -487,6 +523,12 @@ class TestCli:
         code, out, err = _run(capsys, ["suite", "--tol", "speed=1"])
         assert code == 2
         assert "not a known check tolerance" in err
+
+    def test_removed_tol_name(self, capsys):
+        # the key of a record that left the report is refused before any run
+        code, out, err = _run(capsys, ["suite", "--tol", "commutation=1e-3"])
+        assert code == 2 and out == ""
+        assert "'tolerances.commutation' is not a known check tolerance" in err
 
     def test_infinite_tol(self, capsys):
         code, out, err = _run(capsys, ["check-cp", "--tol", "choi=inf"])
