@@ -20,19 +20,23 @@ positivity, dissipativity against the block derivation delta) reduce to
 joint properties of the four entries. The diagnostics in this module are
 the numerical versions of those properties, and every one of them acts
 through the one 2x2 table, never a (2d)**2-side superoperator: ``_table``
-builds a table entry by entry, ``_semigroup`` is the table of time-t maps
-exp(t L_ij) (``_time`` is the one place a non-finite or negative time is
-refused), ``linalg._apply_grid`` applies a table to the blocks of an
-operator, ``_ChoiSectors.gather`` reads the entries of a table's Choi
-matrix that can be nonzero straight from the maps, and
+builds a table entry by entry, ``_semigroup`` is the table of dense
+time-t maps exp(t L_ij) that ``apply_extended`` applies (``_time`` is the
+one place a non-finite or negative time is refused),
+``linalg._apply_grid`` applies a table to the blocks of an operator,
+``_ChoiSectors.gather`` reads the entries of a table's Choi matrix that
+can be nonzero through a reader of the maps' entries, and
 ``_unit_deviation`` measures how far a table's images of the identity
 (``_unit_images``) are from fixed multiples of it. The entries L_ij =
 K(i, j) are the flow's point generators, so exponentials and resolvents
 are computed in the symmetry-reduced basis of the flow factors
 (``StructureMapSet._sectors``, the representatives' stabilizer-character
-blocks): ``_semigroup`` exponentiates each entry there in one call and
-maps it back onto L_ij's own plan (``_entry_plan``, read from its CSR
-sum), ``_unit_images`` only the blocks that hold vec(1), and
+blocks): each entry is exponentiated there in one call
+(``flows._factor``); ``_semigroup`` maps it back onto L_ij's own plan
+(``ExtendedGenerator._plans``, from the component labels of its CSR sum),
+and the time-t Choi test reads it from its compact matrix
+(``_Sectors.compact``) with no d**2-side array. ``_unit_images``
+exponentiates only the blocks that hold vec(1), and
 ``resolvent_generator`` solves each entry block by block. The entries are
 stored once, as CSR sums (``_sums``); a check that needs them dense
 converts them per call and keeps no copy. ``generator_cp_min_eig`` decides
@@ -49,9 +53,11 @@ basis too). At 4 periodic sites the largest block is 46 rows, not 296. A
 model with a trivial group takes the same path: Q is the identity and the
 blocks are the components, so its eigenvalues have the std basis's bits.
 Neither test builds a dense table Choi matrix. Each reads the rows of
-the multi-row components and the diagonal of the others from its maps,
-the time-t maps or the CSR sums of the generator's entries (whose rows
-are then projected away from the maximally entangled vector), and
+the multi-row components and the diagonal of the others from its maps:
+the time-t maps from their compact matrices, one at a time
+(``_compact_reader``), the generator's entries from their CSR sums
+(``_read``, whose rows are then projected away from the maximally
+entangled vector), and
 ``_ChoiSectors.min_eig`` places each character block into one zero
 matrix for the one eigensolve: the padded (2d)**2-side Choi matrix of
 the time-t map, or the 2 d**2-side table Choi matrix of the generator.
@@ -59,7 +65,7 @@ Either has the bytes the dense composition gives.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -185,9 +191,16 @@ class ExtendedGenerator:
         return _table(lambda i, j: _generator_csr(self.source, i, j, self.mode))
 
     @cached_property
+    def _labels(self):
+        """The component of each std index in each entry's pattern
+        (``linalg._component_labels``), from the positions of its CSR sum."""
+        return _table(lambda i, j: _component_labels(self.dim ** 2, *self._sums[i][j].nonzero()))
+
+    @cached_property
     def _plans(self):
-        """The entries' plans (``_entry_plan``), found on first use."""
-        return _table(lambda i, j: _entry_plan(self, i, j))
+        """The entries' plans, from their labels: L_ij's is
+        ``_diagonal_blocks`` of the dense entry, bit for bit."""
+        return _table(lambda i, j: _labels_plan(self._labels[i][j]))
 
     @cached_property
     def _choi_sectors(self):
@@ -253,14 +266,8 @@ def _time(t):
     return t
 
 
-def _entry_plan(gen, i, j):
-    """The plan of L_ij (``_diagonal_blocks`` of the dense entry, bit for
-    bit), from the positions of its nonzero entries in ``gen._sums``."""
-    return _labels_plan(_component_labels(gen.dim ** 2, *gen._sums[i][j].nonzero()))
-
-
 def _semigroup(gen, t):
-    """The table of time-t maps exp(t L_ij).
+    """The table of dense time-t maps exp(t L_ij), for ``apply_extended``.
 
     Each entry is the flow factor exp(t K(i, j)) (``flows._factor``, one
     exponential on the compact matrix of the distinct blocks of the
@@ -318,11 +325,24 @@ def _plan_positions(plan):
 
 def _read(m, rows, cols):
     """m[rows, cols] for index arrays of one shape, read at flat (row, col)
-    pairs: m may be a dense array or a ``csr_array``, which gives a sparse
-    result for no pair."""
+    pairs of a ``csr_array`` m, which gives a sparse result for no pair."""
     if not rows.size:
         return np.zeros(rows.shape, dtype=complex)
     return m[rows.ravel(), cols.ravel()].reshape(rows.shape)
+
+
+def _compact_reader(gen, t, i, j):
+    """The reader (rows, cols) -> S_ij[rows, cols], for index arrays of one
+    shape, of the time-t map S_ij = exp(t L_ij) as ``_semigroup`` makes it,
+    with no d**2-side array: its flow factor's compact matrix m = Q f Q*
+    (``_Sectors.compact``) holds S_ij[r, c] at (position[r], position[c])
+    when r and c share a block of L_ij's plan (equal ``gen._labels``), and
+    S_ij is +0j else."""
+    sm, label = gen.source, gen._labels[i][j]
+    m, position = sm._sectors.compact(_factor(sm, i, j, t, gen.mode)), sm._sectors.position
+    # read at flat positions: one take, not a two-axis fancy index
+    return lambda rows, cols: np.where(label[rows] == label[cols],
+                                       m.take(position[rows] * len(m) + position[cols]), 0)
 
 
 @dataclass(frozen=True)
@@ -349,29 +369,31 @@ class _ChoiSectors:
     fourier: tuple
     plan: tuple
 
-    def gather(self, table, d):
+    def gather(self, reader, d):
         """(c[rows][:, rows], c's diagonal at singles) for the table Choi
-        matrix c of table, the 2 d**2-side matrix whose (i, j) block is
-        Choi(table[i][j]), read straight from the maps, one quadrant (i, j)
-        at a time: C[i n + a d + b, j n + e d + f] = S_ij[f d + b, e d + a]
-        with n = d**2. c is 0 everywhere else: there it lies between two
-        components. Each map may be a dense array or a ``csr_array``
-        (``_read``)."""
+        matrix c of a table S of maps, the 2 d**2-side matrix whose (i, j)
+        block is Choi(S_ij), read one quadrant (i, j) at a time, in row
+        order: C[i n + a d + b, j n + e d + f] = S_ij[f d + b, e d + a] with
+        n = d**2. c is 0 everywhere else: there it lies between two
+        components. reader(i, j) is called once per quadrant and gives the
+        function (rows, cols) -> S_ij[rows, cols] for index arrays of one
+        shape: a time-t map's (``_compact_reader``) or a generator entry's
+        CSR sum's (``_read``)."""
         n = d * d
         quadrant, rest = np.divmod(self.rows, n)
         a, b = np.divmod(rest, d)
+        single, rest = np.divmod(self.singles, n)
+        e, f = np.divmod(rest, d)
         held = np.empty((self.rows.size, self.rows.size), dtype=complex)
+        diagonal = np.empty(self.singles.size, dtype=complex)
         for i in (0, 1):
             x = np.flatnonzero(quadrant == i)[:, None]
             for j in (0, 1):
-                y = np.flatnonzero(quadrant == j)
-                held[x, y] = _read(table[i][j], b[y] * d + b[x], a[y] * d + a[x])
-        quadrant, rest = np.divmod(self.singles, n)
-        a, b = np.divmod(rest, d)
-        diagonal = np.empty(self.singles.size, dtype=complex)
-        for i in (0, 1):
-            x = quadrant == i
-            diagonal[x] = _read(table[i][i], b[x] * (d + 1), a[x] * (d + 1))
+                read, y = reader(i, j), np.flatnonzero(quadrant == j)
+                held[x, y] = read(b[y] * d + b[x], a[y] * d + a[x])
+                if i == j:
+                    z = single == i
+                    diagonal[z] = read(f[z] * (d + 1), e[z] * (d + 1))
         return held, diagonal
 
     def min_eig(self, held, diagonal, at, side):
@@ -436,27 +458,35 @@ def extended_choi_min_eig(gen, t):
     Nonnegative (to tolerance) iff the extended map is completely
     positive. Its Choi matrix (side (2d)**2, guarded) is the table Choi
     matrix c of the time-t maps with row p*d + k of block row i moved to
-    (i*d + p)*2d + i*d + k, 0 else. c is never built: the held rows of its
-    components of more than one row and the diagonal of the others, the
-    only entries that can be nonzero, are gathered from the time-t maps
-    (``_ChoiSectors.gather``) and checked Hermitian as ``_hermitian_choi``
-    checks c. The held rows are written in the symmetry sectors, a unitary
-    change of basis within each component, and each character block is
-    placed straight into the padded matrix with the rounding between
-    characters dropped (``_ChoiSectors.min_eig``), so the one ``min_eig``
-    call solves the character blocks. The maps are dropped before the
-    padded matrix is made.
+    (i*d + p)*2d + i*d + k, 0 else. Neither c nor a d**2-side time-t map
+    is built: the held rows of c's components of more than one row and
+    the diagonal of the others, the only entries that can be nonzero, are
+    read by ``_ChoiSectors.gather`` from the compact matrices Q f Q* of
+    the flow factors f (``_Sectors.compact``, ``_compact_reader``), one at
+    a time, with the bytes the dense maps give, and checked Hermitian as
+    ``_hermitian_choi`` checks c. The held rows are written in the
+    symmetry sectors, a unitary change of basis within each component, and
+    each character block is placed straight into the padded matrix with
+    the rounding between characters dropped (``_ChoiSectors.min_eig``), so
+    the one ``min_eig`` call solves the character blocks. A time at which
+    a change of basis or the eigensolve overflows, though the time-t maps
+    are finite, is refused with a ValueError naming it.
     """
     _choi_guard(gen)
-    # built before the table, so that its transients do not add to it
-    sectors = gen._choi_sectors
-    held, diagonal = sectors.gather(_semigroup(gen, t), gen.dim)
-    # c is 0 off these two parts, so their maxima are those of c - c* and c
-    _check_hermitian(np.max([max_abs(held - held.conj().T), max_abs(diagonal - diagonal.conj())]),
-                     np.max([max_abs(held), max_abs(diagonal)]))
-    d = gen.dim
-    i, p, k = np.unravel_index(np.arange(2 * d * d), (2, d, d))
-    return sectors.min_eig(held, diagonal, (i * d + p) * (2 * d) + i * d + k, 4 * d * d)
+    # the sectors are built before the maps, so that their transients do
+    # not add to them
+    t, sectors, d = _time(t), gen._choi_sectors, gen.dim
+    q, p, k = np.unravel_index(np.arange(2 * d * d), (2, d, d))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # one compact matrix at a time, each dropped with its reader
+            held, diagonal = sectors.gather(partial(_compact_reader, gen, t), d)
+            # c is 0 off these two parts, so their maxima are those of c - c* and c
+            _check_hermitian(max(max_abs(held - held.conj().T), max_abs(diagonal - diagonal.conj())),
+                             max(max_abs(held), max_abs(diagonal)))
+            return sectors.min_eig(held, diagonal, (q * d + p) * (2 * d) + q * d + k, 4 * d * d)
+    except FloatingPointError:
+        raise ValueError(f"the time-t Choi matrix overflows at t = {t!r}") from None
 
 
 def _choi_guard(gen):
@@ -523,7 +553,7 @@ def generator_cp_min_eig(gen):
     _choi_guard(gen)
     gen = _in_mode(gen, "physical")
     d, n, sectors = gen.dim, gen.dim ** 2, gen._generator_choi_sectors
-    held, diagonal = sectors.gather(gen._sums, d)
+    held, diagonal = sectors.gather(lambda i, j: partial(_read, gen._sums[i][j]), d)
     # the positions in held of w's rows, in ascending std order
     at = np.empty(2 * n, dtype=int)
     at[sectors.rows] = np.arange(sectors.rows.size)

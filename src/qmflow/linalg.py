@@ -13,7 +13,10 @@ Conventions used throughout the package:
   being positive semidefinite.
 
 Validation boundary: every public function checks its arguments (shape,
-finiteness) on each call. ``_apply`` is the one unchecked matvec, for
+finiteness) on each call; ``min_eig`` and ``is_psd`` check the shape on
+entry and refuse a non-finite entry on the diagonal blocks they gather
+(a NaN or an infinity is nonzero, so it lies in a block), with no
+separate pass over the input. ``_apply`` is the one unchecked matvec, for
 superoperators validated once when they were built (the maps of a
 ``StructureMapSet``) or computed from such maps (exponentials and their
 products), applied to operators of matching, known-good shape. It takes
@@ -61,8 +64,10 @@ plan (from the positions of its CSR sum) and the Choi sectors read them
 with no dense pass. The flow factors, the window products
 and the extended exponentials work in one symmetry-reduced basis
 (``StructureMapSet._sectors``, which ``structure._sector_basis`` builds
-from the maps' CSR views): only its compact matrices and each map mapped
-back to the std basis are dense.
+from the maps' CSR views): only its compact matrices and the maps that
+are mapped back to the std basis (a flow window's product, a resolvent
+entry, ``apply_extended``'s time-t maps) are dense; the time-t Choi test
+reads its entries from the compact matrices.
 """
 
 import functools
@@ -80,11 +85,11 @@ __all__ = [
 ]
 
 
-def _as_square(x, name="operator"):
+def _as_square(x, name="operator", finite=True):
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if finite and not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -334,7 +339,9 @@ def _diagonal_blocks(m):
     ``(arange(n)[None],)``. Plans are memoized under the exact packed
     pattern.
     """
-    return _block_plan(m.shape[0], np.packbits(m != 0).tobytes())
+    # m != 0 as a cast to bool, the same pattern (a NaN is nonzero, a
+    # signed zero is not) at a third of the time on complex input
+    return _block_plan(m.shape[0], np.packbits(m.astype(bool)).tobytes())
 
 
 @functools.lru_cache(maxsize=32)
@@ -470,20 +477,26 @@ def _check_hermitian(dev, scale):
 
 def _hermitian_eigvals(h):
     """Ascending eigenvalues of the Hermitian part of the square array h,
-    from one stacked ``eigvalsh`` per group of equal-size diagonal blocks."""
+    from one stacked ``eigvalsh`` per group of equal-size diagonal blocks.
+    The pattern is read once (``_diagonal_blocks``); a NaN or an infinity is
+    nonzero, so it lies in a block, and the gathered blocks are refused
+    with ``_as_square``'s message when one is not finite."""
     if not h.size:
         raise ValueError("h is an empty (0x0) matrix: it has no eigenvalues")
     # the Hermitian part of each block is the block of hermitian_part(h),
     # formed without a dense copy of h
-    stacks = (_block(h, idx) for idx in _diagonal_blocks(h))
+    stacks = [_block(h, idx) for idx in _diagonal_blocks(h)]
+    if not all(np.isfinite(s).all() for s in stacks):
+        raise ValueError("operator contains non-finite entries")
     return np.sort(np.concatenate(
         [np.linalg.eigvalsh(0.5 * (s + s.conj().transpose(0, 2, 1))).ravel()
          for s in stacks]))
 
 
 def min_eig(h):
-    """Smallest eigenvalue of the Hermitian part of h."""
-    h = _as_square(h)
+    """Smallest eigenvalue of the Hermitian part of h; refuses a non-square
+    h and, with the message of ``_as_square``, a non-finite entry."""
+    h = _as_square(h, finite=False)
     return float(_hermitian_eigvals(h)[0])
 
 
@@ -493,7 +506,7 @@ def is_psd(h):
     Accepts h when min_eig(h) >= -1e-9 * max(1, ||h||), with ||h|| the
     spectral norm of the Hermitian part.
     """
-    h = _as_square(h)
+    h = _as_square(h, finite=False)
     evals = _hermitian_eigvals(h)
     scale = max(1.0, float(np.max(np.abs(evals))))
     return bool(evals[0] >= -1e-9 * scale)

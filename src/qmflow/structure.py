@@ -358,11 +358,17 @@ class _Sectors:
         """The n x n matrix Q m Q* of the stacks m on this basis's plan,
         each component holding its representative's block, 0 off the
         diagonal blocks of the std plan (whose blocks lie within
-        components). The products with Q are batched per orbit size on the
-        compact side (``_by_orbits``). The stacks are those of the distinct
-        blocks (``distinct_plan``), expanded first."""
-        m = _by_orbits(_unblock(self.expand(stacks), self.plan, self.side), self.fourier)
+        components), each block read from the compact matrix (``compact``)."""
+        m = self.compact(stacks)
         return _unblock([_block(m, self.position[idx]) for idx in plan], plan, self.position.size)
+
+    def compact(self, stacks):
+        """Q m Q* on the compact side, for the stacks m of the distinct
+        blocks (``distinct_plan``), expanded first: the std matrix's entry
+        (r, c) within a diagonal block of the std plan is the entry
+        (position[r], position[c]) of this side x side matrix. The
+        products with Q are batched per orbit size (``_by_orbits``)."""
+        return _by_orbits(_unblock(self.expand(stacks), self.plan, self.side), self.fourier)
 
     def expand(self, stacks):
         """The stacks on ``plan`` of stacks on ``distinct_plan``: each

@@ -18,7 +18,7 @@ from qmflow import (
     min_eig,
 )
 from qmflow.extended import _semigroup
-from qmflow.linalg import _block, _choi, _hermitian_choi, _labels_plan, _unblock
+from qmflow.linalg import _block, _choi, _diagonal_blocks, _hermitian_choi, _labels_plan, _unblock
 from qmflow.structure import _by_orbits
 
 
@@ -128,6 +128,39 @@ def same_bytes_as_padded(h, c, d, band=256):
         for start, part in zip(range(0, side, band), padded_bands(c, d, band)))
 
 
+def dense_gather(sectors, table, d):
+    """The oracle of ``_ChoiSectors.gather`` on the dense time-t maps
+    (``sectors.gather(_semigroup(gen, t), d)`` before the maps were read
+    from their compact matrices): (c[rows][:, rows], c's diagonal at
+    singles) for the table Choi matrix c of table, read quadrant by
+    quadrant by C[i n + a d + b, j n + e d + f] = S_ij[f d + b, e d + a]."""
+    n = d * d
+    quadrant, rest = np.divmod(sectors.rows, n)
+    a, b = np.divmod(rest, d)
+    held = np.empty((sectors.rows.size, sectors.rows.size), dtype=complex)
+    for i in (0, 1):
+        x = np.flatnonzero(quadrant == i)[:, None]
+        for j in (0, 1):
+            y = np.flatnonzero(quadrant == j)
+            held[x, y] = table[i][j][b[y] * d + b[x], a[y] * d + a[x]]
+    quadrant, rest = np.divmod(sectors.singles, n)
+    a, b = np.divmod(rest, d)
+    diagonal = np.empty(sectors.singles.size, dtype=complex)
+    for i in (0, 1):
+        x = quadrant == i
+        diagonal[x] = table[i][i][b[x] * (d + 1), a[x] * (d + 1)]
+    return held, diagonal
+
+
+def table_from_compact(gen, compact):
+    """The dense maps S_ij that ``_Sectors.to_standard`` makes of the
+    compact matrices compact[i][j] (``_Sectors.compact``) on L_ij's plan:
+    each plan block gathered at its rows' compact positions, 0 off them."""
+    position, n = gen.source._sectors.position, gen.dim ** 2
+    return [[_unblock([_block(compact[i][j], position[idx]) for idx in gen._plans[i][j]],
+                      gen._plans[i][j], n) for j in (0, 1)] for i in (0, 1)]
+
+
 def std_choi_min_eig(gen, t):
     """The oracle of extended_choi_min_eig, in the std basis: (the smallest
     eigenvalue of the table Choi matrix c placed in the zero-padded
@@ -226,3 +259,33 @@ def assert_same_plan(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _previous_hermitian_eigvals(h):
+    """The oracle of ``linalg._hermitian_eigvals`` behind ``min_eig`` and
+    ``is_psd`` as they were when the finiteness check was a dense pass over
+    h on entry: the ascending eigenvalues of the Hermitian part of each
+    group of equal-size diagonal blocks."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"operator must be a square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("operator contains non-finite entries")
+    if not h.size:
+        raise ValueError("h is an empty (0x0) matrix: it has no eigenvalues")
+    stacks = (_block(h, idx) for idx in _diagonal_blocks(h))
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(0.5 * (s + s.conj().transpose(0, 2, 1))).ravel()
+         for s in stacks]))
+
+
+def previous_min_eig(h):
+    """The oracle of ``min_eig`` (``_previous_hermitian_eigvals``)."""
+    return float(_previous_hermitian_eigvals(h)[0])
+
+
+def previous_is_psd(h):
+    """The oracle of ``is_psd`` (``_previous_hermitian_eigvals``)."""
+    evals = _previous_hermitian_eigvals(h)
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    return bool(evals[0] >= -1e-9 * scale)

@@ -1,3 +1,5 @@
+import traceback
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -43,10 +45,11 @@ from qmflow import (
 )
 import qmflow.suite as suite
 from qmflow.extended import _semigroup
-from qmflow.flows import _generator_blocks
+from qmflow.flows import _factor, _generator_blocks
 from qmflow.linalg import _apply, _draw_op, _hermitian_choi
 from qmflow.suite import _RESOLVENT_EPS
 from conftest import (
+    dense_gather,
     dense_sector_choi,
     exact_generator_cp_min_eig,
     one_ulp_off,
@@ -58,6 +61,7 @@ from conftest import (
     site_z_breaker,
     std_choi_min_eig,
     table_choi,
+    table_from_compact,
 )
 
 
@@ -435,11 +439,47 @@ _BYTE_MODELS = {
 
 
 class TestPaddedChoiBytes:
-    """extended_choi_min_eig gathers the table Choi matrix's blocks from the
-    time-t maps straight into the padded matrix; that matrix has the bytes
-    of the dense composition (``conftest.dense_sector_choi``, padded),
-    signed zeros included, and its asymmetry check refuses as the dense
-    check does."""
+    """extended_choi_min_eig reads the table Choi matrix's blocks from the
+    compact matrices of the time-t maps straight into the padded matrix;
+    what it reads has the bytes of the dense maps' gather
+    (``conftest.dense_gather``), the padded matrix those of the dense
+    composition (``conftest.dense_sector_choi``, padded), signed zeros
+    included, and its asymmetry check refuses as the dense check does."""
+
+    @pytest.mark.parametrize("name", ["good qubit", "3-site open chain", "4-site open chain",
+                                      "3-site periodic chain", "4-site periodic chain"])
+    def test_held_rows_have_the_bytes_of_the_dense_gather(self, name, monkeypatch):
+        import qmflow.extended as ext
+
+        sm, same = _BYTE_MODELS[name](), []
+
+        def compare(sectors, held, diagonal, at, side):
+            want = dense_gather(sectors, _semigroup(gen, t), gen.dim)
+            same.append(all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+                            for g, w in zip((held, diagonal), want)))
+            return 0.0
+
+        monkeypatch.setattr(ext._ChoiSectors, "min_eig", compare)
+        times = [*parse_config({}).t_grid, 15.0, 30.0]
+        for mode in ("physical", "conservative"):
+            gen = build_extended_generator(sm, mode)
+            for t in times:
+                extended_choi_min_eig(gen, t)
+        assert same == [True] * (2 * len(times))
+
+    @pytest.mark.parametrize("name", ["good qubit", "3-site open chain", "4-site periodic chain"])
+    def test_no_dense_time_t_map(self, name, monkeypatch):
+        # no map goes back to the d**2-side std basis
+        import qmflow.structure as structure
+
+        calls, original = [], structure._Sectors.to_standard
+        monkeypatch.setattr(structure._Sectors, "to_standard",
+                            lambda self, *a: calls.append(1) or original(self, *a))
+        gen = build_extended_generator(_BYTE_MODELS[name]())
+        for t in parse_config({}).t_grid:
+            extended_choi_min_eig(gen, t)
+        _semigroup(gen, 0.5)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("name", _BYTE_MODELS)
     def test_same_bytes_as_the_dense_composition(self, name, monkeypatch):
@@ -460,7 +500,7 @@ class TestPaddedChoiBytes:
         # C[i n + a d + b, j n + e d + f] = S_ij[f d + b, e d + a]: one entry
         # of c moved off Hermitian, between two rows of one component of
         # more than one row, or on the imaginary diagonal of a one-row one
-        import qmflow.extended as ext
+        import qmflow.structure as structure
 
         gen = build_extended_generator(_chain(3, "periodic"))
         d, sectors = gen.dim, gen._choi_sectors
@@ -472,16 +512,69 @@ class TestPaddedChoiBytes:
             r = s = sectors.singles[-1]
             bump, asymmetry = 1e-3j, 2e-3
         (i, a, b), (j, e, f) = (np.unravel_index(x, (2, d, d)) for x in (r, s))
-        table = [list(row) for row in _semigroup(gen, 0.5)]
-        table[i][j] = table[i][j].copy()
-        table[i][j][f * d + b, e * d + a] += bump
-        monkeypatch.setattr(ext, "_semigroup", lambda gen, t: table)
+        # the bump goes into the compact matrix that S_ij's reader is given;
+        # gather reads the quadrants in row order, one compact matrix each
+        sm = gen.source
+        compact = [[sm._sectors.compact(_factor(sm, x, y, 0.5, gen.mode)) for y in (0, 1)]
+                   for x in (0, 1)]
+        position = sm._sectors.position
+        compact[i][j][position[f * d + b], position[e * d + a]] += bump
+        given = iter([m for row in compact for m in row])
+        monkeypatch.setattr(structure._Sectors, "compact", lambda self, stacks: next(given))
+        table = table_from_compact(gen, compact)
         with pytest.raises(ValueError, match="^map not hermiticity-preserving") as dense:
             _hermitian_choi(table_choi(table, d))
         with pytest.raises(ValueError) as gathered:
             extended_choi_min_eig(gen, 0.5)
         assert str(gathered.value) == str(dense.value) == (
             f"map not hermiticity-preserving: Choi asymmetry {asymmetry:.3e}")
+
+
+class TestChoiOverflow:
+    """A time at which the time-t maps are finite but the Choi test is not
+    is refused with a ValueError naming it, and no RuntimeWarning, at
+    either change of basis and in the eigensolve."""
+
+    @staticmethod
+    def _refusal(gen, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                extended_choi_min_eig(gen, t)
+        assert str(refused.value) == f"the time-t Choi matrix overflows at t = {t!r}"
+        # the function that overflowed and its caller
+        frames = [f.name for f in traceback.extract_tb(refused.value.__context__.__traceback__)]
+        where = next(name for name in ("_by_orbits", "_hermitian_eigvals") if name in frames)
+        return frames[frames.index(where) - 1], where
+
+    @pytest.mark.parametrize("name, t, where", [
+        # the Choi sectors: Q* held Q in _ChoiSectors.min_eig
+        ("3-site periodic chain", 709.5, ("min_eig", "_by_orbits")),
+        ("4-site periodic chain", 709.0, ("min_eig", "_by_orbits")),
+        # the Hermitian part of a gathered block, in linalg.min_eig
+        ("3-site periodic chain", 708.6, ("min_eig", "_hermitian_eigvals")),
+        ("good qubit", 709.5, ("min_eig", "_hermitian_eigvals"))])
+    def test_refused_naming_the_time(self, name, t, where):
+        gen = build_extended_generator(_BYTE_MODELS[name]())
+        assert self._refusal(gen, t) == where
+
+    def test_compact_change_of_basis_keeps_the_largest_entry(self, monkeypatch):
+        # Q m Q* sums one term per character, each at most max|m| / s for an
+        # orbit of size s, so the compact matrices stay finite for any
+        # finite exponential: with the factors scaled to 0.9 times the
+        # largest float, the overflow and its refusal come at the Choi
+        # sectors
+        import qmflow.extended as ext
+
+        def huge(sm, i, j, t, mode):
+            stacks = _factor(sm, i, j, t, mode)
+            top = max(max_abs(s) for s in stacks)
+            return tuple(np.finfo(float).max * (0.9 / top * s) for s in stacks)
+
+        monkeypatch.setattr(ext, "_factor", huge)
+        for sites in (3, 4):
+            gen = build_extended_generator(_chain(sites, "periodic"))
+            assert self._refusal(gen, 0.5) == ("min_eig", "_by_orbits")
 
 
 class TestGeneratorChoiBytes:

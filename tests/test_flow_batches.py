@@ -518,9 +518,7 @@ class TestBlockBasis:
         point_generator(sm, 0.3 - 0.2j, 0.6 + 0.1j)
         gens = [build_extended_generator(sm, mode) for mode in ("physical", "conservative")]
         for gen in gens:
-            for i in (0, 1):
-                for j in (0, 1):
-                    extended._entry_plan(gen, i, j)
+            assert all(plan for row in gen._plans for plan in row)
         suite._refuse_overflowing_times(parse_config({}), *gens)
         assert built == [] and "_sectors" not in vars(sm)
 

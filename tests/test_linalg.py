@@ -33,7 +33,13 @@ from qmflow.linalg import (
     _hermitian_eigvals,
     _labels_plan,
 )
-from conftest import assert_same_plan, random_op, strong_components_plan
+from conftest import (
+    assert_same_plan,
+    previous_is_psd,
+    previous_min_eig,
+    random_op,
+    strong_components_plan,
+)
 
 
 class TestVectorization:
@@ -428,6 +434,64 @@ class TestDiagonalBlocks:
             m[k, (k + 1) % 40] = 1.0
             _diagonal_blocks(m)
         assert _block_plan.cache_info().currsize == slots == 32
+
+
+def _signed_block_sparse(seed):
+    """A seeded Hermitian-ish matrix, block diagonal after a permutation of
+    its rows, with +0j, -0j and (-0, +0) entries inside and between its
+    blocks; half of them are shifted to be positive semidefinite."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    labels = rng.integers(0, max(1, n // 3), n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = m + m.conj().T
+    m[labels[:, None] != labels[None, :]] = 0
+    m[rng.random((n, n)) < 0.2] = 0
+    for zero in (-0.0 + 0j, complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)):
+        m[rng.random((n, n)) < 0.05] = zero
+    if seed % 2:
+        m += (np.abs(np.linalg.eigvalsh(hermitian_part(m))).max() + 1e-3) * np.eye(n)
+    return m
+
+
+class TestFiniteOnTheBlocks:
+    """min_eig and is_psd check the shape on entry, read the pattern once
+    and refuse a non-finite entry on the gathered blocks: the same bits and
+    the same messages as the dense finiteness pass over the whole input
+    (``conftest.previous_min_eig``, ``conftest.previous_is_psd``)."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_bits_as_the_dense_pass(self, seed):
+        m = _signed_block_sparse(seed)
+        got, want = min_eig(m), previous_min_eig(m)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert is_psd(m) == previous_is_psd(m)
+
+    @pytest.mark.parametrize("where", ["nan in a block", "inf on the diagonal",
+                                       "nan in a zero row", "complex(0, nan)"])
+    @pytest.mark.parametrize("fn, previous", [(min_eig, previous_min_eig),
+                                              (is_psd, previous_is_psd)])
+    def test_non_finite_refused_with_the_message(self, where, fn, previous):
+        m = _signed_block_sparse(3).astype(complex)
+        n = m.shape[0]
+        r = int(np.argmax(np.count_nonzero(m, axis=1)))
+        if where == "nan in a block":
+            m[r, np.flatnonzero(m[r])[-1]] = np.nan
+        elif where == "inf on the diagonal":
+            m[r, r] = np.inf
+        elif where == "nan in a zero row":
+            m[n - 1] = m[:, n - 1] = 0
+            m[n - 1, 0] = np.nan
+        else:
+            m[r, r] = complex(0, np.nan)
+        for f in (fn, previous):
+            with pytest.raises(ValueError, match="^operator contains non-finite entries$"):
+                f(m)
+
+    @pytest.mark.parametrize("fn", [min_eig, is_psd])
+    def test_shape_checked_first(self, fn):
+        with pytest.raises(ValueError, match=r"^operator must be a square matrix, got shape \(2, 3\)$"):
+            fn(np.full((2, 3), np.nan))
 
 
 _patterns = st.integers(1, 24).flatmap(lambda n: st.tuples(

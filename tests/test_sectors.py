@@ -268,7 +268,7 @@ class TestSectorBasis:
             gen = build_extended_generator(sm, mode)
             for i in (0, 1):
                 for j in (0, 1):
-                    got, want = extended._entry_plan(gen, i, j), _diagonal_blocks(gen.block(i, j))
+                    got, want = gen._plans[i][j], _diagonal_blocks(gen.block(i, j))
                     assert len(got) == len(want)
                     for a, b in zip(got, want):
                         assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -661,6 +661,19 @@ class TestOverflowRefusals:
         assert "Warning" not in proc.stderr
         assert not out.exists()
 
+    def test_choi_overflow_below_the_exponential_refused(self, tmp_path):
+        # exp(709.5 L) is finite, its Choi matrix's change of basis is not
+        src = str(Path(qmflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qmflow.cli", "check-cp", "--t", "709.5",
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: the time-t Choi matrix overflows at t = 709.5\n")
+        assert not out.exists()
+
 
 class TestStrictJson:
     """A measured value that is not finite fails and is stored as null,
@@ -773,6 +786,8 @@ class TestSuiteGridRefusal:
         calls = []
         monkeypatch.setattr(qmflow.extended, "_semigroup",
                             lambda gen, t: calls.append(("semigroup", t)))
+        monkeypatch.setattr(qmflow.extended, "_factor",
+                            lambda sm, f0, g0, t, mode: calls.append(("factor", t)))
         monkeypatch.setattr(qmflow.extended, "matrix_exponential",
                             lambda m, t=1.0: calls.append(("expm", t)))
         rc = parse_config({"t_grid": [0.5, 1e308]})
